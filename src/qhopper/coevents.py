@@ -116,34 +116,55 @@ def is_primitive(support: Event) -> bool:
     return True
 
 
+def _dualise_maxima(
+    maxima: tuple[tuple[int, ...], ...], counts: tuple[int, ...], max_vectors: int
+) -> list[tuple[int, ...]]:
+    """Minimal vectors of the box 0 <= v <= counts lying below none of `maxima`.
+
+    Berge-style dualisation: the minimal vectors escaping every maximum
+    seen so far either escape the next one M already (some v_i > M_i),
+    or are raised to M_i + 1 on one class i.  After each M the raised
+    vectors are pruned back to the minimal ones; the escaping vectors
+    stay minimal, as the previous antichain already was.
+    """
+    minimal = [(0,) * len(counts)]
+    for mx in maxima:
+        kept: list[tuple[int, ...]] = []
+        raised: set[tuple[int, ...]] = set()
+        for v in minimal:
+            if any(k > m for k, m in zip(v, mx)):
+                kept.append(v)
+                continue
+            for i, (m, c) in enumerate(zip(mx, counts)):
+                if m < c:
+                    raised.add(v[:i] + (m + 1,) + v[i + 1 :])
+        minimal = kept
+        # a vector dominating another has the larger sum, so it comes later
+        for w in sorted(raised, key=sum):
+            if not any(all(a <= b for a, b in zip(u, w)) for u in minimal):
+                minimal.append(w)
+        if len(minimal) > max_vectors:
+            raise InfeasibleSizeError(
+                f"antichain of {len(minimal)} minimal preclusive vectors exceeds "
+                f"the max_vectors guard of {max_vectors}"
+            )
+    return sorted(minimal, key=lambda v: (sum(v), v))
+
+
 def minimal_preclusive_vectors(
     classes: AmplitudeClasses, *, max_vectors: int = DEFAULT_MAX_VECTORS
 ) -> list[tuple[int, ...]]:
     """Inclusion-minimal preclusive count vectors of a fixed-final space.
 
-    Walks the count-vector lattice in increasing total order; a vector
-    dominating an already-found minimal vector cannot be minimal, and by
-    upward closure the first preclusive vector on any chain is.
+    A count vector is preclusive iff no zero-sum vector dominates it,
+    that is iff it escapes every maximal zero-sum vector M (v_i > M_i for
+    some class i); the minimal such vectors come from dualising the
+    maxima.  Sorted by total, then lexicographically.
     """
     if classes.space.final is None:
         raise WrongSpaceError("minimal preclusive vectors need a fixed-final space")
     (table,) = sector_tables(classes, max_vectors=max_vectors).values()
-    lattice = math.prod(c + 1 for c in table.counts)
-    if lattice > max_vectors:
-        raise InfeasibleSizeError(
-            f"count-vector lattice of {lattice} exceeds the guard of {max_vectors}"
-        )
-    box = sorted(
-        itertools.product(*(range(c + 1) for c in table.counts)),
-        key=lambda v: (sum(v), v),
-    )
-    minimal: list[tuple[int, ...]] = []
-    for vec in box:
-        if any(all(k >= m for k, m in zip(vec, mv)) for mv in minimal):
-            continue
-        if not table.extendable(vec):
-            minimal.append(vec)
-    return minimal
+    return _dualise_maxima(table.maximal_zero, table.counts, max_vectors)
 
 
 def count_primitive(
@@ -151,7 +172,7 @@ def count_primitive(
 ) -> int:
     """Number of primitive coevents, without expanding supports."""
     classes = amplitude_classes(space)
-    table = sector_tables(classes)[space.final]
+    table = sector_tables(classes, max_vectors=max_vectors)[space.final]
     total = 0
     for vec in minimal_preclusive_vectors(classes, max_vectors=max_vectors):
         total += math.prod(math.comb(c, k) for c, k in zip(table.counts, vec))
@@ -181,7 +202,7 @@ def enumerate_primitive(
             f"{total} primitive supports exceed the expansion guard of {max_supports}"
         )
     classes = amplitude_classes(space)
-    table = sector_tables(classes)[space.final]
+    table = sector_tables(classes, max_vectors=max_vectors)[space.final]
     member_lists = [
         Event(space, classes.classes[c].members).indices() for c in table.class_ids
     ]

@@ -8,11 +8,15 @@ vanishes; on a fixed-final space that reduces to one amplitude sum.
 Counting is done over amplitude classes: a subset's sum depends only on
 how many members it takes from each class, so the zero-sum predicate
 lives on the small lattice of per-class count vectors and each zero-sum
-vector contributes a product of binomial coefficients.
+vector contributes a product of binomial coefficients.  The zero-sum
+vectors are the integer kernel points of the class-value matrix inside
+the box 0 <= k <= counts, found by walking the free classes only.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import weakref
 from dataclasses import dataclass
@@ -82,40 +86,148 @@ class SectorTable:
         return any(all(k <= m for k, m in zip(vec, mx)) for mx in self.maximal_zero)
 
 
+@dataclass(frozen=True)
+class _Kernel:
+    """Integer reduced echelon form of one sector's class-value matrix A.
+
+    Column j of A holds the canonical coordinates of class j's value, so
+    a count vector k is zero-sum exactly when A k = 0.  Pivot row r reads
+
+        denoms[r] * k[pivots[r]] + sum_j coeffs[j][r] * k[free[j]] = 0,
+
+    with denoms[r] > 0: each pivot class is fixed by the free classes.
+    """
+
+    pivots: tuple[int, ...]
+    denoms: tuple[int, ...]
+    free: tuple[int, ...]
+    coeffs: tuple[tuple[int, ...], ...]  # per free class, over the pivot rows
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel(columns: tuple[tuple[int, ...], ...], counts: tuple[int, ...]) -> _Kernel:
+    """Fraction-free Gauss-Jordan elimination, pivots on the largest classes first.
+
+    Choosing pivot columns greedily by decreasing count gives the basis
+    of largest total log-size, hence the smallest free box.
+    """
+    rows = [list(r) for r in zip(*columns)]
+    pivots: list[int] = []
+    for j in sorted(range(len(columns)), key=lambda j: (-counts[j], j)):
+        top = len(pivots)
+        r = next((r for r in range(top, len(rows)) if rows[r][j]), None)
+        if r is None:
+            continue
+        g = math.gcd(*rows[r]) * (1 if rows[r][j] > 0 else -1)
+        pivot_row = [a // g for a in rows[r]]
+        rows[r] = rows[top]
+        rows[top] = pivot_row
+        p = pivot_row[j]
+        for i, row in enumerate(rows):
+            if i != top and row[j]:
+                mixed = [a * p - b * row[j] for a, b in zip(row, pivot_row)]
+                g = math.gcd(*mixed) or 1
+                rows[i] = [a // g for a in mixed]
+        pivots.append(j)
+    free = tuple(j for j in range(len(columns)) if j not in pivots)
+    return _Kernel(
+        tuple(pivots),
+        tuple(rows[r][j] for r, j in enumerate(pivots)),
+        free,
+        tuple(tuple(rows[r][f] for r in range(len(pivots))) for f in free),
+    )
+
+
+def _sector_kernel(values: tuple[CycInt, ...], counts: tuple[int, ...]) -> _Kernel:
+    return _kernel(tuple(v.canonical() for v in values), counts)
+
+
+def _check_free_box(kernel: _Kernel, counts: tuple[int, ...], max_vectors: int) -> None:
+    free_box = math.prod(counts[f] + 1 for f in kernel.free)
+    if free_box > max_vectors:
+        raise InfeasibleSizeError(
+            f"free-class box of {free_box} points ({len(kernel.free)} free of "
+            f"{len(counts)} classes) exceeds the max_vectors guard of {max_vectors}"
+        )
+
+
 def _enumerate_zero_vectors(
     values: tuple[CycInt, ...], counts: tuple[int, ...], order: int, max_vectors: int
 ) -> list[tuple[int, ...]]:
-    lattice = math.prod(c + 1 for c in counts)
-    if lattice > max_vectors:
-        raise InfeasibleSizeError(
-            f"count-vector lattice of {lattice} exceeds the guard of {max_vectors}"
-        )
+    """Zero-sum count vectors in the box 0 <= k <= counts, in lexicographic order.
+
+    Only the box of the kernel's free classes is walked; each pivot class
+    is solved exactly and kept when integral and within its count.  The
+    values' canonical coordinates already carry their common `order`.
+    Each pivot row's partial sum over the free classes is carried from
+    digit to digit, and at every digit the range of the digit is cut to
+    values for which the remaining free classes can still bring every
+    pivot class into its count.
+    """
+    kernel = _sector_kernel(values, counts)
+    _check_free_box(kernel, counts, max_vectors)
+    pivots, denoms, free = kernel.pivots, kernel.denoms, kernel.free
+    rows = range(len(pivots))
+    caps = [counts[f] for f in free]
+    # pivot row r needs its free sum s_r in [-limits[r], 0]
+    limits = [d * counts[p] for p, d in zip(pivots, denoms)]
+    # rest_lo[i][r], rest_hi[i][r]: range of row r's sum over free digits i..
+    rest_lo = [[0] * len(pivots) for _ in range(len(free) + 1)]
+    rest_hi = [[0] * len(pivots) for _ in range(len(free) + 1)]
+    for i in range(len(free) - 1, -1, -1):
+        for r in rows:
+            span = kernel.coeffs[i][r] * caps[i]
+            rest_lo[i][r] = rest_lo[i + 1][r] + min(0, span)
+            rest_hi[i][r] = rest_hi[i + 1][r] + max(0, span)
+
     out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    vec = [0] * len(counts)
 
-    def rec(i: int, partial: CycInt) -> None:
-        if i == len(values):
-            if partial.is_zero():
-                out.append(tuple(prefix))
+    def rec(i: int, sums: list[int]) -> None:
+        if i == len(free):
+            for r in rows:
+                q, rem = divmod(-sums[r], denoms[r])
+                if rem:
+                    return
+                vec[pivots[r]] = q
+            out.append(tuple(vec))
             return
-        cur = partial
-        for k in range(counts[i] + 1):
-            if k:
-                cur = cur + values[i]
-            prefix.append(k)
+        col, lo, hi = kernel.coeffs[i], rest_lo[i + 1], rest_hi[i + 1]
+        k_lo, k_hi = 0, caps[i]
+        for r in rows:
+            # some rest in [lo, hi] must give -limit <= sums + a*k + rest <= 0
+            a, below, above = col[r], -limits[r] - sums[r] - hi[r], -sums[r] - lo[r]
+            if a > 0:
+                k_lo, k_hi = max(k_lo, -(-below // a)), min(k_hi, above // a)
+            elif a < 0:
+                k_lo, k_hi = max(k_lo, -(-above // a)), min(k_hi, below // a)
+            elif below > 0 or above < 0:
+                return
+        if k_lo > k_hi:
+            return
+        cur = [s + a * k_lo for s, a in zip(sums, col)]
+        for k in range(k_lo, k_hi + 1):
+            vec[free[i]] = k
             rec(i + 1, cur)
-            prefix.pop()
+            cur = [s + a for s, a in zip(cur, col)]
 
-    rec(0, CycInt.zero(order))
+    rec(0, [0] * len(pivots))
+    out.sort()
     return out
 
 
 def _vector_maxima(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    maxima = []
-    for v in vectors:
-        if not any(w != v and all(a <= b for a, b in zip(v, w)) for w in vectors):
+    """The vectors no other one dominates, in their given order.
+
+    A vector dominating v has a larger sum, so scanning by decreasing sum
+    only needs to test v against the maxima already found.
+    """
+    maxima: list[tuple[int, ...]] = []
+    for v in sorted(vectors, key=sum, reverse=True):
+        if not any(all(map(operator.le, v, m)) for m in maxima):
             maxima.append(v)
-    return maxima
+    keep = set(maxima)
+    return [v for v in vectors if v in keep]
 
 
 _tables_cache: "weakref.WeakKeyDictionary[AmplitudeClasses, dict[int, SectorTable]]"
@@ -125,15 +237,23 @@ _tables_cache = weakref.WeakKeyDictionary()
 def sector_tables(
     classes: AmplitudeClasses, *, max_vectors: int = DEFAULT_MAX_VECTORS
 ) -> dict[int, SectorTable]:
-    """Zero-sum count-vector tables per final sector (cached per classes object)."""
+    """Zero-sum count-vector tables per final sector (cached per classes object).
+
+    The free-box guard is checked on every call, before the cache lookup,
+    so whether a call is refused never depends on earlier calls.
+    """
+    sectors = []
+    for final, cids in classes.sectors.items():
+        values = tuple(classes.classes[c].value for c in cids)
+        counts = tuple(classes.classes[c].count for c in cids)
+        _check_free_box(_sector_kernel(values, counts), counts, max_vectors)
+        sectors.append((final, cids, values, counts))
     cached = _tables_cache.get(classes)
     if cached is not None:
         return cached
     order = classes.space.order
     tables: dict[int, SectorTable] = {}
-    for final, cids in classes.sectors.items():
-        values = tuple(classes.classes[c].value for c in cids)
-        counts = tuple(classes.classes[c].count for c in cids)
+    for final, cids, values, counts in sectors:
         zeros = _enumerate_zero_vectors(values, counts, order, max_vectors)
         tables[final] = SectorTable(
             final, tuple(cids), values, counts, tuple(zeros), tuple(_vector_maxima(zeros))
@@ -193,13 +313,10 @@ def count_precluded(
     """
     total = 1
     for table in sector_tables(classes, max_vectors=max_vectors).values():
-        sector_count = 0
-        for vec in table.zero_vectors:
-            term = 1
-            for k, c in zip(vec, table.counts):
-                term *= math.comb(c, k)
-            sector_count += term
-        total *= sector_count
+        binoms = [[math.comb(c, k) for k in range(c + 1)] for c in table.counts]
+        total *= sum(
+            math.prod(map(list.__getitem__, binoms, vec)) for vec in table.zero_vectors
+        )
     return total
 
 
