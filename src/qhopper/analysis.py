@@ -7,7 +7,8 @@ are compared across states and final sites by their supports' histories
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -25,8 +26,11 @@ from .histories import (
 from .model import LatticeSpec, initial_state
 
 __all__ = [
+    "named_ensemble",
     "net_circulation",
     "average_net_circulation",
+    "positive_only_circulations",
+    "support_size_histogram",
     "rest_profile",
     "classify_restlessness",
     "never_moves_event",
@@ -51,12 +55,17 @@ __all__ = [
 RESTLESSNESS_BUCKETS = ("all_moving", "mixed_6v1", "rest_once_each", "other")
 
 
-def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
-    """Map preserving order; a thread pool only bounds concurrency."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+# Unbounded on purpose: keys are named states only, a handful per lattice,
+# and the CLI runs one command per process, so the memo holds no more than
+# the spaces one report needs.  Guards still apply on every miss, and a
+# refused size raises instead of being cached.
+@functools.lru_cache(maxsize=None)
+def named_ensemble(
+    spec: LatticeSpec, state_label: str, final: int
+) -> tuple[HistorySpace, tuple[MultiplicativeCoevent, ...]]:
+    """The fixed-final space of a named state and its primitive ensemble, built once."""
+    space = enumerate_histories(spec, initial_state(spec, state_label), final)
+    return space, tuple(enumerate_primitive(space))
 
 
 # -- per-coevent statistics ----------------------------------------------------
@@ -73,6 +82,19 @@ def average_net_circulation(coevents: Sequence[MultiplicativeCoevent]) -> Fracti
     if not coevents:
         raise ValueError("cannot average over an empty ensemble")
     return Fraction(sum(net_circulation(phi) for phi in coevents), len(coevents))
+
+
+def positive_only_circulations(
+    space: HistorySpace, coevents: Sequence[MultiplicativeCoevent]
+) -> list[int]:
+    """Sorted net circulations of the coevents affirming circulates_positive_only."""
+    event = circulates_positive_only_event(space)
+    return sorted(net_circulation(phi) for phi in coevents if phi.evaluate(event))
+
+
+def support_size_histogram(coevents: Iterable[MultiplicativeCoevent]) -> dict[int, int]:
+    """Number of coevents per support size, by increasing size."""
+    return dict(sorted(Counter(phi.size for phi in coevents).items()))
 
 
 def rest_profile(phi: MultiplicativeCoevent) -> tuple[int, ...]:
@@ -112,37 +134,34 @@ def classify_restlessness(
 # -- named events ---------------------------------------------------------------
 
 
+def _event_where(space: HistorySpace, keep: Callable[[Sites], bool]) -> Event:
+    """The event of every history in the space that `keep` accepts."""
+    return Event.from_indices(
+        space, (i for i, h in enumerate(space.histories) if keep(h))
+    )
+
+
 def never_moves_event(space: HistorySpace) -> Event:
     steps = space.spec.steps
-    return Event.from_indices(
-        space, (i for i, h in enumerate(space.histories) if rest_count(h) == steps)
-    )
+    return _event_where(space, lambda h: rest_count(h) == steps)
 
 
 def never_rests_event(space: HistorySpace) -> Event:
-    return Event.from_indices(
-        space, (i for i, h in enumerate(space.histories) if rest_count(h) == 0)
-    )
+    return _event_where(space, lambda h: rest_count(h) == 0)
 
 
 def rests_exactly_once_event(space: HistorySpace) -> Event:
-    return Event.from_indices(
-        space, (i for i, h in enumerate(space.histories) if rest_count(h) == 1)
-    )
+    return _event_where(space, lambda h: rest_count(h) == 1)
 
 
 def avoids_site_event(space: HistorySpace, site: int) -> Event:
     space.spec.check_site(site)
-    return Event.from_indices(
-        space, (i for i, h in enumerate(space.histories) if site not in visited(h))
-    )
+    return _event_where(space, lambda h: site not in visited(h))
 
 
 def avoids_any_site_event(space: HistorySpace) -> Event:
     n = space.spec.n
-    return Event.from_indices(
-        space, (i for i, h in enumerate(space.histories) if len(visited(h)) < n)
-    )
+    return _event_where(space, lambda h: len(visited(h)) < n)
 
 
 def circulates_positive_only_event(space: HistorySpace) -> Event:
@@ -161,16 +180,12 @@ def circulates_positive_only_event(space: HistorySpace) -> Event:
                 return False
         return forward > 0
 
-    return Event.from_indices(
-        space, (i for i, h in enumerate(space.histories) if qualifies(h))
-    )
+    return _event_where(space, qualifies)
 
 
 def terminates_at_event(space: HistorySpace, final: int) -> Event:
     space.spec.check_site(final)
-    return Event.from_indices(
-        space, (i for i, h in enumerate(space.histories) if h[-1] == final)
-    )
+    return _event_where(space, lambda h: h[-1] == final)
 
 
 _EVENT_BUILDERS = {
@@ -281,9 +296,7 @@ class SymmetryReport:
     shifts: dict[int, ShiftSymmetry]
 
 
-def ensemble_symmetry_report(
-    spec: LatticeSpec, state_label: str, *, threads: int = 1
-) -> SymmetryReport:
+def ensemble_symmetry_report(spec: LatticeSpec, state_label: str) -> SymmetryReport:
     """Rotation symmetry of the all-final-sites primitive ensemble.
 
     Individual coevents are compared to their own rotations; the full
@@ -291,9 +304,7 @@ def ensemble_symmetry_report(
     as a set of trajectory sets.
     """
     n = spec.n
-    state = initial_state(spec, state_label)
-    spaces = [enumerate_histories(spec, state, f) for f in range(n)]
-    ensembles = _pmap(enumerate_primitive, spaces, threads)
+    ensembles = [named_ensemble(spec, state_label, f)[1] for f in range(n)]
     supports = [
         frozenset(phi.trajectories()) for ens in ensembles for phi in ens
     ]
@@ -309,7 +320,7 @@ def ensemble_symmetry_report(
         state_label,
         n,
         spec.steps,
-        {f: len(ens) for f, ens in zip(range(n), ensembles)},
+        {f: len(ens) for f, ens in enumerate(ensembles)},
         len(supports),
         shifts,
     )
@@ -345,24 +356,15 @@ def discrimination_report(
     spec: LatticeSpec,
     state_labels: Sequence[str],
     final: int,
-    *,
-    threads: int = 1,
 ) -> DiscriminationReport:
     """Which states share primitive coevents, and which events tell them apart.
 
     An event separates when exactly one state's ensemble affirms it at
     all; a coevent affirming such an event pins the initial state down.
     """
-    spaces = {
-        label: enumerate_histories(spec, initial_state(spec, label), final)
-        for label in state_labels
-    }
-    ensembles = dict(
-        zip(
-            state_labels,
-            _pmap(lambda lb: enumerate_primitive(spaces[lb]), list(state_labels), threads),
-        )
-    )
+    spaces, ensembles = {}, {}
+    for label in state_labels:
+        spaces[label], ensembles[label] = named_ensemble(spec, label, final)
     support_sets = {
         label: {phi.indices() for phi in ens} for label, ens in ensembles.items()
     }
@@ -401,13 +403,10 @@ def discrimination_report(
 def coevent_records(
     coevents: Sequence[MultiplicativeCoevent],
     events: dict[str, Event],
-    *,
-    threads: int = 1,
 ) -> list[dict]:
     """Flat per-coevent records for tabular output."""
-
-    def one(item: tuple[int, MultiplicativeCoevent]) -> dict:
-        cid, phi = item
+    records = []
+    for cid, phi in enumerate(coevents):
         rec = {
             "coevent_id": cid,
             "support": list(phi.indices()),
@@ -416,6 +415,5 @@ def coevent_records(
         }
         for name, ev in events.items():
             rec[name] = int(phi.evaluate(ev))
-        return rec
-
-    return _pmap(one, list(enumerate(coevents)), threads)
+        records.append(rec)
+    return records

@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 
 from . import analysis
-from .coevents import common_supports, enumerate_primitive, minimal_preclusive_vectors
+from .coevents import enumerate_primitive, minimal_preclusive_vectors
 from .cyclotomic import CycInt, root
 from .errors import HopperError, InfeasibleSizeError
 from .histories import (
@@ -31,7 +31,6 @@ from .model import (
     STATE_LABELS,
     LatticeSpec,
     check_unitarity,
-    hop_amplitude,
     initial_state,
     transfer_matrix,
 )
@@ -44,6 +43,9 @@ EXIT_INTERNAL = 3
 EXIT_GOLDEN_MISMATCH = 4
 
 GOLDEN_RESOURCE = "report_n3_t3.json"
+
+# `check_unitarity` grows about n^5, so larger lattices are refused first
+MAX_MODEL_SITES = 32
 
 
 class UsageError(Exception):
@@ -70,7 +72,9 @@ def _add_common(p: argparse.ArgumentParser, *, with_state: bool = True) -> None:
     p.add_argument("--final", default="0", help="final site, or 'all'")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="accepted; changes no output or work"
+    )
     p.add_argument("--max-histories", type=int, default=DEFAULT_MAX_HISTORIES)
 
 
@@ -166,6 +170,15 @@ def _vector_entries(table, vec) -> list[dict]:
     ]
 
 
+def _complement_verdicts(coevs, event) -> dict[str, int]:
+    v = analysis.event_verdicts(coevs, event, with_complement=True)
+    return {
+        "affirmed": v.affirmed,
+        "complement_affirmed": v.complement_affirmed,
+        "both_denied": v.both_denied,
+    }
+
+
 # -- output rendering --------------------------------------------------------------
 
 
@@ -252,10 +265,12 @@ def _emit(args, data: dict, records: list[dict] | None = None) -> None:
 
 
 def cmd_model(args) -> int:
-    try:
-        spec = LatticeSpec(args.sites, 1)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _spec_from(args)
+    if spec.n > MAX_MODEL_SITES:
+        raise InfeasibleSizeError(
+            f"model of {spec.n} sites exceeds the unitarity-check guard "
+            f"of {MAX_MODEL_SITES} sites"
+        )
     u = transfer_matrix(spec)
     unitary = check_unitarity(spec)
     data = {
@@ -350,14 +365,11 @@ def cmd_primitives(args) -> int:
     classes = amplitude_classes(space)
     table = sector_tables(classes)[final]
     coevs = enumerate_primitive(space)
-    sizes: dict[int, int] = {}
-    for phi in coevs:
-        sizes[phi.size] = sizes.get(phi.size, 0) + 1
     data = {
         "state": args.state,
         "final": final,
         "count": len(coevs),
-        "support_sizes": {str(k): v for k, v in sorted(sizes.items())},
+        "support_sizes": analysis.support_size_histogram(coevs),
         "minimal_class_vectors": [
             _vector_entries(table, vec)
             for vec in minimal_preclusive_vectors(classes)
@@ -382,58 +394,37 @@ def cmd_classify(args) -> int:
         raise UsageError("classify needs a fixed final site (--final <int>)")
     space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
     coevs = enumerate_primitive(space)
-    buckets = analysis.classify_restlessness(coevs)
-    pos_event = analysis.circulates_positive_only_event(space)
-    pos = analysis.event_verdicts(coevs, pos_event)
     events = {
-        "never_moves": analysis.never_moves_event(space),
-        "never_rests": analysis.never_rests_event(space),
-        "rests_exactly_once": analysis.rests_exactly_once_event(space),
-        "circulates_positive_only": pos_event,
+        name: analysis.event_by_name(space, name)
+        for name in ("never_moves", "never_rests", "rests_exactly_once",
+                     "circulates_positive_only")
     }
-    verdict_summary = {}
-    for name, ev in events.items():
-        verdict_summary[name] = analysis.event_verdicts(coevs, ev).affirmed
-    site_coverage = {}
-    witnesses = 0
-    for s in range(spec.n):
-        v = analysis.event_verdicts(
-            coevs, analysis.avoids_site_event(space, s), with_complement=True
-        )
-        site_coverage[str(s)] = {
-            "affirmed": v.affirmed,
-            "complement_affirmed": v.complement_affirmed,
-            "both_denied": v.both_denied,
-        }
-        witnesses = max(witnesses, v.both_denied)
-    any_site = analysis.event_verdicts(
-        coevs, analysis.avoids_any_site_event(space), with_complement=True
-    )
+    pos_net = analysis.positive_only_circulations(space, coevs)
     data = {
         "n": spec.n,
         "steps": spec.steps,
         "state": args.state,
         "final": final,
         "count": len(coevs),
-        "restlessness": buckets,
+        "restlessness": analysis.classify_restlessness(coevs),
         "circulation": {
             "average": analysis.average_net_circulation(coevs),
-            "positive_only_affirmed": pos.affirmed,
-            "positive_only_net": sorted(
-                analysis.net_circulation(phi)
-                for phi, ok in zip(coevs, pos.verdicts)
-                if ok
-            ),
+            "positive_only_affirmed": len(pos_net),
+            "positive_only_net": pos_net,
         },
-        "event_affirmations": verdict_summary,
-        "avoids_site": site_coverage,
-        "avoids_any_site": {
-            "affirmed": any_site.affirmed,
-            "complement_affirmed": any_site.complement_affirmed,
-            "both_denied": any_site.both_denied,
+        "event_affirmations": {
+            name: analysis.event_verdicts(coevs, ev).affirmed
+            for name, ev in events.items()
         },
+        "avoids_site": {
+            s: _complement_verdicts(coevs, analysis.avoids_site_event(space, s))
+            for s in range(spec.n)
+        },
+        "avoids_any_site": _complement_verdicts(
+            coevs, analysis.avoids_any_site_event(space)
+        ),
     }
-    records = analysis.coevent_records(coevs, events, threads=args.threads)
+    records = analysis.coevent_records(coevs, events)
     _emit(args, data, records)
     return EXIT_OK
 
@@ -446,9 +437,7 @@ def cmd_compare(args) -> int:
     for label in (args.state, args.other):
         if label not in STATE_LABELS:
             raise UsageError(f"compare works over named states, got {label!r}")
-    rep = analysis.discrimination_report(
-        spec, (args.state, args.other), final, threads=args.threads
-    )
+    rep = analysis.discrimination_report(spec, (args.state, args.other), final)
     pair = (args.state, args.other)
     data = {
         "n": spec.n,
@@ -468,38 +457,23 @@ def cmd_compare(args) -> int:
 # -- report -------------------------------------------------------------------------
 
 
-def _build_criteria(spec: LatticeSpec, threads: int) -> dict:
+def _build_criteria(spec: LatticeSpec, disc: analysis.DiscriminationReport) -> dict:
+    """The paper's criteria; `disc` holds ground/plus/minus at final site 0."""
     n = spec.n
-    states = {lb: initial_state(spec, lb) for lb in ("ground", "plus", "minus")}
-    spaces = {
-        lb: enumerate_histories(spec, st, 0) for lb, st in states.items()
-    }
-    all_space = enumerate_histories(spec, states["plus"], None)
+    spaces, ensembles = {}, {}
+    for lb in ("ground", "plus", "minus"):
+        spaces[lb], ensembles[lb] = analysis.named_ensemble(spec, lb, 0)
+    all_space = enumerate_histories(spec, initial_state(spec, "plus"), None)
     classes = {lb: amplitude_classes(sp) for lb, sp in spaces.items()}
-    ensembles = {lb: enumerate_primitive(sp) for lb, sp in spaces.items()}
 
     def class_counts(lb: str) -> dict[str, int]:
         return {value_label(c.value): c.count for c in classes[lb].classes}
 
-    def support_sizes(lb: str) -> dict[str, int]:
-        sizes: dict[int, int] = {}
-        for phi in ensembles[lb]:
-            sizes[phi.size] = sizes.get(phi.size, 0) + 1
-        return {str(k): v for k, v in sorted(sizes.items())}
-
     precluded = {lb: count_precluded(classes[lb]) for lb in spaces}
     table_plus = sector_tables(classes["plus"])[0]
-
-    pos_event = analysis.circulates_positive_only_event(spaces["plus"])
-    pos = analysis.event_verdicts(ensembles["plus"], pos_event)
-    pos_net = sorted(
-        analysis.net_circulation(phi)
-        for phi, ok in zip(ensembles["plus"], pos.verdicts)
-        if ok
-    )
+    pos_net = analysis.positive_only_circulations(spaces["plus"], ensembles["plus"])
 
     avoids_max = 0
-    witnesses_min = None
     avoids_any = {}
     for lb in ("ground", "plus"):
         for s in range(n):
@@ -509,25 +483,15 @@ def _build_criteria(spec: LatticeSpec, threads: int) -> dict:
                     ensembles[lb], analysis.avoids_site_event(spaces[lb], s)
                 ).affirmed,
             )
-        v = analysis.event_verdicts(
-            ensembles[lb],
-            analysis.avoids_any_site_event(spaces[lb]),
-            with_complement=True,
-        )
-        avoids_any[lb] = v.affirmed
-        witnesses_min = (
-            v.both_denied if witnesses_min is None else min(witnesses_min, v.both_denied)
+        avoids_any[lb] = _complement_verdicts(
+            ensembles[lb], analysis.avoids_any_site_event(spaces[lb])
         )
 
-    disc = analysis.discrimination_report(
-        spec, ("ground", "plus", "minus"), 0, threads=threads
-    )
-    spec_t2 = LatticeSpec(n, 2)
     t2_overlap = analysis.discrimination_report(
-        spec_t2, ("ground", "plus"), 0, threads=threads
+        LatticeSpec(n, 2), ("ground", "plus"), 0
     ).overlaps[("ground", "plus")]
 
-    sym = analysis.ensemble_symmetry_report(spec, "ground", threads=threads)
+    sym = analysis.ensemble_symmetry_report(spec, "ground")
     nontrivial = [sym.shifts[s] for s in range(1, n)]
 
     return {
@@ -547,9 +511,9 @@ def _build_criteria(spec: LatticeSpec, threads: int) -> dict:
         "primitive_count_plus": len(ensembles["plus"]),
         "primitive_count_ground": len(ensembles["ground"]),
         "primitive_count_minus": len(ensembles["minus"]),
-        "support_sizes_plus": support_sizes("plus"),
-        "support_sizes_ground": support_sizes("ground"),
-        "positive_only_affirmed_plus": pos.affirmed,
+        "support_sizes_plus": analysis.support_size_histogram(ensembles["plus"]),
+        "support_sizes_ground": analysis.support_size_histogram(ensembles["ground"]),
+        "positive_only_affirmed_plus": len(pos_net),
         "positive_only_net_circulations": pos_net,
         "average_circulation_plus": analysis.average_net_circulation(ensembles["plus"]),
         "average_circulation_ground": analysis.average_net_circulation(
@@ -560,9 +524,11 @@ def _build_criteria(spec: LatticeSpec, threads: int) -> dict:
         ),
         "restlessness_ground": analysis.classify_restlessness(ensembles["ground"]),
         "avoids_site_affirmed_max": avoids_max,
-        "avoids_any_site_affirmed_ground": avoids_any["ground"],
-        "avoids_any_site_affirmed_plus": avoids_any["plus"],
-        "anhomomorphism_witnesses_min": witnesses_min,
+        "avoids_any_site_affirmed_ground": avoids_any["ground"]["affirmed"],
+        "avoids_any_site_affirmed_plus": avoids_any["plus"]["affirmed"],
+        "anhomomorphism_witnesses_min": min(
+            v["both_denied"] for v in avoids_any.values()
+        ),
         "overlap_ground_plus": disc.overlaps[("ground", "plus")],
         "overlap_plus_minus": disc.overlaps[("plus", "minus")],
         "overlap_ground_plus_two_steps": t2_overlap,
@@ -574,13 +540,9 @@ def _build_criteria(spec: LatticeSpec, threads: int) -> dict:
     }
 
 
-def _standing_section(spec: LatticeSpec, threads: int) -> dict:
-    state = initial_state(spec, "standing")
-    space = enumerate_histories(spec, state, 0)
-    coevs = enumerate_primitive(space)
-    disc = analysis.discrimination_report(
-        spec, ("ground", "plus", "minus", "standing"), 0, threads=threads
-    )
+def _standing_section(spec: LatticeSpec, disc: analysis.DiscriminationReport) -> dict:
+    """The standing wave's statistics; `disc` includes it among its states."""
+    _, coevs = analysis.named_ensemble(spec, "standing", 0)
     return {
         "unverified_by_paper": True,
         "primitive_count": len(coevs),
@@ -617,13 +579,16 @@ def _compare_golden(criteria: dict, golden: dict) -> list[dict]:
 
 def cmd_report(args) -> int:
     spec = _spec_from(args)
-    criteria = _build_criteria(spec, args.threads)
+    standing = args.state == "standing"
+    labels = ("ground", "plus", "minus") + (("standing",) if standing else ())
+    disc = analysis.discrimination_report(spec, labels, 0)
+    criteria = _build_criteria(spec, disc)
     data = {
         "config": {"n": spec.n, "steps": spec.steps},
         "criteria": criteria,
     }
-    if args.state == "standing":
-        data["standing"] = _standing_section(spec, args.threads)
+    if standing:
+        data["standing"] = _standing_section(spec, disc)
     checked = (spec.n, spec.steps) == (3, 3)
     if checked:
         mismatches = _compare_golden(criteria, _load_golden())
@@ -654,11 +619,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"qhopper: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # covers invalid sites, unknown states, malformed env overrides
+    except (UsageError, ValueError) as exc:
+        # ValueError covers invalid sites, unknown states, malformed env overrides
         print(f"qhopper: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleSizeError as exc:

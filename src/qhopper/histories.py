@@ -10,8 +10,8 @@ refer to.
 """
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -69,6 +69,11 @@ class HistorySpace:
     @property
     def universe_mask(self) -> int:
         return (1 << self.size) - 1
+
+    @functools.cached_property
+    def _classes(self) -> AmplitudeClasses:
+        # an instance attribute, so the classes live exactly as long as the space
+        return _group_by_amplitude(self)
 
     def index_of(self, sites: Sites) -> int:
         n = self.spec.n
@@ -278,15 +283,15 @@ class AmplitudeClasses:
         return tuple((members & c.members).bit_count() for c in self.classes)
 
 
-_classes_cache: "weakref.WeakKeyDictionary[HistorySpace, AmplitudeClasses]"
-_classes_cache = weakref.WeakKeyDictionary()
-
-
 def amplitude_classes(space: HistorySpace) -> AmplitudeClasses:
-    """Group the space's histories by exact amplitude within each final sector."""
-    cached = _classes_cache.get(space)
-    if cached is not None:
-        return cached
+    """Group the space's histories by exact amplitude within each final sector.
+
+    Computed once per space and kept on it.
+    """
+    return space._classes
+
+
+def _group_by_amplitude(space: HistorySpace) -> AmplitudeClasses:
     buckets: dict[tuple, list[int]] = {}
     for i, (sites, amp) in enumerate(zip(space.histories, space.amps)):
         key = (sites[-1], amp.canonical())
@@ -303,11 +308,9 @@ def amplitude_classes(space: HistorySpace) -> AmplitudeClasses:
         final = space.histories[ids[0]][-1]
         classes.append(AmplitudeClass(space.amps[ids[0]], mask, len(ids), final))
         sectors.setdefault(final, []).append(cid)
-    result = AmplitudeClasses(
+    return AmplitudeClasses(
         space,
         tuple(classes),
         {f: tuple(cids) for f, cids in sorted(sectors.items())},
         tuple(class_of),
     )
-    _classes_cache[space] = result
-    return result

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import importlib
 import json
+import time
 
+import pytest
+
+import qhopper
 from qhopper.cli import main
+
+QHOPPER_MODULES = (
+    "analysis", "cli", "coevents", "histories", "measure", "model", "subsetwalk",
+)
 
 
 def run_json(capsys, *argv):
@@ -193,3 +202,52 @@ def test_report_deterministic_across_threads(tmp_path):
         assert code == 0
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_model_refuses_large_lattice_before_building(monkeypatch, capsys):
+    def build(spec):
+        raise AssertionError(f"matrix built for {spec.n} sites")
+
+    monkeypatch.setattr(qhopper.cli, "transfer_matrix", build)
+    monkeypatch.setattr(qhopper.cli, "check_unitarity", build)
+    start = time.perf_counter()
+    assert main(["model", "--sites", "200"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "200 sites" in err and "unitarity-check guard of 32" in err
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Wrap `fn` wherever a qhopper module binds it; return the argument log."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    modules = [importlib.import_module(f"qhopper.{m}") for m in QHOPPER_MODULES]
+    for mod in (qhopper, *modules):
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "extra, spaces, ensembles", [((), 8, 7), (("--state", "standing"), 9, 8)]
+)
+def test_report_builds_each_space_once(monkeypatch, capsys, extra, spaces, ensembles):
+    qhopper.analysis.named_ensemble.cache_clear()
+    histories = _count_calls(monkeypatch, qhopper.histories.enumerate_histories)
+    primitive = _count_calls(monkeypatch, qhopper.coevents.enumerate_primitive)
+    assert main(["report", "--format", "json", *extra]) == 0
+    capsys.readouterr()
+
+    def key(spec, state, final=None):
+        return spec, state.label, final
+
+    built = [key(*args) for args in histories]
+    expanded = [key(sp.spec, sp.state, sp.final) for (sp,) in primitive]
+    assert len(built) == len(set(built)) == spaces
+    assert len(expanded) == len(set(expanded)) == ensembles
+    assert set(expanded) <= set(built)

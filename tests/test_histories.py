@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from qhopper import (
@@ -10,12 +13,14 @@ from qhopper import (
     amplitude_classes,
     circulation,
     enumerate_histories,
+    enumerate_primitive,
     half_hop_count,
     history_amplitude,
     history_index,
     initial_state,
     rest_count,
     root,
+    sector_tables,
     visited,
 )
 
@@ -167,3 +172,13 @@ def test_event_bounds(plus_space):
 def test_events_from_different_spaces_do_not_mix(plus_space, ground_space):
     with pytest.raises(SpaceMismatchError):
         Event.full(plus_space) | Event.full(ground_space)
+
+
+def test_classified_space_is_freed():
+    sp = space(3, 3, "plus", 0)
+    sector_tables(amplitude_classes(sp))
+    coevents = enumerate_primitive(sp)
+    ref = weakref.ref(sp)
+    del sp, coevents
+    gc.collect()
+    assert ref() is None
