@@ -21,6 +21,7 @@ from .errors import HopperError, InfeasibleSizeError
 from .histories import (
     DEFAULT_MAX_HISTORIES,
     amplitude_classes,
+    check_history_guard,
     circulation,
     enumerate_histories,
     half_hop_count,
@@ -437,6 +438,8 @@ def cmd_compare(args) -> int:
     for label in (args.state, args.other):
         if label not in STATE_LABELS:
             raise UsageError(f"compare works over named states, got {label!r}")
+    # checked here, not inside the memo, so that refusal never depends on it
+    check_history_guard(spec, final, args.max_histories)
     rep = analysis.discrimination_report(spec, (args.state, args.other), final)
     pair = (args.state, args.other)
     data = {
@@ -579,6 +582,8 @@ def _compare_golden(criteria: dict, golden: dict) -> list[dict]:
 
 def cmd_report(args) -> int:
     spec = _spec_from(args)
+    # the largest space a report builds is the unrestricted one
+    check_history_guard(spec, None, args.max_histories)
     standing = args.state == "standing"
     labels = ("ground", "plus", "minus") + (("standing",) if standing else ())
     disc = analysis.discrimination_report(spec, labels, 0)

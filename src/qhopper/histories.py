@@ -25,6 +25,7 @@ __all__ = [
     "Event",
     "AmplitudeClass",
     "AmplitudeClasses",
+    "check_history_guard",
     "enumerate_histories",
     "history_amplitude",
     "amplitude_classes",
@@ -91,6 +92,21 @@ class HistorySpace:
         )
 
 
+def check_history_guard(
+    spec: LatticeSpec, final: int | None, max_histories: int = DEFAULT_MAX_HISTORIES
+) -> int:
+    """Size of the space with this final site (None: every final site).
+
+    Refuses a size over `max_histories`, before anything is built.
+    """
+    size = spec.n**spec.steps if final is not None else spec.n ** (spec.steps + 1)
+    if size > max_histories:
+        raise InfeasibleSizeError(
+            f"space of {size} histories exceeds the guard of {max_histories}"
+        )
+    return size
+
+
 def enumerate_histories(
     spec: LatticeSpec,
     state: InitialState,
@@ -105,16 +121,12 @@ def enumerate_histories(
     n, steps = spec.n, spec.steps
     if final is not None:
         spec.check_site(final)
-    size = n**steps if final is not None else n ** (steps + 1)
-    if size > max_histories:
-        raise InfeasibleSizeError(
-            f"space of {size} histories exceeds the guard of {max_histories}"
-        )
+    size = check_history_guard(spec, final, max_histories)
     order = math.lcm(spec.phase_order, *(a.order for a in state.amps))
     start_amps = tuple(a.embed(order) for a in state.amps)
-    hop = [
-        [hop_amplitude(spec, x, x2).embed(order) for x2 in range(n)] for x in range(n)
-    ]
+    # the phase of a hop depends only on its displacement mod n, for either
+    # phase order: (d + k n)^2 = d^2 mod n, and mod 2n when n is even
+    hop = [hop_amplitude(spec, 0, d).embed(order) for d in range(n)]
 
     free = steps if final is not None else steps + 1
     histories: list[Sites] = []
@@ -128,7 +140,7 @@ def enumerate_histories(
         sites = tuple(digits) if final is None else tuple(digits) + (final,)
         a = start_amps[sites[0]]
         for t in range(steps):
-            a = a * hop[sites[t]][sites[t + 1]]
+            a = a * hop[(sites[t + 1] - sites[t]) % n]
         histories.append(sites)
         amps.append(a)
     return HistorySpace(spec, state, final, tuple(histories), tuple(amps), order)

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_VECTORS = 1 << 20
+LATTICE_BLOCK = 1 << 16  # count vectors per vectorised verdict block
 HARD_SUBSET_CAP = 1 << 27
 CAP_ENV_VAR = "COEVENT_MAX_SUBSETS"
 
@@ -347,10 +348,12 @@ def count_precluded_bruteforce(
 ) -> int:
     """Count zero-sum subsets by walking every subset of the space.
 
-    The walk is a Gray-code traversal keeping the subset's per-class
-    count vector current one flip at a time; the zero-sum verdict per
-    count vector is precomputed exactly once.  Independent of
-    :func:`count_precluded`, which never enumerates subsets.
+    The zero-sum verdict of every per-class count vector k is evaluated
+    once, directly as A k = 0 over the whole count-vector lattice, where
+    row block f of A holds the canonical coordinates of sector f's class
+    values.  The split-half walk then reads one verdict per subset.
+    Independent of :func:`count_precluded`, which never enumerates
+    subsets, and of the kernel tables it sums over.
     """
     cap = resolve_subset_cap(max_subsets, HARD_SUBSET_CAP)
     if space.size > 27 or (1 << space.size) > cap:
@@ -371,24 +374,21 @@ def count_precluded_bruteforce(
         weights[i] = w
         w *= radix[i]
 
-    # verdict per count vector: every sector's partial sum is zero
-    idx = np.arange(lattice, dtype=np.int64)
-    table = np.ones(lattice, dtype=bool)
-    for sector in sector_tables(classes, max_vectors=max_vectors).values():
-        local_radix = [c + 1 for c in sector.counts]
-        local_weights = [0] * len(local_radix)
-        w = 1
-        for i in range(len(local_radix) - 1, -1, -1):
-            local_weights[i] = w
-            w *= local_radix[i]
-        flat = np.zeros(math.prod(local_radix), dtype=bool)
-        for vec in sector.zero_vectors:
-            flat[sum(k * lw for k, lw in zip(vec, local_weights))] = True
-        local_idx = np.zeros(lattice, dtype=np.int64)
-        for pos, cid in enumerate(sector.class_ids):
-            digit = (idx // weights[cid]) % radix[cid]
-            local_idx += digit * local_weights[pos]
-        table &= flat[local_idx]
+    coords = [c.value.canonical() for c in classes.classes]
+    rows = [
+        [coords[c][j] if c in cids else 0 for c in range(len(coords))]
+        for cids in classes.sectors.values()
+        for j in range(len(coords[0]))
+    ]
+    largest = max(sum(abs(a) * k for a, k in zip(row, classes.counts)) for row in rows)
+    if largest > np.iinfo(np.int64).max:
+        raise OverflowError(f"partial sums up to {largest} overflow int64")
+    matrix = np.asarray(rows, dtype=np.int64).T
+    table = np.empty(lattice, dtype=bool)
+    for lo in range(0, lattice, LATTICE_BLOCK):
+        idx = np.arange(lo, min(lo + LATTICE_BLOCK, lattice), dtype=np.int64)
+        digits = idx[:, None] // np.asarray(weights) % np.asarray(radix)
+        table[lo : lo + idx.size] = ~(digits @ matrix).any(axis=1)
 
     bit_weight = [weights[classes.class_of[b]] for b in range(space.size)]
     return walk_count_table(space.size, bit_weight, table, threads=threads, chunk=chunk)

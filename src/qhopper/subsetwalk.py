@@ -1,16 +1,18 @@
-"""Gray-code walks over all subsets of a small ground set.
+"""Split-half walks over all subsets of a small ground set.
 
-Stepping through subsets in Gray-code order flips exactly one element
-per step, so any additive per-subset statistic can be carried along
-incrementally.  The walk is vectorized in chunks; a chunk starting at
-step s needs no state from its predecessor because the running value at
-step s-1 is just the statistic of the subset gray(s-1), computable
-directly.  That makes chunks independent, deterministic, and safe to
-hand to a thread pool in any order.
+A subset of {0..N-1} is the bitmask h << L | l, where l holds its low L
+elements and h its high N-L ones, so any additive per-subset statistic
+is the statistic of l plus that of h.  Both halves' statistics are
+tabulated once, 2**L and 2**(N-L) entries, each table built by doubling
+one element at a time (meet in the middle: Horowitz & Sahni, J. ACM 21,
+1974).  Then, for each high subset h, the 2**L subsets sharing it get
+their verdicts in one vectorised step.  Every subset is still judged on
+its own; memory stays O(2**L + 2**(N-L)), never O(2**N).
 
-Step i visits the subset gray(i) = i ^ (i >> 1); the element flipped at
-step i is the number of trailing zeros of i, and it is switched ON when
-the bit above it in i is 0, OFF otherwise.
+`chunk` is the number of subsets per vectorised step: L is
+min(N, floor(log2(chunk))).  `threads` splits the high subsets into
+that many contiguous runs on a thread pool; results are identical for
+any value of either.
 """
 from __future__ import annotations
 
@@ -28,36 +30,38 @@ __all__ = [
     "minimal_uncovered",
 ]
 
-DEFAULT_CHUNK = 1 << 20
+DEFAULT_CHUNK = 1 << 16
 
 _T = TypeVar("_T")
 
 
 def gray(i: int) -> int:
+    """The i-th subset in Gray-code order; consecutive ones differ in one element."""
     return i ^ (i >> 1)
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows over every subset of them, indexed by bitmask."""
+    sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
+    for row in rows:
+        sums = np.concatenate([sums, sums + row])
+    return sums
 
 
-def _run_chunks(
-    fn: Callable[[int, int], _T], ranges: Sequence[tuple[int, int]], threads: int
-) -> list[_T]:
-    if threads <= 1 or len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+def _halves(rows: np.ndarray, chunk: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """L, then the subset sums of the low L rows and of the rest."""
+    low_bits = min(len(rows), max(chunk, 1).bit_length() - 1)
+    return low_bits, _subset_sums(rows[:low_bits]), _subset_sums(rows[low_bits:])
 
 
-def _flip_info(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flipped-bit index and +-1 on/off sign for steps lo..hi-1 (lo >= 1)."""
-    i = np.arange(lo, hi, dtype=np.int64)
-    lsb = i & -i
-    bits = np.bitwise_count((lsb - 1).astype(np.uint64)).astype(np.int64)
-    sign = 1 - 2 * ((i >> (bits + 1)) & 1)
-    return bits, sign
+def _run_high(fn: Callable[[int, int], _T], num_high: int, threads: int) -> list[_T]:
+    """fn(lo, hi) over `threads` contiguous runs of the high subsets, in order."""
+    step = -(-num_high // max(threads, 1))
+    ranges = [(lo, min(lo + step, num_high)) for lo in range(0, num_high, step)]
+    if len(ranges) == 1:
+        return [fn(*ranges[0])]
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        return list(pool.map(lambda r: fn(*r), ranges))
 
 
 def walk_count_table(
@@ -71,33 +75,26 @@ def walk_count_table(
     """Count subsets S of {0..num_bits-1} for which table[sum of weights of S] holds.
 
     `bit_weight[b]` is the (nonnegative) contribution of element b to the
-    table index; the empty subset indexes slot 0.  Visits every one of
-    the 2**num_bits subsets.
+    table index; the empty subset indexes slot 0.  Reads the table once
+    for every one of the 2**num_bits subsets.
     """
-    weights = np.asarray(list(bit_weight), dtype=np.int64)
+    weights = np.asarray(list(bit_weight), dtype=np.int64).reshape(num_bits)
     flat = np.asarray(table, dtype=bool).ravel()
-    total = 1 << num_bits
+    if int(weights.min(initial=0)) < 0 or sum(map(int, weights)) >= flat.size:
+        raise ValueError("bit weights must be nonnegative and index inside the table")
+    _, low, high = _halves(weights, chunk)
 
-    def do_chunk(lo: int, hi: int) -> int:
+    def do_run(lo: int, hi: int) -> int:
+        index = np.empty_like(low)
+        verdict = np.empty(low.shape, dtype=bool)
         hits = 0
-        start = lo
-        if start == 0:
-            hits += int(flat[0])
-            start = 1
-        if start >= hi:
-            return hits
-        carry = 0
-        prev = gray(start - 1)
-        while prev:
-            low = prev & -prev
-            carry += int(weights[low.bit_length() - 1])
-            prev ^= low
-        bits, sign = _flip_info(start, hi)
-        idx = carry + np.cumsum(weights[bits] * sign)
-        hits += int(np.count_nonzero(flat[idx]))
+        for offset in high[lo:hi]:
+            np.add(low, offset, out=index)
+            np.take(flat, index, out=verdict)
+            hits += int(np.count_nonzero(verdict))
         return hits
 
-    return sum(_run_chunks(do_chunk, _chunk_ranges(total, chunk), threads))
+    return sum(_run_high(do_run, len(high), threads))
 
 
 def zero_sum_subsets(
@@ -109,41 +106,27 @@ def zero_sum_subsets(
     """Bitmasks of every subset whose elementwise integer-vector sum is zero.
 
     `rows[b]` is the vector attached to element b.  The empty subset
-    always qualifies.  Returned masks are sorted ascending.
+    always qualifies.  Masks come out ascending with no sort, since the
+    mask h << L | l is visited by increasing h, then increasing l.
     """
     num_bits = len(rows)
     if num_bits == 0:
         return [0]
+    largest = max((abs(x) for r in rows for x in r), default=0)
+    if largest * num_bits > np.iinfo(np.int64).max:
+        raise OverflowError("subset sums of these rows may overflow int64")
     mat = np.asarray([list(r) for r in rows], dtype=np.int64)
-    total = 1 << num_bits
+    low_bits, low, high = _halves(mat, chunk)
 
-    def do_chunk(lo: int, hi: int) -> list[int]:
+    def do_run(lo: int, hi: int) -> list[int]:
+        acc = np.empty_like(low)
         found: list[int] = []
-        start = lo
-        if start == 0:
-            found.append(0)
-            start = 1
-        if start >= hi:
-            return found
-        carry = np.zeros(mat.shape[1], dtype=np.int64)
-        prev = gray(start - 1)
-        while prev:
-            low = prev & -prev
-            carry += mat[low.bit_length() - 1]
-            prev ^= low
-        bits, sign = _flip_info(start, hi)
-        acc = carry + np.cumsum(mat[bits] * sign[:, None], axis=0)
-        where = np.nonzero(np.all(acc == 0, axis=1))[0]
-        for off in where:
-            step = start + int(off)
-            found.append(gray(step))
+        for h in range(lo, hi):
+            np.add(low, high[h], out=acc)
+            found.extend((np.flatnonzero(~acc.any(axis=1)) + (h << low_bits)).tolist())
         return found
 
-    masks: list[int] = []
-    for part in _run_chunks(do_chunk, _chunk_ranges(total, chunk), threads):
-        masks.extend(part)
-    masks.sort()
-    return masks
+    return [m for part in _run_high(do_run, len(high), threads) for m in part]
 
 
 def antichain_maxima(masks: Sequence[int]) -> list[int]:

@@ -251,3 +251,18 @@ def test_report_builds_each_space_once(monkeypatch, capsys, extra, spaces, ensem
     assert len(built) == len(set(built)) == spaces
     assert len(expanded) == len(set(expanded)) == ensembles
     assert set(expanded) <= set(built)
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["compare", "--steps", "3", "--state", "ground", "--with", "plus",
+          "--final", "0"], 27),
+        (["report"], 81),
+    ],
+)
+def test_max_histories_refuses_whatever_the_memo_holds(capsys, argv, size):
+    assert main([*argv, "--format", "json"]) == 0  # fills the ensemble memo
+    capsys.readouterr()
+    assert main([*argv, "--max-histories", "10"]) == 2
+    assert f"space of {size} histories exceeds the guard of 10" in capsys.readouterr().err

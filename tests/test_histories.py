@@ -5,6 +5,8 @@ import weakref
 
 import pytest
 
+import qhopper.histories
+from conftest import space_family
 from qhopper import (
     Event,
     InfeasibleSizeError,
@@ -23,6 +25,7 @@ from qhopper import (
     sector_tables,
     visited,
 )
+from qhopper.model import hop_amplitude
 
 
 def space(n, steps, label, final):
@@ -51,6 +54,25 @@ def test_size_guard():
     spec = LatticeSpec(3, 3)
     with pytest.raises(InfeasibleSizeError):
         enumerate_histories(spec, initial_state(spec, "plus"), None, max_histories=16)
+
+
+def test_one_hop_phase_per_displacement(monkeypatch):
+    calls = []
+
+    def counted(spec, x, x2):
+        calls.append((x, x2))
+        return hop_amplitude(spec, x, x2)
+
+    monkeypatch.setattr(qhopper.histories, "hop_amplitude", counted)
+    for sp in space_family(max_histories=27):
+        calls.clear()
+        rebuilt = enumerate_histories(sp.spec, sp.state, sp.final)
+        assert len(calls) <= sp.spec.n
+        for sites, amp in zip(rebuilt.histories, rebuilt.amps):
+            expect = sp.state.amps[sites[0]].embed(sp.order)
+            for x, x2 in zip(sites, sites[1:]):
+                expect = expect * hop_amplitude(sp.spec, x, x2).embed(sp.order)
+            assert amp == expect
 
 
 def test_resting_history_amplitude(plus_space):

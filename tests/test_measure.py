@@ -5,6 +5,7 @@ import math
 import pytest
 
 import oracles
+import qhopper.measure
 from qhopper import (
     CycInt,
     Event,
@@ -233,6 +234,23 @@ def test_bruteforce_matches_dp_on_two_site_space():
     sp = enumerate_histories(spec, initial_state(spec, "ground"), 0)
     assert count_precluded_bruteforce(sp) == count_precluded(amplitude_classes(sp))
     assert count_precluded_bruteforce(sp) == 2
+
+
+def test_bruteforce_verdicts_do_not_use_the_kernel_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute force consulted the kernel walk")
+
+    monkeypatch.setattr(qhopper.measure, "_enumerate_zero_vectors", refuse)
+    spec = LatticeSpec(3, 3)
+    sp = enumerate_histories(spec, initial_state(spec, "plus"), 0)
+    assert count_precluded_bruteforce(sp) == 2017807
+
+
+def test_bruteforce_matches_count_on_standing_final_one():
+    # the standing wave is not rotation symmetric, so final 1 differs from 0
+    spec = LatticeSpec(3, 3)
+    sp = enumerate_histories(spec, initial_state(spec, "standing"), 1)
+    assert count_precluded_bruteforce(sp) == count_precluded(amplitude_classes(sp))
 
 
 def test_bruteforce_respects_cap(plus_space):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 
 import numpy as np
@@ -61,6 +62,48 @@ def test_zero_sum_subsets_matches_direct_enumeration(threads):
                 expected.append(mask)
         got = zero_sum_subsets(rows, threads=threads, chunk=61)
         assert got == expected
+
+
+def _split_sizes(chunk):
+    """num_bits on either side of the split: 0, L-1, L, L+1 and 2L+1."""
+    low = chunk.bit_length() - 1
+    return sorted({b for b in (0, low - 1, low, low + 1, 2 * low + 1) if b >= 0})
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 61, 97, 1 << 4])
+def test_split_walks_match_direct_enumeration(chunk):
+    rng = random.Random(chunk)
+    for num_bits in _split_sizes(chunk):
+        weights = [rng.randrange(3) for _ in range(num_bits)]
+        table = np.array([rng.random() < 0.4 for _ in range(sum(weights) + 1)])
+        rows = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(num_bits)]
+        hits, zero = 0, []
+        for mask in range(1 << num_bits):
+            members = [b for b in range(num_bits) if (mask >> b) & 1]
+            hits += bool(table[sum(weights[b] for b in members)])
+            if all(sum(rows[b][j] for b in members) == 0 for j in range(2)):
+                zero.append(mask)
+        for threads in (1, 2):
+            assert walk_count_table(
+                num_bits, weights, table, threads=threads, chunk=chunk
+            ) == hits
+            assert zero_sum_subsets(rows, threads=threads, chunk=chunk) == zero
+
+
+def test_zero_sum_subsets_come_out_ascending_without_a_sort():
+    # every subset of the all-zero rows qualifies, across many high runs
+    rows = [(0, 0)] * 9
+    for threads in (1, 3):
+        assert zero_sum_subsets(rows, threads=threads, chunk=8) == list(range(1 << 9))
+    source = inspect.getsource(zero_sum_subsets)
+    assert ".sort(" not in source and "sorted(" not in source
+
+
+def test_walk_count_refuses_weights_outside_the_table():
+    with pytest.raises(ValueError):
+        walk_count_table(2, [1, 1], np.array([True, True]))
+    with pytest.raises(ValueError):
+        walk_count_table(1, [-1], np.array([True, True]))
 
 
 def test_zero_sum_subsets_empty_ground_set():
