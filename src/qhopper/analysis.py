@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .coevents import MultiplicativeCoevent, enumerate_primitive
+from .errors import LIMITS
 from .histories import (
     Event,
     HistorySpace,
@@ -55,16 +56,16 @@ __all__ = [
 RESTLESSNESS_BUCKETS = ("all_moving", "mixed_6v1", "rest_once_each", "other")
 
 
-# Unbounded on purpose: keys are named states only, a handful per lattice,
-# and the CLI runs one command per process, so the memo holds no more than
-# the spaces one report needs.  Guards still apply on every miss, and a
-# refused size raises instead of being cached.
+# Unbounded on purpose: keys are named states only, and the CLI runs one
+# command per process.  A hit passed the same max_histories guard, and a
+# refusal raises instead of being cached, so no refusal depends on the memo.
 @functools.lru_cache(maxsize=None)
 def named_ensemble(
-    spec: LatticeSpec, state_label: str, final: int
+    spec: LatticeSpec, state_label: str, final: int, max_histories: int
 ) -> tuple[HistorySpace, tuple[MultiplicativeCoevent, ...]]:
     """The fixed-final space of a named state and its primitive ensemble, built once."""
-    space = enumerate_histories(spec, initial_state(spec, state_label), final)
+    state = initial_state(spec, state_label)
+    space = enumerate_histories(spec, state, final, max_histories=max_histories)
     return space, tuple(enumerate_primitive(space))
 
 
@@ -296,7 +297,9 @@ class SymmetryReport:
     shifts: dict[int, ShiftSymmetry]
 
 
-def ensemble_symmetry_report(spec: LatticeSpec, state_label: str) -> SymmetryReport:
+def ensemble_symmetry_report(
+    spec: LatticeSpec, state_label: str, *, max_histories: int = LIMITS.max_histories.default
+) -> SymmetryReport:
     """Rotation symmetry of the all-final-sites primitive ensemble.
 
     Individual coevents are compared to their own rotations; the full
@@ -304,7 +307,7 @@ def ensemble_symmetry_report(spec: LatticeSpec, state_label: str) -> SymmetryRep
     as a set of trajectory sets.
     """
     n = spec.n
-    ensembles = [named_ensemble(spec, state_label, f)[1] for f in range(n)]
+    ensembles = [named_ensemble(spec, state_label, f, max_histories)[1] for f in range(n)]
     supports = [
         frozenset(phi.trajectories()) for ens in ensembles for phi in ens
     ]
@@ -356,6 +359,8 @@ def discrimination_report(
     spec: LatticeSpec,
     state_labels: Sequence[str],
     final: int,
+    *,
+    max_histories: int = LIMITS.max_histories.default,
 ) -> DiscriminationReport:
     """Which states share primitive coevents, and which events tell them apart.
 
@@ -364,7 +369,7 @@ def discrimination_report(
     """
     spaces, ensembles = {}, {}
     for label in state_labels:
-        spaces[label], ensembles[label] = named_ensemble(spec, label, final)
+        spaces[label], ensembles[label] = named_ensemble(spec, label, final, max_histories)
     support_sets = {
         label: {phi.indices() for phi in ens} for label, ens in ensembles.items()
     }

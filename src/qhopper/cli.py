@@ -17,9 +17,8 @@ from importlib import resources
 from . import analysis
 from .coevents import enumerate_primitive, minimal_preclusive_vectors
 from .cyclotomic import CycInt, root
-from .errors import HopperError, InfeasibleSizeError
+from .errors import LIMITS, HopperError, InfeasibleSizeError, check_size
 from .histories import (
-    DEFAULT_MAX_HISTORIES,
     amplitude_classes,
     check_history_guard,
     circulation,
@@ -44,9 +43,6 @@ EXIT_INTERNAL = 3
 EXIT_GOLDEN_MISMATCH = 4
 
 GOLDEN_RESOURCE = "report_n3_t3.json"
-
-# `check_unitarity` grows about n^5, so larger lattices are refused first
-MAX_MODEL_SITES = 32
 
 
 class UsageError(Exception):
@@ -76,7 +72,7 @@ def _add_common(p: argparse.ArgumentParser, *, with_state: bool = True) -> None:
     p.add_argument(
         "--threads", type=int, default=1, help="accepted; changes no output or work"
     )
-    p.add_argument("--max-histories", type=int, default=DEFAULT_MAX_HISTORIES)
+    p.add_argument("--max-histories", type=int, default=LIMITS.max_histories.default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -240,7 +236,7 @@ def _emit(args, data: dict, records: list[dict] | None = None) -> None:
         if records:
             fields = list(records[0].keys())
             writer.writerow(fields)
-            for rec in records:
+            for rec in json_ready(records):
                 writer.writerow(
                     [
                         " ".join(str(x) for x in v) if isinstance(v, (list, tuple)) else v
@@ -267,11 +263,7 @@ def _emit(args, data: dict, records: list[dict] | None = None) -> None:
 
 def cmd_model(args) -> int:
     spec = _spec_from(args)
-    if spec.n > MAX_MODEL_SITES:
-        raise InfeasibleSizeError(
-            f"model of {spec.n} sites exceeds the unitarity-check guard "
-            f"of {MAX_MODEL_SITES} sites"
-        )
+    check_size("model of {} sites", spec.n, None, LIMITS.model_sites)
     u = transfer_matrix(spec)
     unitary = check_unitarity(spec)
     data = {
@@ -337,21 +329,14 @@ def cmd_preclusion(args) -> int:
         "precluded": precluded,
         "preclusive_coevents_log2": (1 << space.size) - precluded,
     }
-    tables = sector_tables(classes)
+    maximal = {
+        f: [_vector_entries(table, vec) for vec in sorted(table.maximal_zero)]
+        for f, table in sector_tables(classes).items()
+    }
     if final is not None:
-        table = tables[final]
-        data["maximal_zero_vectors"] = [
-            _vector_entries(table, vec)
-            for vec in maximal_zero_count_vectors(classes)
-        ]
+        data["maximal_zero_vectors"] = maximal[final]
     else:
-        data["maximal_zero_vectors_by_final"] = {
-            f: [
-                _vector_entries(table, vec)
-                for vec in sorted(table.maximal_zero)
-            ]
-            for f, table in tables.items()
-        }
+        data["maximal_zero_vectors_by_final"] = maximal
     _emit(args, data)
     return EXIT_OK
 
@@ -438,9 +423,9 @@ def cmd_compare(args) -> int:
     for label in (args.state, args.other):
         if label not in STATE_LABELS:
             raise UsageError(f"compare works over named states, got {label!r}")
-    # checked here, not inside the memo, so that refusal never depends on it
-    check_history_guard(spec, final, args.max_histories)
-    rep = analysis.discrimination_report(spec, (args.state, args.other), final)
+    rep = analysis.discrimination_report(
+        spec, (args.state, args.other), final, max_histories=args.max_histories
+    )
     pair = (args.state, args.other)
     data = {
         "n": spec.n,
@@ -460,13 +445,17 @@ def cmd_compare(args) -> int:
 # -- report -------------------------------------------------------------------------
 
 
-def _build_criteria(spec: LatticeSpec, disc: analysis.DiscriminationReport) -> dict:
+def _build_criteria(
+    spec: LatticeSpec, disc: analysis.DiscriminationReport, max_histories: int
+) -> dict:
     """The paper's criteria; `disc` holds ground/plus/minus at final site 0."""
     n = spec.n
     spaces, ensembles = {}, {}
     for lb in ("ground", "plus", "minus"):
-        spaces[lb], ensembles[lb] = analysis.named_ensemble(spec, lb, 0)
-    all_space = enumerate_histories(spec, initial_state(spec, "plus"), None)
+        spaces[lb], ensembles[lb] = analysis.named_ensemble(spec, lb, 0, max_histories)
+    all_space = enumerate_histories(
+        spec, initial_state(spec, "plus"), None, max_histories=max_histories
+    )
     classes = {lb: amplitude_classes(sp) for lb, sp in spaces.items()}
 
     def class_counts(lb: str) -> dict[str, int]:
@@ -491,10 +480,10 @@ def _build_criteria(spec: LatticeSpec, disc: analysis.DiscriminationReport) -> d
         )
 
     t2_overlap = analysis.discrimination_report(
-        LatticeSpec(n, 2), ("ground", "plus"), 0
+        LatticeSpec(n, 2), ("ground", "plus"), 0, max_histories=max_histories
     ).overlaps[("ground", "plus")]
 
-    sym = analysis.ensemble_symmetry_report(spec, "ground")
+    sym = analysis.ensemble_symmetry_report(spec, "ground", max_histories=max_histories)
     nontrivial = [sym.shifts[s] for s in range(1, n)]
 
     return {
@@ -543,9 +532,11 @@ def _build_criteria(spec: LatticeSpec, disc: analysis.DiscriminationReport) -> d
     }
 
 
-def _standing_section(spec: LatticeSpec, disc: analysis.DiscriminationReport) -> dict:
+def _standing_section(
+    spec: LatticeSpec, disc: analysis.DiscriminationReport, max_histories: int
+) -> dict:
     """The standing wave's statistics; `disc` includes it among its states."""
-    _, coevs = analysis.named_ensemble(spec, "standing", 0)
+    _, coevs = analysis.named_ensemble(spec, "standing", 0, max_histories)
     return {
         "unverified_by_paper": True,
         "primitive_count": len(coevs),
@@ -586,14 +577,14 @@ def cmd_report(args) -> int:
     check_history_guard(spec, None, args.max_histories)
     standing = args.state == "standing"
     labels = ("ground", "plus", "minus") + (("standing",) if standing else ())
-    disc = analysis.discrimination_report(spec, labels, 0)
-    criteria = _build_criteria(spec, disc)
+    disc = analysis.discrimination_report(spec, labels, 0, max_histories=args.max_histories)
+    criteria = _build_criteria(spec, disc, args.max_histories)
     data = {
         "config": {"n": spec.n, "steps": spec.steps},
         "criteria": criteria,
     }
     if standing:
-        data["standing"] = _standing_section(spec, disc)
+        data["standing"] = _standing_section(spec, disc, args.max_histories)
     checked = (spec.n, spec.steps) == (3, 3)
     if checked:
         mismatches = _compare_golden(criteria, _load_golden())

@@ -18,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSizeError, SpaceMismatchError, WrongSpaceError
+from .errors import LIMITS, SpaceMismatchError, WrongSpaceError, check_size
 from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes
-from .measure import (
-    DEFAULT_MAX_VECTORS,
-    resolve_subset_cap,
-    sector_tables,
-)
+from .measure import sector_tables
 from .subsetwalk import antichain_maxima, minimal_uncovered, submasks, zero_sum_subsets
 
 __all__ = [
@@ -38,11 +34,6 @@ __all__ = [
     "overlap",
     "common_supports",
 ]
-
-DEFAULT_MAX_SUPPORTS = 1 << 20
-DEFAULT_BRUTEFORCE_SUBSETS = 1 << 20
-DEFAULT_WORK_BOUND = 1 << 24
-MAX_EXPLICIT_ZERO_EVENTS = 1 << 14  # per sector; containment checks are quadratic
 
 
 @dataclass(frozen=True)
@@ -74,17 +65,6 @@ class MultiplicativeCoevent:
         return self.support.members & ~event.members == 0
 
 
-def _sector_count_vectors(
-    classes: AmplitudeClasses, members: int
-) -> dict[int, tuple[int, ...]]:
-    counts = classes.event_counts(members)
-    tables = sector_tables(classes)
-    return {
-        final: tuple(counts[c] for c in table.class_ids)
-        for final, table in tables.items()
-    }
-
-
 def is_preclusive(support: Event) -> bool:
     """True iff the support is contained in no precluded event.
 
@@ -94,11 +74,11 @@ def is_preclusive(support: Event) -> bool:
     sector part exceeds every zero-sum count vector of its sector.
     """
     classes = amplitude_classes(support.space)
-    tables = sector_tables(classes)
-    for final, vec in _sector_count_vectors(classes, support.members).items():
-        if not tables[final].extendable(vec):
-            return True
-    return False
+    counts = classes.event_counts(support.members)
+    return any(
+        not table.extendable(tuple(counts[c] for c in table.class_ids))
+        for table in sector_tables(classes).values()
+    )
 
 
 def is_primitive(support: Event) -> bool:
@@ -143,16 +123,13 @@ def _dualise_maxima(
         for w in sorted(raised, key=sum):
             if not any(all(a <= b for a, b in zip(u, w)) for u in minimal):
                 minimal.append(w)
-        if len(minimal) > max_vectors:
-            raise InfeasibleSizeError(
-                f"antichain of {len(minimal)} minimal preclusive vectors exceeds "
-                f"the max_vectors guard of {max_vectors}"
-            )
+        check_size("antichain of {} minimal preclusive vectors", len(minimal),
+                   max_vectors, LIMITS.max_vectors)
     return sorted(minimal, key=lambda v: (sum(v), v))
 
 
 def minimal_preclusive_vectors(
-    classes: AmplitudeClasses, *, max_vectors: int = DEFAULT_MAX_VECTORS
+    classes: AmplitudeClasses, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> list[tuple[int, ...]]:
     """Inclusion-minimal preclusive count vectors of a fixed-final space.
 
@@ -162,28 +139,32 @@ def minimal_preclusive_vectors(
     maxima.  Sorted by total, then lexicographically.
     """
     if classes.space.final is None:
-        raise WrongSpaceError("minimal preclusive vectors need a fixed-final space")
+        raise WrongSpaceError(
+            "primitive coevents need a fixed-final space; "
+            "use enumerate_primitive_bruteforce for unrestricted spaces"
+        )
     (table,) = sector_tables(classes, max_vectors=max_vectors).values()
     return _dualise_maxima(table.maximal_zero, table.counts, max_vectors)
 
 
+def _support_count(counts: tuple[int, ...], minimal: list[tuple[int, ...]]) -> int:
+    return sum(math.prod(map(math.comb, counts, vec)) for vec in minimal)
+
+
 def count_primitive(
-    space: HistorySpace, *, max_vectors: int = DEFAULT_MAX_VECTORS
+    space: HistorySpace, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> int:
     """Number of primitive coevents, without expanding supports."""
     classes = amplitude_classes(space)
-    table = sector_tables(classes, max_vectors=max_vectors)[space.final]
-    total = 0
-    for vec in minimal_preclusive_vectors(classes, max_vectors=max_vectors):
-        total += math.prod(math.comb(c, k) for c, k in zip(table.counts, vec))
-    return total
+    minimal = minimal_preclusive_vectors(classes, max_vectors=max_vectors)
+    return _support_count(classes.counts, minimal)
 
 
 def enumerate_primitive(
     space: HistorySpace,
     *,
-    max_supports: int = DEFAULT_MAX_SUPPORTS,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
+    max_supports: int = LIMITS.max_supports.default,
+    max_vectors: int = LIMITS.max_vectors.default,
 ) -> list[MultiplicativeCoevent]:
     """All primitive coevents of a fixed-final space, in canonical index order.
 
@@ -191,23 +172,14 @@ def enumerate_primitive(
     count vector expands into every way of choosing that many members
     per class.
     """
-    if space.final is None:
-        raise WrongSpaceError(
-            "enumerate_primitive needs a fixed-final space; "
-            "use enumerate_primitive_bruteforce for unrestricted spaces"
-        )
-    total = count_primitive(space, max_vectors=max_vectors)
-    if total > max_supports:
-        raise InfeasibleSizeError(
-            f"{total} primitive supports exceed the expansion guard of {max_supports}"
-        )
     classes = amplitude_classes(space)
-    table = sector_tables(classes, max_vectors=max_vectors)[space.final]
-    member_lists = [
-        Event(space, classes.classes[c].members).indices() for c in table.class_ids
-    ]
+    minimal = minimal_preclusive_vectors(classes, max_vectors=max_vectors)
+    total = _support_count(classes.counts, minimal)
+    check_size("expansion of {} primitive supports", total, max_supports,
+               LIMITS.max_supports)
+    member_lists = [Event(space, c.members).indices() for c in classes.classes]
     supports: list[tuple[int, ...]] = []
-    for vec in minimal_preclusive_vectors(classes, max_vectors=max_vectors):
+    for vec in minimal:
         per_class = [
             itertools.combinations(members, k)
             for members, k in zip(member_lists, vec)
@@ -222,7 +194,7 @@ def enumerate_primitive_bruteforce(
     space: HistorySpace,
     *,
     max_subsets: int | None = None,
-    work_bound: int = DEFAULT_WORK_BOUND,
+    work_bound: int = LIMITS.work_bound.default,
     threads: int = 1,
 ) -> list[MultiplicativeCoevent]:
     """Primitive coevents by testing every subset of the space.
@@ -233,11 +205,8 @@ def enumerate_primitive_bruteforce(
     moreover minimal with that property.  Results come out in
     size-then-index order.
     """
-    cap = resolve_subset_cap(max_subsets, DEFAULT_BRUTEFORCE_SUBSETS)
-    if (1 << space.size) > cap:
-        raise InfeasibleSizeError(
-            f"brute force over 2^{space.size} subsets exceeds the cap of {cap}"
-        )
+    check_size("brute force over {} subsets", 1 << space.size, max_subsets,
+               LIMITS.max_subsets)
     classes = amplitude_classes(space)
 
     # explicit zero-sum (precluded) events per sector, then their maxima
@@ -249,11 +218,8 @@ def enumerate_primitive_bruteforce(
         members.sort()
         rows = [space.amps[i].canonical() for i in members]
         local_zero = zero_sum_subsets(rows, threads=threads)
-        if len(local_zero) > MAX_EXPLICIT_ZERO_EVENTS:
-            raise InfeasibleSizeError(
-                f"sector at final {table.final} has {len(local_zero)} zero-sum "
-                f"events; explicit containment is capped at {MAX_EXPLICIT_ZERO_EVENTS}"
-            )
+        check_size(f"sector at final {table.final} with {{}} zero-sum events",
+                   len(local_zero), None, LIMITS.zero_events)
         global_zero = []
         for lm in local_zero:
             gm = 0
@@ -272,12 +238,8 @@ def enumerate_primitive_bruteforce(
         for part in combo:
             m |= part
         maxima.append(m)
-    work = sum(1 << m.bit_count() for m in maxima)
-    if work > work_bound:
-        raise InfeasibleSizeError(
-            f"covering {len(maxima)} maximal precluded events needs {work} marks, "
-            f"over the bound of {work_bound}"
-        )
+    check_size(f"covering {len(maxima)} maximal precluded events with {{}} marks",
+               sum(1 << m.bit_count() for m in maxima), work_bound, LIMITS.work_bound)
 
     covered = bytearray(1 << space.size)
     for m in maxima:

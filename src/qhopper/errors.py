@@ -1,5 +1,17 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and every size limit it enforces.
+
+`LIMITS` is the one table of size guards.  Keyword parameters such as
+`max_histories=` and `max_vectors=` take their defaults from it, and every
+refusal goes through `check_size`, so each `InfeasibleSizeError` reads
+
+    <subject with the requested size> exceeds the <guard> guard of <limit>; <remedy>
+
+A size past 2^64 is given by its bit length b, as 2^(b-1)..2^b.
+"""
 from __future__ import annotations
+
+import os
+from typing import NamedTuple
 
 
 class HopperError(Exception):
@@ -36,3 +48,67 @@ class WrongSpaceError(HopperError, ValueError):
 
 class InfeasibleSizeError(HopperError, RuntimeError):
     """An enumeration would exceed its configured size guard."""
+
+
+CAP_ENV_VAR = "COEVENT_MAX_SUBSETS"
+_SUBSETS = f"set it with {CAP_ENV_VAR} or max_subsets=, up to 2^27"
+
+
+class Guard(NamedTuple):
+    """One size limit: its name in messages, its default, and how to change it."""
+
+    name: str
+    default: int
+    remedy: str
+    env: str | None = None  # read when the caller sets no limit
+    ceiling: int | None = None  # holds whatever the setting
+
+
+class Limits(NamedTuple):
+    """Every size guard; `LIMITS` is the only instance (a named tuple is as
+    immutable as a frozen dataclass, and several times cheaper to import)."""
+
+    max_histories: Guard = Guard(
+        "max_histories", 1 << 24, "raise it with --max-histories or max_histories="
+    )
+    max_vectors: Guard = Guard("max_vectors", 1 << 20, "raise it with max_vectors=")
+    max_supports: Guard = Guard("max_supports", 1 << 20, "raise it with max_supports=")
+    max_subsets: Guard = Guard("max_subsets", 1 << 20, _SUBSETS, CAP_ENV_VAR, 1 << 27)
+    subset_ceiling: Guard = Guard("max_subsets", 1 << 27, _SUBSETS, CAP_ENV_VAR, 1 << 27)
+    work_bound: Guard = Guard("work_bound", 1 << 24, "raise it with work_bound=")
+    zero_events: Guard = Guard(
+        "explicit-containment", 1 << 14, "fixed: the containment check is quadratic"
+    )
+    model_sites: Guard = Guard("unitarity-check", 32, "fixed: its cost grows about n^5")
+
+
+LIMITS = Limits()
+
+
+def _magnitude(x: int) -> str:
+    b = x.bit_length()
+    if b <= 64:
+        return str(x)
+    return f"2^{b - 1}" if x == 1 << (b - 1) else f"2^{b - 1}..2^{b}"
+
+
+def check_size(subject: str, size: int, limit: int | None, guard: Guard) -> None:
+    """Refuse `size` over the limit in force; `subject` has `{}` where the size goes.
+
+    A `limit` of None means the guard's environment variable if set, else its default.
+    """
+    if limit is None:
+        limit = guard.default
+        text = os.environ.get(guard.env) if guard.env else None
+        if text:
+            try:
+                limit = int(text)
+            except ValueError as exc:
+                raise ValueError(f"{guard.env} must be an integer, got {text!r}") from exc
+    if guard.ceiling is not None:
+        limit = min(limit, guard.ceiling)
+    if size > limit:
+        raise InfeasibleSizeError(
+            f"{subject.format(_magnitude(size))} exceeds the {guard.name} guard "
+            f"of {_magnitude(limit)}; {guard.remedy}"
+        )

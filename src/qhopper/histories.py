@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .cyclotomic import CycInt
-from .errors import InfeasibleSizeError, SpaceMismatchError
+from .errors import LIMITS, SpaceMismatchError, check_size
 from .model import InitialState, LatticeSpec, hop_amplitude
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
 ]
 
 Sites = tuple[int, ...]
-
-DEFAULT_MAX_HISTORIES = 1 << 24
 
 
 def history_index(sites: Sites, n: int) -> int:
@@ -93,17 +91,14 @@ class HistorySpace:
 
 
 def check_history_guard(
-    spec: LatticeSpec, final: int | None, max_histories: int = DEFAULT_MAX_HISTORIES
+    spec: LatticeSpec, final: int | None, max_histories: int = LIMITS.max_histories.default
 ) -> int:
     """Size of the space with this final site (None: every final site).
 
     Refuses a size over `max_histories`, before anything is built.
     """
     size = spec.n**spec.steps if final is not None else spec.n ** (spec.steps + 1)
-    if size > max_histories:
-        raise InfeasibleSizeError(
-            f"space of {size} histories exceeds the guard of {max_histories}"
-        )
+    check_size("space of {} histories", size, max_histories, LIMITS.max_histories)
     return size
 
 
@@ -112,7 +107,7 @@ def enumerate_histories(
     state: InitialState,
     final: int | None = None,
     *,
-    max_histories: int = DEFAULT_MAX_HISTORIES,
+    max_histories: int = LIMITS.max_histories.default,
 ) -> HistorySpace:
     """Enumerate the canonical space, filling in all amplitudes.
 

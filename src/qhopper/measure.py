@@ -17,16 +17,15 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomic import CycInt
-from .errors import InfeasibleSizeError, WrongSpaceError
+from .errors import LIMITS, WrongSpaceError, check_size
 from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes
-from .subsetwalk import DEFAULT_CHUNK, walk_count_table
+from .subsetwalk import walk_count_table
 
 __all__ = [
     "SectorTable",
@@ -39,33 +38,9 @@ __all__ = [
     "count_precluded_bruteforce",
     "preclusive_coevent_count_exponent",
     "maximal_zero_count_vectors",
-    "CAP_ENV_VAR",
-    "HARD_SUBSET_CAP",
 ]
 
-DEFAULT_MAX_VECTORS = 1 << 20
 LATTICE_BLOCK = 1 << 16  # count vectors per vectorised verdict block
-HARD_SUBSET_CAP = 1 << 27
-CAP_ENV_VAR = "COEVENT_MAX_SUBSETS"
-
-
-def resolve_subset_cap(requested: int | None, default: int) -> int:
-    """Soft cap for brute-force walks: argument, else env override, else default.
-
-    The hard ceiling of 2**27 subsets always applies.
-    """
-    if requested is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        if env:
-            try:
-                requested = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{CAP_ENV_VAR} must be an integer, got {env!r}"
-                ) from exc
-        else:
-            requested = default
-    return min(requested, HARD_SUBSET_CAP)
 
 
 # -- per-sector count-vector tables -------------------------------------------
@@ -144,12 +119,9 @@ def _sector_kernel(values: tuple[CycInt, ...], counts: tuple[int, ...]) -> _Kern
 
 
 def _check_free_box(kernel: _Kernel, counts: tuple[int, ...], max_vectors: int) -> None:
-    free_box = math.prod(counts[f] + 1 for f in kernel.free)
-    if free_box > max_vectors:
-        raise InfeasibleSizeError(
-            f"free-class box of {free_box} points ({len(kernel.free)} free of "
-            f"{len(counts)} classes) exceeds the max_vectors guard of {max_vectors}"
-        )
+    box = math.prod(counts[f] + 1 for f in kernel.free)
+    free = f"({len(kernel.free)} free of {len(counts)} classes)"
+    check_size("free-class box of {} points " + free, box, max_vectors, LIMITS.max_vectors)
 
 
 def _enumerate_zero_vectors(
@@ -236,7 +208,7 @@ _tables_cache = weakref.WeakKeyDictionary()
 
 
 def sector_tables(
-    classes: AmplitudeClasses, *, max_vectors: int = DEFAULT_MAX_VECTORS
+    classes: AmplitudeClasses, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> dict[int, SectorTable]:
     """Zero-sum count-vector tables per final sector (cached per classes object).
 
@@ -304,7 +276,7 @@ def is_precluded(event: Event) -> bool:
 
 
 def count_precluded(
-    classes: AmplitudeClasses, *, max_vectors: int = DEFAULT_MAX_VECTORS
+    classes: AmplitudeClasses, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> int:
     """Exact number of zero-sum subsets (the empty set included).
 
@@ -314,15 +286,23 @@ def count_precluded(
     """
     total = 1
     for table in sector_tables(classes, max_vectors=max_vectors).values():
-        binoms = [[math.comb(c, k) for k in range(c + 1)] for c in table.counts]
+        binoms = [_binomial_row(c) for c in table.counts]
         total *= sum(
             math.prod(map(list.__getitem__, binoms, vec)) for vec in table.zero_vectors
         )
     return total
 
 
+def _binomial_row(c: int) -> list[int]:
+    """C(c, 0..c), each entry from the last: C(c, k+1) = C(c, k) (c - k) / (k + 1)."""
+    row = [1]
+    for k in range(c):
+        row.append(row[-1] * (c - k) // (k + 1))
+    return row
+
+
 def maximal_zero_count_vectors(
-    classes: AmplitudeClasses, *, max_vectors: int = DEFAULT_MAX_VECTORS
+    classes: AmplitudeClasses, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> list[tuple[int, ...]]:
     """Zero-sum count vectors not dominated by another (fixed-final spaces)."""
     if classes.space.final is None:
@@ -342,9 +322,8 @@ def count_precluded_bruteforce(
     space: HistorySpace,
     *,
     max_subsets: int | None = None,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
+    max_vectors: int = LIMITS.max_vectors.default,
     threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
 ) -> int:
     """Count zero-sum subsets by walking every subset of the space.
 
@@ -355,18 +334,13 @@ def count_precluded_bruteforce(
     Independent of :func:`count_precluded`, which never enumerates
     subsets, and of the kernel tables it sums over.
     """
-    cap = resolve_subset_cap(max_subsets, HARD_SUBSET_CAP)
-    if space.size > 27 or (1 << space.size) > cap:
-        raise InfeasibleSizeError(
-            f"brute force over 2^{space.size} subsets exceeds the cap of {cap}"
-        )
+    check_size("brute force over {} subsets", 1 << space.size, max_subsets,
+               LIMITS.subset_ceiling)
     classes = amplitude_classes(space)
     radix = [c + 1 for c in classes.counts]
     lattice = math.prod(radix)
-    if lattice > max_vectors:
-        raise InfeasibleSizeError(
-            f"count-vector lattice of {lattice} exceeds the guard of {max_vectors}"
-        )
+    check_size("count-vector lattice of {} points", lattice, max_vectors,
+               LIMITS.max_vectors)
     # weight of class i in the mixed-radix index (row-major)
     weights = [0] * len(radix)
     w = 1
@@ -391,4 +365,4 @@ def count_precluded_bruteforce(
         table[lo : lo + idx.size] = ~(digits @ matrix).any(axis=1)
 
     bit_weight = [weights[classes.class_of[b]] for b in range(space.size)]
-    return walk_count_table(space.size, bit_weight, table, threads=threads, chunk=chunk)
+    return walk_count_table(space.size, bit_weight, table, threads=threads)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .cyclotomic import CycInt
@@ -58,12 +59,13 @@ def json_ready(obj):
     """Recursively convert to plain JSON types with exactness preserved.
 
     Integers beyond 2**53 and all rationals become decimal strings so
-    consumers without big integers cannot silently round them.
+    consumers without big integers cannot silently round them; Decimal
+    prints any length, where str(int) stops at sys.get_int_max_str_digits().
     """
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
-        return str(obj) if abs(obj) > JSON_INT_LIMIT else obj
+        return str(Decimal(obj)) if abs(obj) > JSON_INT_LIMIT else obj
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, CycInt):

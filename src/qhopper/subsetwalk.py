@@ -22,7 +22,6 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 __all__ = [
-    "gray",
     "walk_count_table",
     "zero_sum_subsets",
     "antichain_maxima",
@@ -33,11 +32,6 @@ __all__ = [
 DEFAULT_CHUNK = 1 << 16
 
 _T = TypeVar("_T")
-
-
-def gray(i: int) -> int:
-    """The i-th subset in Gray-code order; consecutive ones differ in one element."""
-    return i ^ (i >> 1)
 
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import time
+from decimal import Decimal
 
 import pytest
 
 import qhopper
+from qhopper import (
+    LatticeSpec,
+    amplitude_classes,
+    count_precluded,
+    enumerate_histories,
+    initial_state,
+)
 from qhopper.cli import main
 
 QHOPPER_MODULES = (
@@ -265,4 +274,56 @@ def test_max_histories_refuses_whatever_the_memo_holds(capsys, argv, size):
     assert main([*argv, "--format", "json"]) == 0  # fills the ensemble memo
     capsys.readouterr()
     assert main([*argv, "--max-histories", "10"]) == 2
-    assert f"space of {size} histories exceeds the guard of 10" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"space of {size} histories exceeds the max_histories guard of 10" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report"], ["compare", "--state", "ground", "--with", "plus", "--final", "0"]],
+)
+def test_max_histories_reaches_every_space_built(monkeypatch, capsys, argv):
+    qhopper.analysis.named_ensemble.cache_clear()
+    inner, received = qhopper.histories.enumerate_histories, []
+
+    def wrapper(*args, **kwargs):
+        received.append(kwargs.get("max_histories"))
+        return inner(*args, **kwargs)
+
+    modules = [importlib.import_module(f"qhopper.{m}") for m in QHOPPER_MODULES]
+    for mod in (qhopper, *modules):
+        for attr, value in list(vars(mod).items()):
+            if value is inner:
+                monkeypatch.setattr(mod, attr, wrapper)
+    assert main([*argv, "--format", "json", "--max-histories", "100000000"]) == 0
+    capsys.readouterr()
+    assert received and set(received) == {100000000}
+
+
+def test_preclusion_prints_counts_past_the_int_string_limit(capsys):
+    # 5 921 digits, past the 4 300 that str(int) converts by default
+    code, data = run_json(capsys, "preclusion", "--sites", "3", "--steps", "9",
+                          "--state", "plus", "--final", "0")
+    assert code == 0
+    spec = LatticeSpec(3, 9)
+    space = enumerate_histories(spec, initial_state(spec, "plus"), 0)
+    assert len(data["precluded"]) > 5000
+    assert Decimal(data["precluded"]) == count_precluded(amplitude_classes(space))
+
+
+@pytest.mark.parametrize("fmt, records", [("text", None), ("csv", None), ("csv", True)])
+def test_emit_renders_integers_of_any_length(capsys, fmt, records):
+    big = 7**6000  # 5 071 digits
+    data = {"count": big}
+    qhopper.cli._emit(argparse.Namespace(format=fmt, out=None), data,
+                      [data] if records else None)
+    assert str(Decimal(big)) in capsys.readouterr().out
+
+
+def test_huge_refusal_states_the_size_by_bit_length(capsys):
+    assert main(["primitives", "--sites", "3", "--steps", "9", "--state", "plus",
+                 "--final", "0"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200
+    assert "expansion of 2^1088..2^1089 primitive supports" in err
+    assert "max_supports guard of 1048576" in err

@@ -277,3 +277,17 @@ def test_overlap_requires_matching_spaces(plus_space):
     other = enumerate_histories(spec2, initial_state(spec2, "plus"), 0)
     with pytest.raises(SpaceMismatchError):
         overlap(plus_space, other)
+
+
+def test_enumerate_primitive_dualises_once(monkeypatch, plus_space):
+    import qhopper.coevents
+
+    inner, calls = qhopper.coevents._dualise_maxima, []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(qhopper.coevents, "_dualise_maxima", counted)
+    assert len(enumerate_primitive(plus_space)) == 828
+    assert len(calls) == 1

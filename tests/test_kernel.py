@@ -32,8 +32,8 @@ from qhopper import (
 )
 from qhopper.cli import main
 from qhopper.coevents import _dualise_maxima
+from qhopper.errors import LIMITS
 from qhopper.measure import (
-    DEFAULT_MAX_VECTORS,
     _enumerate_zero_vectors,
     _vector_maxima,
     sector_tables,
@@ -80,7 +80,7 @@ def class_layouts(draw):
 @given(class_layouts())
 def test_kernel_enumerator_equals_box_walk(layout):
     order, values, counts = layout
-    fast = _enumerate_zero_vectors(values, counts, order, DEFAULT_MAX_VECTORS)
+    fast = _enumerate_zero_vectors(values, counts, order, LIMITS.max_vectors.default)
     assert fast == oracles.box_zero_vectors(values, counts, order)
 
 
@@ -94,7 +94,7 @@ def test_maxima_and_dualised_minimal_vectors_equal_box_scans(layout):
         v for v in zeros
         if not any(w != v and all(a <= b for a, b in zip(v, w)) for w in zeros)
     ]
-    assert _dualise_maxima(maxima, counts, DEFAULT_MAX_VECTORS) == (
+    assert _dualise_maxima(maxima, counts, LIMITS.max_vectors.default) == (
         oracles.box_minimal_preclusive(counts, zeros)
     )
 
@@ -113,7 +113,7 @@ def test_dualisation_of_any_point_set_equals_sorted_box_scan(layout):
     # any point set, not only maxima of zero-sum sets: more points per box
     # than the class layouts give, in any dominance order
     counts, points = layout
-    assert _dualise_maxima(points, counts, DEFAULT_MAX_VECTORS) == (
+    assert _dualise_maxima(points, counts, LIMITS.max_vectors.default) == (
         oracles.box_minimal_preclusive(counts, list(points))
     )
 

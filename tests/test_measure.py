@@ -262,7 +262,7 @@ def test_bruteforce_respects_cap(plus_space):
 
 def test_env_var_overrides_bruteforce_cap(plus_space, monkeypatch):
     from qhopper import InfeasibleSizeError
-    from qhopper.measure import CAP_ENV_VAR
+    from qhopper.errors import CAP_ENV_VAR
 
     monkeypatch.setenv(CAP_ENV_VAR, "1024")
     with pytest.raises(InfeasibleSizeError):
@@ -275,3 +275,8 @@ def test_env_var_overrides_bruteforce_cap(plus_space, monkeypatch):
 def test_single_class_maximal_vector_is_empty():
     sp = make_space([(i, 0) for i in range(4)], [CycInt.one(3)] * 4, order=3)
     assert maximal_zero_count_vectors(amplitude_classes(sp)) == [(0,)]
+
+
+def test_binomial_rows_match_math_comb():
+    for c in range(201):
+        assert qhopper.measure._binomial_row(c) == [math.comb(c, k) for k in range(c + 1)]

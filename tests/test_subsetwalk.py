@@ -8,22 +8,11 @@ import pytest
 
 from qhopper.subsetwalk import (
     antichain_maxima,
-    gray,
     minimal_uncovered,
     submasks,
     walk_count_table,
     zero_sum_subsets,
 )
-
-
-def test_gray_sequence_flips_one_bit():
-    for i in range(1, 1 << 10):
-        assert bin(gray(i) ^ gray(i - 1)).count("1") == 1
-
-
-def test_gray_visits_every_subset_once():
-    seen = {gray(i) for i in range(1 << 12)}
-    assert seen == set(range(1 << 12))
 
 
 @pytest.mark.parametrize("threads", [1, 3])
