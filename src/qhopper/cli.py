@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 
 from . import analysis
-from .coevents import enumerate_primitive, minimal_preclusive_vectors
+from .coevents import enumerate_primitive
 from .cyclotomic import CycInt, root
 from .errors import LIMITS, HopperError, InfeasibleSizeError, check_size
 from .histories import (
@@ -351,6 +351,8 @@ def cmd_primitives(args) -> int:
     classes = amplitude_classes(space)
     table = sector_tables(classes)[final]
     coevs = enumerate_primitive(space)
+    # each support's class counts are one minimal preclusive vector
+    minimal = {classes.event_counts(phi.support.members) for phi in coevs}
     data = {
         "state": args.state,
         "final": final,
@@ -358,7 +360,7 @@ def cmd_primitives(args) -> int:
         "support_sizes": analysis.support_size_histogram(coevs),
         "minimal_class_vectors": [
             _vector_entries(table, vec)
-            for vec in minimal_preclusive_vectors(classes)
+            for vec in sorted(minimal, key=lambda v: (sum(v), v))
         ],
     }
     records = None
@@ -453,15 +455,12 @@ def _build_criteria(
     spaces, ensembles = {}, {}
     for lb in ("ground", "plus", "minus"):
         spaces[lb], ensembles[lb] = analysis.named_ensemble(spec, lb, 0, max_histories)
-    all_space = enumerate_histories(
-        spec, initial_state(spec, "plus"), None, max_histories=max_histories
-    )
     classes = {lb: amplitude_classes(sp) for lb, sp in spaces.items()}
 
     def class_counts(lb: str) -> dict[str, int]:
         return {value_label(c.value): c.count for c in classes[lb].classes}
 
-    precluded = {lb: count_precluded(classes[lb]) for lb in spaces}
+    precluded = {lb: count_precluded(classes[lb]) for lb in ("plus", "ground")}
     table_plus = sector_tables(classes["plus"])[0]
     pos_net = analysis.positive_only_circulations(spaces["plus"], ensembles["plus"])
 
@@ -488,7 +487,7 @@ def _build_criteria(
 
     return {
         "unitarity_2_to_8": all(check_unitarity(LatticeSpec(k, 1)) for k in range(2, 9)),
-        "histories_unrestricted": all_space.size,
+        "histories_unrestricted": n ** (spec.steps + 1),
         "histories_fixed_final": spaces["plus"].size,
         "class_counts_plus": class_counts("plus"),
         "class_counts_ground": class_counts("ground"),
@@ -573,8 +572,9 @@ def _compare_golden(criteria: dict, golden: dict) -> list[dict]:
 
 def cmd_report(args) -> int:
     spec = _spec_from(args)
-    # the largest space a report builds is the unrestricted one
-    check_history_guard(spec, None, args.max_histories)
+    # a report analyses fixed-final spaces only; a larger one (the two-step
+    # overlap when T = 1) is refused where it is built
+    check_history_guard(spec, 0, args.max_histories)
     standing = args.state == "standing"
     labels = ("ground", "plus", "minus") + (("standing",) if standing else ())
     disc = analysis.discrimination_report(spec, labels, 0, max_histories=args.max_histories)

@@ -7,8 +7,11 @@ Preclusivity is upward closed, so primitivity only needs single-history
 deletions, and it depends only on how many histories the support takes
 from each amplitude class.  The fast enumerator therefore finds the
 inclusion-minimal preclusive count vectors and expands them into
-explicit supports; the brute-force enumerator instead tests every
-subset of the space against explicitly enumerated precluded events.
+explicit supports.  The brute-force enumerator instead judges every
+subset of the space from exact amplitude sums: a table of each sector's
+zero-sum subsets, closed downward, gives the subsets contained in a
+precluded event, and the primitive supports are the minimal subsets
+outside it.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import LIMITS, SpaceMismatchError, WrongSpaceError, check_size
 from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes
 from .measure import sector_tables
-from .subsetwalk import antichain_maxima, minimal_uncovered, submasks, zero_sum_subsets
+from .subsetwalk import close_downward, minimal_uncovered, zero_sum_subsets
 
 __all__ = [
     "MultiplicativeCoevent",
@@ -191,63 +194,29 @@ def enumerate_primitive(
 
 
 def enumerate_primitive_bruteforce(
-    space: HistorySpace,
-    *,
-    max_subsets: int | None = None,
-    work_bound: int = LIMITS.work_bound.default,
-    threads: int = 1,
+    space: HistorySpace, *, max_subsets: int | None = None
 ) -> list[MultiplicativeCoevent]:
     """Primitive coevents by testing every subset of the space.
 
-    Precluded events are enumerated explicitly per sector (exact
-    amplitude sums, no class shortcut); a subset is preclusive iff it is
-    contained in no maximal precluded event, and primitive iff it is
-    moreover minimal with that property.  Results come out in
-    size-then-index order.
+    A subset is contained in a precluded event iff each final sector's
+    part is contained in a zero-sum subset of that sector, found from
+    the histories' exact amplitude sums (no class shortcut).  Each
+    sector's zero-sum table, closed downward, says which parts are; the
+    final site is the most significant digit of the canonical index, so
+    each sector is one contiguous run of histories and the space's table
+    is the outer AND of the sectors' tables.  The primitive supports are
+    its minimal unmarked subsets.  Results come out in size-then-index
+    order.
     """
     check_size("brute force over {} subsets", 1 << space.size, max_subsets,
                LIMITS.max_subsets)
-    classes = amplitude_classes(space)
-
-    # explicit zero-sum (precluded) events per sector, then their maxima
-    per_sector_maxima: list[list[int]] = []
-    for table in sector_tables(classes).values():
-        members: list[int] = []
-        for cid in table.class_ids:
-            members.extend(Event(space, classes.classes[cid].members).indices())
-        members.sort()
-        rows = [space.amps[i].canonical() for i in members]
-        local_zero = zero_sum_subsets(rows, threads=threads)
-        check_size(f"sector at final {table.final} with {{}} zero-sum events",
-                   len(local_zero), None, LIMITS.zero_events)
-        global_zero = []
-        for lm in local_zero:
-            gm = 0
-            while lm:
-                low = lm & -lm
-                gm |= 1 << members[low.bit_length() - 1]
-                lm ^= low
-            global_zero.append(gm)
-        per_sector_maxima.append(antichain_maxima(global_zero))
-
-    # sectors partition the space, so unions of one maximal zero-sum event
-    # per sector are exactly the maximal precluded events
-    maxima: list[int] = []
-    for combo in itertools.product(*per_sector_maxima):
-        m = 0
-        for part in combo:
-            m |= part
-        maxima.append(m)
-    check_size(f"covering {len(maxima)} maximal precluded events with {{}} marks",
-               sum(1 << m.bit_count() for m in maxima), work_bound, LIMITS.work_bound)
-
-    covered = bytearray(1 << space.size)
-    for m in maxima:
-        for s in submasks(m):
-            covered[s] = 1
-    covered_arr = np.frombuffer(covered, dtype=np.uint8).view(np.bool_)
-    ok = minimal_uncovered(covered_arr, space.size)
-    masks = [int(m) for m in np.nonzero(ok)[0]]
+    run = space.size if space.final is not None else space.size // space.spec.n
+    covered = None
+    for lo in range(0, space.size, run):
+        rows = [a.canonical() for a in space.amps[lo : lo + run]]
+        part = close_downward(zero_sum_subsets(rows), run)
+        covered = part if covered is None else np.logical_and.outer(part, covered).ravel()
+    masks = [int(m) for m in np.flatnonzero(minimal_uncovered(covered, space.size))]
     masks.sort(key=lambda m: (m.bit_count(), Event(space, m).indices()))
     return [MultiplicativeCoevent(Event(space, m)) for m in masks]
 

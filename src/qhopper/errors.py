@@ -1,8 +1,11 @@
 """Exception types shared across the engine, and every size limit it enforces.
 
-`LIMITS` is the one table of size guards.  Keyword parameters such as
-`max_histories=` and `max_vectors=` take their defaults from it, and every
-refusal goes through `check_size`, so each `InfeasibleSizeError` reads
+`LIMITS` is the one table of size guards: histories per space, the
+kernel walk's free box and antichain, expanded supports, subsets walked
+by each brute force, and lattice sites for the unitarity check.  Keyword
+parameters such as `max_histories=` and `max_vectors=` take their
+defaults from it, and every refusal goes through `check_size`, so each
+`InfeasibleSizeError` reads
 
     <subject with the requested size> exceeds the <guard> guard of <limit>; <remedy>
 
@@ -75,10 +78,6 @@ class Limits(NamedTuple):
     max_supports: Guard = Guard("max_supports", 1 << 20, "raise it with max_supports=")
     max_subsets: Guard = Guard("max_subsets", 1 << 20, _SUBSETS, CAP_ENV_VAR, 1 << 27)
     subset_ceiling: Guard = Guard("max_subsets", 1 << 27, _SUBSETS, CAP_ENV_VAR, 1 << 27)
-    work_bound: Guard = Guard("work_bound", 1 << 24, "raise it with work_bound=")
-    zero_events: Guard = Guard(
-        "explicit-containment", 1 << 14, "fixed: the containment check is quadratic"
-    )
     model_sites: Guard = Guard("unitarity-check", 32, "fixed: its cost grows about n^5")
 
 

@@ -1,4 +1,5 @@
-"""Split-half walks over all subsets of a small ground set.
+"""Split-half walks over all subsets of a small ground set, and bool tables
+indexed by subset mask.
 
 A subset of {0..N-1} is the bitmask h << L | l, where l holds its low L
 elements and h its high N-L ones, so any additive per-subset statistic
@@ -7,25 +8,29 @@ tabulated once, 2**L and 2**(N-L) entries, each table built by doubling
 one element at a time (meet in the middle: Horowitz & Sahni, J. ACM 21,
 1974).  Then, for each high subset h, the 2**L subsets sharing it get
 their verdicts in one vectorised step.  Every subset is still judged on
-its own; memory stays O(2**L + 2**(N-L)), never O(2**N).
+its own.  The count walk keeps memory at O(2**L + 2**(N-L)); the
+zero-sum walk returns its verdicts as one table of 2**N bools.
 
 `chunk` is the number of subsets per vectorised step: L is
-min(N, floor(log2(chunk))).  `threads` splits the high subsets into
-that many contiguous runs on a thread pool; results are identical for
-any value of either.
+min(N, floor(log2(chunk))).  The count walk's `threads` splits the high
+subsets into that many contiguous runs on a thread pool; results are
+identical for any value of either.
+
+`close_downward` and `minimal_uncovered` work on a table of 2**N bools
+with one reshape per bit: bit b of a mask is axis 1 of the
+(-1, 2, 2**b) view.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 __all__ = [
     "walk_count_table",
     "zero_sum_subsets",
-    "antichain_maxima",
-    "submasks",
+    "close_downward",
     "minimal_uncovered",
 ]
 
@@ -42,10 +47,10 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _halves(rows: np.ndarray, chunk: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """L, then the subset sums of the low L rows and of the rest."""
+def _halves(rows: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subset sums of the low L rows, then those of the rest."""
     low_bits = min(len(rows), max(chunk, 1).bit_length() - 1)
-    return low_bits, _subset_sums(rows[:low_bits]), _subset_sums(rows[low_bits:])
+    return _subset_sums(rows[:low_bits]), _subset_sums(rows[low_bits:])
 
 
 def _run_high(fn: Callable[[int, int], _T], num_high: int, threads: int) -> list[_T]:
@@ -76,7 +81,7 @@ def walk_count_table(
     flat = np.asarray(table, dtype=bool).ravel()
     if int(weights.min(initial=0)) < 0 or sum(map(int, weights)) >= flat.size:
         raise ValueError("bit weights must be nonnegative and index inside the table")
-    _, low, high = _halves(weights, chunk)
+    low, high = _halves(weights, chunk)
 
     def do_run(lo: int, hi: int) -> int:
         index = np.empty_like(low)
@@ -92,55 +97,43 @@ def walk_count_table(
 
 
 def zero_sum_subsets(
-    rows: Sequence[Sequence[int]],
-    *,
-    threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-) -> list[int]:
-    """Bitmasks of every subset whose elementwise integer-vector sum is zero.
+    rows: Sequence[Sequence[int]], *, chunk: int = DEFAULT_CHUNK
+) -> np.ndarray:
+    """Table of 2**len(rows) bools: does the subset's integer-vector sum vanish?
 
-    `rows[b]` is the vector attached to element b.  The empty subset
-    always qualifies.  Masks come out ascending with no sort, since the
-    mask h << L | l is visited by increasing h, then increasing l.
+    `rows[b]` is the vector attached to element b, and entry m of the
+    table is the verdict of the subset with bitmask m.  The empty subset
+    always qualifies.
     """
     num_bits = len(rows)
     if num_bits == 0:
-        return [0]
+        return np.ones(1, dtype=bool)
     largest = max((abs(x) for r in rows for x in r), default=0)
     if largest * num_bits > np.iinfo(np.int64).max:
         raise OverflowError("subset sums of these rows may overflow int64")
     mat = np.asarray([list(r) for r in rows], dtype=np.int64)
-    low_bits, low, high = _halves(mat, chunk)
-
-    def do_run(lo: int, hi: int) -> list[int]:
-        acc = np.empty_like(low)
-        found: list[int] = []
-        for h in range(lo, hi):
-            np.add(low, high[h], out=acc)
-            found.extend((np.flatnonzero(~acc.any(axis=1)) + (h << low_bits)).tolist())
-        return found
-
-    return [m for part in _run_high(do_run, len(high), threads) for m in part]
-
-
-def antichain_maxima(masks: Sequence[int]) -> list[int]:
-    """Inclusion-maximal elements of a family of bitmasks, sorted ascending."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=lambda x: (-x.bit_count(), x)):
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    kept.sort()
-    return kept
+    low, high = _halves(mat, chunk)
+    low_columns = low.T.copy()  # one contiguous array per coordinate
+    zero = np.ones((len(high), len(low)), dtype=bool)
+    hit = np.empty(len(low), dtype=bool)
+    for h, offset in enumerate(high):
+        # low sum + offset vanishes iff each coordinate equals -offset
+        for column, x in zip(low_columns, offset):
+            np.equal(column, -x, out=hit)
+            zero[h] &= hit
+    return zero.ravel()
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """Every subset of `mask`, including itself and 0."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
+def close_downward(table: np.ndarray, num_bits: int) -> np.ndarray:
+    """Mark every subset of a marked mask, in place; returns the table.
+
+    `table` is a boolean array indexed by bitmask, length 2**num_bits.
+    One sweep per bit b ORs each mask holding b into the mask without it.
+    """
+    for b in range(num_bits):
+        t3 = table.reshape(-1, 2, 1 << b)
+        t3[:, 0, :] |= t3[:, 1, :]
+    return table
 
 
 def minimal_uncovered(covered: np.ndarray, num_bits: int) -> np.ndarray:

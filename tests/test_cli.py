@@ -243,7 +243,7 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 @pytest.mark.parametrize(
-    "extra, spaces, ensembles", [((), 8, 7), (("--state", "standing"), 9, 8)]
+    "extra, spaces, ensembles", [((), 7, 7), (("--state", "standing"), 8, 8)]
 )
 def test_report_builds_each_space_once(monkeypatch, capsys, extra, spaces, ensembles):
     qhopper.analysis.named_ensemble.cache_clear()
@@ -267,7 +267,7 @@ def test_report_builds_each_space_once(monkeypatch, capsys, extra, spaces, ensem
     [
         (["compare", "--steps", "3", "--state", "ground", "--with", "plus",
           "--final", "0"], 27),
-        (["report"], 81),
+        (["report"], 27),
     ],
 )
 def test_max_histories_refuses_whatever_the_memo_holds(capsys, argv, size):
@@ -276,6 +276,22 @@ def test_max_histories_refuses_whatever_the_memo_holds(capsys, argv, size):
     assert main([*argv, "--max-histories", "10"]) == 2
     err = capsys.readouterr().err
     assert f"space of {size} histories exceeds the max_histories guard of 10" in err
+
+
+def test_report_answers_at_the_fixed_final_size(capsys):
+    # every space a (3,3) report analyses has 27 histories
+    assert main(["report", "--format", "json"]) == 0
+    default = capsys.readouterr().out
+    assert main(["report", "--max-histories", "27", "--format", "json"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["criteria"]["histories_unrestricted"] == 81
+
+
+def test_primitives_dualises_once(monkeypatch, capsys):
+    dualised = _count_calls(monkeypatch, qhopper.coevents._dualise_maxima)
+    assert main(["primitives", "--final", "0"]) == 0
+    capsys.readouterr()
+    assert len(dualised) == 1
 
 
 @pytest.mark.parametrize(

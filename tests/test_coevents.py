@@ -7,6 +7,7 @@ import random
 import pytest
 
 import oracles
+import qhopper.measure
 from conftest import space_family
 from qhopper import (
     CycInt,
@@ -19,6 +20,8 @@ from qhopper import (
     WrongSpaceError,
     amplitude_classes,
     common_supports,
+    count_precluded,
+    count_precluded_bruteforce,
     count_primitive,
     enumerate_histories,
     enumerate_primitive,
@@ -199,6 +202,52 @@ def test_bruteforce_agrees_with_first_principles_oracle():
     for sp in space_family(max_histories=9):
         brute = sorted(phi.indices() for phi in enumerate_primitive_bruteforce(sp))
         assert brute == sorted(oracles.primitive_supports(sp))
+
+
+def test_bruteforce_reaches_the_paper_space(plus_space, plus_coevents):
+    brute = enumerate_primitive_bruteforce(plus_space, max_subsets=1 << 27)
+    assert len(brute) == 828
+    assert sorted(phi.indices() for phi in brute) == [
+        phi.indices() for phi in plus_coevents
+    ]
+
+
+def test_bruteforces_read_no_kernel_table(monkeypatch):
+    spaces = [
+        enumerate_histories(spec, initial_state(spec, label), final)
+        for spec, label, final in [
+            (LatticeSpec(3, 2), "plus", 0),
+            (LatticeSpec(2, 2), "standing", None),
+            (LatticeSpec(2, 3), "ground", 1),
+        ]
+    ]
+    expected = [
+        (count_precluded(amplitude_classes(sp)), oracles.primitive_supports(sp))
+        for sp in spaces
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a brute force read the kernel tables")
+
+    for name in ("sector_tables", "_enumerate_zero_vectors"):
+        fn = getattr(qhopper.measure, name)
+        for mod in (qhopper, qhopper.measure, qhopper.coevents):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, refuse)
+    for sp, (precluded, supports) in zip(spaces, expected):
+        assert count_precluded_bruteforce(sp) == precluded
+        brute = enumerate_primitive_bruteforce(sp)
+        assert sorted(phi.indices() for phi in brute) == sorted(supports)
+
+
+def test_unrestricted_sectors_are_contiguous_runs():
+    # enumerate_primitive_bruteforce takes final site f's histories to be
+    # the indices f * n^T .. (f + 1) * n^T - 1
+    for sp in space_family():
+        if sp.final is None:
+            run = sp.spec.n ** sp.spec.steps
+            assert [h[-1] for h in sp.histories] == [i // run for i in range(sp.size)]
 
 
 def test_bruteforce_refuses_large_spaces_by_default(plus_space):

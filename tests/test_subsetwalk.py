@@ -1,15 +1,13 @@
 from __future__ import annotations
 
-import inspect
 import random
 
 import numpy as np
 import pytest
 
 from qhopper.subsetwalk import (
-    antichain_maxima,
+    close_downward,
     minimal_uncovered,
-    submasks,
     walk_count_table,
     zero_sum_subsets,
 )
@@ -32,8 +30,8 @@ def test_walk_count_matches_direct_enumeration(threads):
         assert got == expected
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_zero_sum_subsets_matches_direct_enumeration(threads):
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_zero_sum_subsets_matches_direct_enumeration(chunk):
     rng = random.Random(5)
     for _ in range(20):
         num_bits = rng.randint(0, 10)
@@ -49,8 +47,9 @@ def test_zero_sum_subsets_matches_direct_enumeration(threads):
                     total = [t + r for t, r in zip(total, rows[b])]
             if all(t == 0 for t in total):
                 expected.append(mask)
-        got = zero_sum_subsets(rows, threads=threads, chunk=61)
-        assert got == expected
+        got = zero_sum_subsets(rows, chunk=chunk)
+        assert got.dtype == bool and got.size == 1 << num_bits
+        assert np.flatnonzero(got).tolist() == expected
 
 
 def _split_sizes(chunk):
@@ -66,26 +65,24 @@ def test_split_walks_match_direct_enumeration(chunk):
         weights = [rng.randrange(3) for _ in range(num_bits)]
         table = np.array([rng.random() < 0.4 for _ in range(sum(weights) + 1)])
         rows = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(num_bits)]
-        hits, zero = 0, []
+        hits, zero = 0, np.zeros(1 << num_bits, dtype=bool)
         for mask in range(1 << num_bits):
             members = [b for b in range(num_bits) if (mask >> b) & 1]
             hits += bool(table[sum(weights[b] for b in members)])
             if all(sum(rows[b][j] for b in members) == 0 for j in range(2)):
-                zero.append(mask)
+                zero[mask] = True
         for threads in (1, 2):
             assert walk_count_table(
                 num_bits, weights, table, threads=threads, chunk=chunk
             ) == hits
-            assert zero_sum_subsets(rows, threads=threads, chunk=chunk) == zero
+        assert np.array_equal(zero_sum_subsets(rows, chunk=chunk), zero)
 
 
 def test_zero_sum_subsets_come_out_ascending_without_a_sort():
     # every subset of the all-zero rows qualifies, across many high runs
     rows = [(0, 0)] * 9
-    for threads in (1, 3):
-        assert zero_sum_subsets(rows, threads=threads, chunk=8) == list(range(1 << 9))
-    source = inspect.getsource(zero_sum_subsets)
-    assert ".sort(" not in source and "sorted(" not in source
+    got = zero_sum_subsets(rows, chunk=8)
+    assert got.shape == (1 << 9,) and got.all()
 
 
 def test_walk_count_refuses_weights_outside_the_table():
@@ -96,7 +93,7 @@ def test_walk_count_refuses_weights_outside_the_table():
 
 
 def test_zero_sum_subsets_empty_ground_set():
-    assert zero_sum_subsets([]) == [0]
+    assert zero_sum_subsets([]).tolist() == [True]
 
 
 def test_walk_count_empty_ground_set():
@@ -104,16 +101,24 @@ def test_walk_count_empty_ground_set():
     assert walk_count_table(0, [], np.array([False])) == 0
 
 
-def test_antichain_maxima():
-    masks = [0b0001, 0b0011, 0b0101, 0b0111, 0b1000]
-    assert antichain_maxima(masks) == [0b0111, 0b1000]
-    assert antichain_maxima([0]) == [0]
-    assert antichain_maxima([]) == []
+def test_close_downward_matches_direct_check():
+    rng = random.Random(7)
+    for _ in range(20):
+        num_bits = rng.randint(0, 10)
+        marked = np.array(
+            [rng.random() < 0.05 for _ in range(1 << num_bits)], dtype=bool
+        )
+        got = close_downward(marked.copy(), num_bits)
+        tops = np.flatnonzero(marked).tolist()
+        for mask in range(1 << num_bits):
+            assert bool(got[mask]) == any(mask & ~top == 0 for top in tops)
 
 
-def test_submasks_complete():
-    assert sorted(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
-    assert list(submasks(0)) == [0]
+def test_close_downward_works_in_place():
+    table = np.zeros(8, dtype=bool)
+    table[0b101] = True
+    assert close_downward(table, 3) is table
+    assert np.flatnonzero(table).tolist() == [0b000, 0b001, 0b100, 0b101]
 
 
 def test_minimal_uncovered_matches_direct_check():
@@ -136,8 +141,8 @@ def test_minimal_uncovered_finds_min_supersets():
     # covered = all subsets of {0,1,2}; minimal uncovered = sets with one extra bit
     num_bits = 5
     covered = np.zeros(1 << num_bits, dtype=bool)
-    for s in submasks(0b00111):
-        covered[s] = True
+    covered[0b00111] = True
+    close_downward(covered, num_bits)
     got = minimal_uncovered(covered, num_bits)
     hits = sorted(int(m) for m in np.nonzero(got)[0])
     assert hits == [0b01000, 0b10000]
