@@ -1,9 +1,16 @@
 """Statistics and named-event verdicts over ensembles of primitive coevents.
 
 Everything here is exact: circulation totals are integers, averages are
-rationals, and event verdicts are subset checks on bitsets.  Coevents
-are compared across states and final sites by their supports' histories
-(site tuples), which do not depend on the initial state.
+rationals, and event verdicts are subset checks on bitsets.
+
+Per-history observables are index tables built once per space
+(`HistorySpace.circulations` and `.rest_counts`), so a coevent's
+statistics are lookups by its support's indices; no site tuple is walked
+per coevent.  Coevents are compared across states and final sites by
+global history indices, final * n**T + i, which name the same site tuple
+whatever the initial state.  A lattice rotation is one permutation of
+those indices, built once per shift and shared by `rotate_coevent` and
+`ensemble_symmetry_report`.
 """
 from __future__ import annotations
 
@@ -15,15 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from .coevents import MultiplicativeCoevent, enumerate_primitive
 from .errors import LIMITS
-from .histories import (
-    Event,
-    HistorySpace,
-    Sites,
-    circulation,
-    enumerate_histories,
-    rest_count,
-    visited,
-)
+from .histories import Event, HistorySpace, Sites, enumerate_histories, visited
 from .model import LatticeSpec, initial_state
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "event_by_name",
     "EventVerdicts",
     "event_verdicts",
-    "rotate_sites",
     "rotate_coevent",
     "SymmetryReport",
     "ensemble_symmetry_report",
@@ -74,8 +72,8 @@ def named_ensemble(
 
 def net_circulation(phi: MultiplicativeCoevent) -> int:
     """Total forward-minus-backward hops over the support's histories."""
-    n = phi.space.spec.n
-    return sum(circulation(sites, n) for sites in phi.trajectories())
+    table = phi.space.circulations
+    return sum(table[i] for i in phi.support.iter_indices())
 
 
 def average_net_circulation(coevents: Sequence[MultiplicativeCoevent]) -> Fraction:
@@ -100,7 +98,8 @@ def support_size_histogram(coevents: Iterable[MultiplicativeCoevent]) -> dict[in
 
 def rest_profile(phi: MultiplicativeCoevent) -> tuple[int, ...]:
     """Sorted per-history rest counts of the support."""
-    return tuple(sorted(rest_count(sites) for sites in phi.trajectories()))
+    table = phi.space.rest_counts
+    return tuple(sorted(table[i] for i in phi.support.iter_indices()))
 
 
 def classify_restlessness(
@@ -142,17 +141,23 @@ def _event_where(space: HistorySpace, keep: Callable[[Sites], bool]) -> Event:
     )
 
 
+def _rests_event(space: HistorySpace, rests: int) -> Event:
+    """The event of every history resting exactly `rests` times."""
+    return Event.from_indices(
+        space, (i for i, r in enumerate(space.rest_counts) if r == rests)
+    )
+
+
 def never_moves_event(space: HistorySpace) -> Event:
-    steps = space.spec.steps
-    return _event_where(space, lambda h: rest_count(h) == steps)
+    return _rests_event(space, space.spec.steps)
 
 
 def never_rests_event(space: HistorySpace) -> Event:
-    return _event_where(space, lambda h: rest_count(h) == 0)
+    return _rests_event(space, 0)
 
 
 def rests_exactly_once_event(space: HistorySpace) -> Event:
-    return _event_where(space, lambda h: rest_count(h) == 1)
+    return _rests_event(space, 1)
 
 
 def avoids_site_event(space: HistorySpace, site: int) -> Event:
@@ -255,8 +260,39 @@ def event_verdicts(
 # -- rotation symmetry -----------------------------------------------------------
 
 
-def rotate_sites(sites: Sites, n: int, shift: int) -> Sites:
-    return tuple((s + shift) % n for s in sites)
+def _rotation(spec: LatticeSpec, shift: int) -> list[int]:
+    """Global index of each history's rotation, indexed by its global index.
+
+    A history's global index is sum(sites[t] * n**t), that is final * n**T
+    plus its index in its fixed-final space.  Rotating adds `shift` to
+    every site, one base-n digit at a time.
+    """
+    n = spec.n
+    perm = [0]
+    for t in range(spec.steps + 1):
+        place = n**t
+        perm = [p + (s + shift) % n * place for s in range(n) for p in perm]
+    return perm
+
+
+def _rotate_mask(mask: int, perm: list[int]) -> int:
+    """The bitset of global indices `mask`, moved through the permutation."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _offset(space: HistorySpace) -> int:
+    """Global index of the space's history 0."""
+    return 0 if space.final is None else space.final * space.spec.n**space.spec.steps
+
+
+def _global_mask(phi: MultiplicativeCoevent) -> int:
+    """The support as a bitset of global history indices."""
+    return phi.support.members << _offset(phi.space)
 
 
 def rotate_coevent(
@@ -271,14 +307,16 @@ def rotate_coevent(
     object, otherwise one is enumerated.
     """
     space = phi.space
-    n = space.spec.n
+    new_final = None if space.final is None else (space.final + shift) % space.spec.n
     if target_space is None:
-        new_final = None if space.final is None else (space.final + shift) % n
         target_space = enumerate_histories(space.spec, space.state, new_final)
-    rotated = [rotate_sites(h, n, shift) for h in phi.trajectories()]
-    return MultiplicativeCoevent(
-        Event.from_indices(target_space, (target_space.index_of(h) for h in rotated))
-    )
+    elif target_space.spec != space.spec or target_space.final != new_final:
+        raise ValueError(
+            f"rotating by {shift} maps {space!r} into the space with final site "
+            f"{new_final} and the same lattice, not into {target_space!r}"
+        )
+    moved = _rotate_mask(_global_mask(phi), _rotation(space.spec, shift))
+    return MultiplicativeCoevent(Event(target_space, moved >> _offset(target_space)))
 
 
 @dataclass(frozen=True)
@@ -304,19 +342,16 @@ def ensemble_symmetry_report(
 
     Individual coevents are compared to their own rotations; the full
     ensemble (union over final sites) is compared to its rotated image
-    as a set of trajectory sets.
+    as a set of supports, each a bitset of global history indices.
     """
     n = spec.n
     ensembles = [named_ensemble(spec, state_label, f, max_histories)[1] for f in range(n)]
-    supports = [
-        frozenset(phi.trajectories()) for ens in ensembles for phi in ens
-    ]
+    supports = [_global_mask(phi) for ens in ensembles for phi in ens]
     pool = set(supports)
     shifts: dict[int, ShiftSymmetry] = {0: ShiftSymmetry(len(supports), True)}
     for shift in range(1, n):
-        rotated = [
-            frozenset(rotate_sites(h, n, shift) for h in sup) for sup in supports
-        ]
+        perm = _rotation(spec, shift)
+        rotated = [_rotate_mask(sup, perm) for sup in supports]
         fixed = sum(1 for before, after in zip(supports, rotated) if before == after)
         shifts[shift] = ShiftSymmetry(fixed, set(rotated) == pool)
     return SymmetryReport(
@@ -371,13 +406,15 @@ def discrimination_report(
     for label in state_labels:
         spaces[label], ensembles[label] = named_ensemble(spec, label, final, max_histories)
     support_sets = {
-        label: {phi.indices() for phi in ens} for label, ens in ensembles.items()
+        label: {phi.support.members for phi in ens} for label, ens in ensembles.items()
     }
     overlaps: dict[tuple[str, str], int] = {}
     common: dict[tuple[str, str], list[tuple[int, ...]]] = {}
     for i, a in enumerate(state_labels):
         for b in state_labels[i + 1 :]:
-            shared = sorted(support_sets[a] & support_sets[b])
+            shared = sorted(
+                Event(spaces[a], m).indices() for m in support_sets[a] & support_sets[b]
+            )
             overlaps[(a, b)] = len(shared)
             common[(a, b)] = shared
     witness_counts: dict[str, dict[str, int]] = {}

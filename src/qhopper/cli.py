@@ -21,10 +21,8 @@ from .errors import LIMITS, HopperError, InfeasibleSizeError, check_size
 from .histories import (
     amplitude_classes,
     check_history_guard,
-    circulation,
     enumerate_histories,
     half_hop_count,
-    rest_count,
 )
 from .measure import count_precluded, maximal_zero_count_vectors, sector_tables
 from .model import (
@@ -291,8 +289,8 @@ def cmd_histories(args) -> int:
             "index": i,
             "history": history_str(h),
             "amplitude": value_label(space.amps[i]),
-            "circulation": circulation(h, spec.n),
-            "rests": rest_count(h),
+            "circulation": space.circulations[i],
+            "rests": space.rest_counts[i],
         }
         if spec.n % 2 == 0:
             rec["half_hops"] = half_hop_count(h, spec.n)
@@ -412,7 +410,8 @@ def cmd_classify(args) -> int:
             coevs, analysis.avoids_any_site_event(space)
         ),
     }
-    records = analysis.coevent_records(coevs, events)
+    # only csv prints per-coevent records
+    records = analysis.coevent_records(coevs, events) if args.format == "csv" else None
     _emit(args, data, records)
     return EXIT_OK
 

@@ -15,6 +15,7 @@ outside it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -173,24 +174,36 @@ def enumerate_primitive(
 
     Same-class histories are interchangeable, so each minimal preclusive
     count vector expands into every way of choosing that many members
-    per class.
+    per class.  A support is the sum of one combination mask per class.
     """
     classes = amplitude_classes(space)
     minimal = minimal_preclusive_vectors(classes, max_vectors=max_vectors)
     total = _support_count(classes.counts, minimal)
     check_size("expansion of {} primitive supports", total, max_supports,
                LIMITS.max_supports)
+    # A combination is coded as rev << N | mask, where rev holds history i at
+    # bit N-1-i; codes of disjoint sets add without carries.  Primitive
+    # supports form an antichain, so no support's index tuple is a prefix of
+    # another's: the lowest history where two supports differ decides their
+    # canonical order, and the one holding it, whose rev is larger, comes
+    # first.  Descending codes are therefore in canonical order.
+    size = space.size
     member_lists = [Event(space, c.members).indices() for c in classes.classes]
-    supports: list[tuple[int, ...]] = []
-    for vec in minimal:
-        per_class = [
-            itertools.combinations(members, k)
-            for members, k in zip(member_lists, vec)
+
+    @functools.cache
+    def codes(cid: int, k: int) -> list[int]:
+        return [
+            sum(1 << (2 * size - 1 - i) | 1 << i for i in combo)
+            for combo in itertools.combinations(member_lists[cid], k)
         ]
-        for combo in itertools.product(*per_class):
-            supports.append(tuple(sorted(itertools.chain.from_iterable(combo))))
-    supports.sort()
-    return [MultiplicativeCoevent(Event.from_indices(space, s)) for s in supports]
+
+    supports: list[int] = []
+    for vec in minimal:
+        per_class = [codes(cid, k) for cid, k in enumerate(vec) if k]
+        supports.extend(map(sum, itertools.product(*per_class)))
+    supports.sort(reverse=True)
+    low = space.universe_mask
+    return [MultiplicativeCoevent(Event(space, code & low)) for code in supports]
 
 
 def enumerate_primitive_bruteforce(

@@ -74,6 +74,17 @@ class HistorySpace:
         # an instance attribute, so the classes live exactly as long as the space
         return _group_by_amplitude(self)
 
+    @functools.cached_property
+    def circulations(self) -> tuple[int, ...]:
+        """Each history's `circulation`, by index; built on first use, kept on the space."""
+        n = self.spec.n
+        return tuple(circulation(h, n) for h in self.histories)
+
+    @functools.cached_property
+    def rest_counts(self) -> tuple[int, ...]:
+        """Each history's `rest_count`, by index; built on first use, kept on the space."""
+        return tuple(rest_count(h) for h in self.histories)
+
     def index_of(self, sites: Sites) -> int:
         n = self.spec.n
         if self.final is None:

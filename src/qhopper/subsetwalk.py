@@ -18,7 +18,11 @@ identical for any value of either.
 
 `close_downward` and `minimal_uncovered` work on a table of 2**N bools
 with one reshape per bit: bit b of a mask is axis 1 of the
-(-1, 2, 2**b) view.
+(-1, 2, 2**b) view.  Bits 0 to 2 are swept inside 64-bit words instead:
+read as little-endian words, word w holds masks 8w..8w+7 as its bytes
+0..7, the 8 masks that share their high bits.  A shift by 8 * 2**b bits
+moves each byte onto its bit-b partner, and a byte mask keeps the masks
+that lack bit b.
 """
 from __future__ import annotations
 
@@ -35,6 +39,17 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 1 << 16
+
+# bits of a mask swept inside a 64-bit word, and the words per block (a block's
+# temporaries stay small however large the table is)
+_WORD_BITS = 3
+_BLOCK_WORDS = 1 << 16
+# per bit b below _WORD_BITS: the shift from a byte to its bit-b partner, and
+# the bytes of a word whose mask lacks bit b
+_WORD_SWEEPS = tuple(
+    (np.uint64(8 << b), np.uint64(sum(0xFF << 8 * j for j in range(8) if not j >> b & 1)))
+    for b in range(_WORD_BITS)
+)
 
 _T = TypeVar("_T")
 
@@ -130,7 +145,15 @@ def close_downward(table: np.ndarray, num_bits: int) -> np.ndarray:
     `table` is a boolean array indexed by bitmask, length 2**num_bits.
     One sweep per bit b ORs each mask holding b into the mask without it.
     """
-    for b in range(num_bits):
+    low = 0
+    if num_bits >= _WORD_BITS:
+        words = table.view("<u8")
+        for lo in range(0, words.size, _BLOCK_WORDS):
+            block = words[lo : lo + _BLOCK_WORDS]
+            for shift, lacks in _WORD_SWEEPS:
+                block |= (block >> shift) & lacks
+        low = _WORD_BITS
+    for b in range(low, num_bits):
         t3 = table.reshape(-1, 2, 1 << b)
         t3[:, 0, :] |= t3[:, 1, :]
     return table
@@ -143,7 +166,16 @@ def minimal_uncovered(covered: np.ndarray, num_bits: int) -> np.ndarray:
     """
     covered = np.asarray(covered, dtype=bool).ravel()
     ok = ~covered
-    for b in range(num_bits):
+    low = 0
+    if num_bits >= _WORD_BITS:
+        ok_words, cov_words = ok.view("<u8"), covered.view("<u8")
+        for lo in range(0, ok_words.size, _BLOCK_WORDS):
+            block = ok_words[lo : lo + _BLOCK_WORDS]
+            cov = cov_words[lo : lo + _BLOCK_WORDS]
+            for shift, lacks in _WORD_SWEEPS:
+                block &= (cov << shift) | lacks
+        low = _WORD_BITS
+    for b in range(low, num_bits):
         cov3 = covered.reshape(-1, 2, 1 << b)
         ok3 = ok.reshape(-1, 2, 1 << b)
         ok3[:, 1, :] &= cov3[:, 0, :]

@@ -2,13 +2,19 @@
 
 Everything here enumerates subsets, or whole count-vector boxes,
 explicitly with plain Python and exact CycInt sums; nothing is shared
-with the library's counting or enumeration code paths.
+with the library's counting or enumeration code paths.  The ensemble
+observables are computed from each support's site tuples, where the
+library reads index tables and rotates global indices, and the bool
+table sweeps take one reshape per bit, where the library works on
+64-bit words for the low bits.
 """
 from __future__ import annotations
 
 import itertools
 
-from qhopper import CycInt, Event, HistorySpace
+import numpy as np
+
+from qhopper import CycInt, Event, HistorySpace, MultiplicativeCoevent
 
 
 def subset_sum_is_zero(space: HistorySpace, indices: tuple[int, ...]) -> bool:
@@ -119,3 +125,89 @@ def box_minimal_preclusive(
         if vec not in dominated:
             minimal.append(vec)
     return minimal
+
+
+# -- site-tuple observables ---------------------------------------------------------
+
+
+def hop_signs(sites: tuple[int, ...], n: int) -> list[int]:
+    """+1 per forward hop, -1 per backward hop, 0 per rest or half-lattice hop."""
+    signs = []
+    for a, b in zip(sites, sites[1:]):
+        d = (b - a) % n
+        signs.append(0 if 2 * d in (0, n) else 1 if 2 * d < n else -1)
+    return signs
+
+
+def net_circulation(phi: MultiplicativeCoevent) -> int:
+    """Net circulation summed over the support's site tuples."""
+    n = phi.space.spec.n
+    return sum(sum(hop_signs(h, n)) for h in phi.trajectories())
+
+
+def rests(sites: tuple[int, ...]) -> int:
+    return sum(1 for a, b in zip(sites, sites[1:]) if a == b)
+
+
+def rest_profile(phi: MultiplicativeCoevent) -> tuple[int, ...]:
+    """Sorted rest counts of the support's site tuples."""
+    return tuple(sorted(rests(h) for h in phi.trajectories()))
+
+
+def rest_events(space: HistorySpace) -> dict[str, Event]:
+    """The named rest-count events, from the site tuples."""
+    wanted = {"never_moves": space.spec.steps, "never_rests": 0, "rests_exactly_once": 1}
+    return {
+        name: Event.from_indices(
+            space, (i for i, h in enumerate(space.histories) if rests(h) == k)
+        )
+        for name, k in wanted.items()
+    }
+
+
+def rotate_sites(sites: tuple[int, ...], n: int, shift: int) -> tuple[int, ...]:
+    return tuple((s + shift) % n for s in sites)
+
+
+def rotate_support(phi: MultiplicativeCoevent, shift: int, target: HistorySpace) -> Event:
+    """The support with every site rotated, looked up in `target` by site tuple."""
+    n = phi.space.spec.n
+    return Event.from_indices(
+        target, (target.index_of(rotate_sites(h, n, shift)) for h in phi.trajectories())
+    )
+
+
+def rotation_symmetry(
+    ensembles: list[list[MultiplicativeCoevent]], n: int
+) -> dict[int, tuple[int, bool]]:
+    """Per shift: coevents equal to their own rotation, and whether the union of
+    the ensembles maps onto itself, comparing supports as sets of site tuples."""
+    supports = [frozenset(phi.trajectories()) for ens in ensembles for phi in ens]
+    pool = set(supports)
+    out = {}
+    for shift in range(n):
+        rotated = [frozenset(rotate_sites(h, n, shift) for h in sup) for sup in supports]
+        fixed = sum(1 for before, after in zip(supports, rotated) if before == after)
+        out[shift] = (fixed, set(rotated) == pool)
+    return out
+
+
+# -- bool tables indexed by subset mask ------------------------------------------------
+
+
+def close_downward_per_bit(table: np.ndarray, num_bits: int) -> np.ndarray:
+    """Mark every subset of a marked mask, one reshape per bit, on a copy."""
+    table = table.copy()
+    for b in range(num_bits):
+        t3 = table.reshape(-1, 2, 1 << b)
+        t3[:, 0, :] |= t3[:, 1, :]
+    return table
+
+
+def minimal_uncovered_per_bit(covered: np.ndarray, num_bits: int) -> np.ndarray:
+    """Uncovered masks whose one-bit deletions are all covered, one reshape per bit."""
+    ok = ~covered
+    for b in range(num_bits):
+        ok3 = ok.reshape(-1, 2, 1 << b)
+        ok3[:, 1, :] &= covered.reshape(-1, 2, 1 << b)[:, 0, :]
+    return ok

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from qhopper import (
+    CycInt,
     Event,
     LatticeSpec,
     MultiplicativeCoevent,
@@ -28,9 +30,9 @@ from qhopper.analysis import (
     never_moves_event,
     never_rests_event,
     rests_exactly_once_event,
-    rotate_sites,
     terminates_at_event,
 )
+from qhopper.model import STATE_LABELS
 
 
 def positive_only_coevent(space, coevents):
@@ -190,9 +192,15 @@ def test_rotation_moves_final_sector(spec3, ground_space, ground_coevents):
     rotated = rotate_coevent(phi, 1, target)
     assert {h[-1] for h in rotated.trajectories()} == {1}
     assert net_circulation(rotated) == net_circulation(phi)
-    assert {rotate_sites(h, 3, 1) for h in phi.trajectories()} == set(
+    assert {oracles.rotate_sites(h, 3, 1) for h in phi.trajectories()} == set(
         rotated.trajectories()
     )
+
+
+def test_rotate_coevent_refuses_a_target_with_the_wrong_final(spec3, ground_space, ground_coevents):
+    target = enumerate_histories(spec3, ground_space.state, 2)
+    with pytest.raises(ValueError):
+        rotate_coevent(ground_coevents[0], 1, target)
 
 
 def test_ground_symmetry_report(spec3):
@@ -236,3 +244,67 @@ def test_standing_state_reportable(spec3):
     rep = discrimination_report(spec3, ("ground", "standing"), 0)
     assert rep.counts["standing"] > 0
     assert ("ground", "standing") in rep.overlaps
+
+
+# -- index tables against the site-tuple oracles ----------------------------------------
+
+
+# the paper's lattice at two and three steps, n = 4 (half-lattice hops carry
+# sign 0) and n = 2
+ORACLE_LATTICES = ((3, 2), (3, 3), (4, 2), (2, 3))
+
+
+def _check_against_oracles(space):
+    coevents = enumerate_primitive(space)
+    for phi in coevents:
+        assert net_circulation(phi) == oracles.net_circulation(phi)
+        assert rest_profile(phi) == oracles.rest_profile(phi)
+    for name, event in oracles.rest_events(space).items():
+        assert event_by_name(space, name).members == event.members
+    n = space.spec.n
+    for shift in range(n):
+        target = enumerate_histories(space.spec, space.state, (space.final + shift) % n)
+        for phi in coevents:
+            rotated = rotate_coevent(phi, shift, target)
+            assert rotated.support == oracles.rotate_support(phi, shift, target)
+    return coevents
+
+
+@pytest.mark.parametrize(
+    "lattice", ORACLE_LATTICES, ids=[f"n{n}-T{t}" for n, t in ORACLE_LATTICES]
+)
+@pytest.mark.parametrize("label", STATE_LABELS)
+def test_index_tables_match_site_tuple_oracles(lattice, label):
+    spec = LatticeSpec(*lattice)
+    ensembles = []
+    for final in range(spec.n):
+        space = enumerate_histories(spec, initial_state(spec, label), final)
+        ensembles.append(_check_against_oracles(space))
+    report = ensemble_symmetry_report(spec, label)
+    expected = oracles.rotation_symmetry(ensembles, spec.n)
+    assert {
+        shift: (sh.individual_invariant, sh.ensemble_invariant)
+        for shift, sh in report.shifts.items()
+    } == expected
+
+
+def test_index_tables_match_oracles_with_a_zero_amplitude():
+    spec = LatticeSpec(3, 2)
+    amps = (CycInt.from_int(1, 3), CycInt.from_int(0, 3), CycInt.from_int(2, 3))
+    state = initial_state(spec, "custom", amps)
+    sizes = [
+        len(_check_against_oracles(enumerate_histories(spec, state, final)))
+        for final in range(spec.n)
+    ]
+    assert all(sizes)
+
+
+def test_rotate_coevent_on_the_unrestricted_space():
+    spec = LatticeSpec(2, 2)
+    space = enumerate_histories(spec, initial_state(spec, "plus"))
+    for mask in range(1, 1 << space.size, 37):
+        phi = MultiplicativeCoevent(Event(space, mask))
+        for shift in range(spec.n):
+            assert rotate_coevent(phi, shift, space).support == oracles.rotate_support(
+                phi, shift, space
+            )

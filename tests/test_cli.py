@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from qhopper.cli import main
 QHOPPER_MODULES = (
     "analysis", "cli", "coevents", "histories", "measure", "model", "subsetwalk",
 )
+RECORDED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 
 def run_json(capsys, *argv):
@@ -343,3 +346,39 @@ def test_huge_refusal_states_the_size_by_bit_length(capsys):
     assert len(err.encode()) < 200
     assert "expansion of 2^1088..2^1089 primitive supports" in err
     assert "max_supports guard of 1048576" in err
+
+
+@pytest.mark.parametrize(
+    "command, built", [("preclusion", 0), ("primitives", 0), ("histories", 27)]
+)
+def test_observable_tables_are_built_once_and_only_where_read(
+    monkeypatch, capsys, command, built
+):
+    circulations = _count_calls(monkeypatch, qhopper.histories.circulation)
+    rests = _count_calls(monkeypatch, qhopper.histories.rest_count)
+    assert main([command, "--final", "0", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(circulations) == len(rests) == built
+
+
+@pytest.mark.parametrize("fmt, built", [("text", 0), ("json", 0), ("csv", 1)])
+def test_classify_builds_records_only_for_csv(monkeypatch, capsys, fmt, built):
+    records = _count_calls(monkeypatch, qhopper.analysis.coevent_records)
+    assert main(["classify", "--final", "0", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(records) == built
+
+
+def test_recorded_paper_outputs_replay_byte_identical(capsys):
+    # the benchmark's recorded stdout digests of every analysis command
+    commands = ("classify", "compare", "primitives", "report")
+    recorded = json.loads(RECORDED.read_text(encoding="utf-8"))["paper"]
+    replayed = {k: v for k, v in recorded.items() if k.split()[0] in commands}
+    assert {k.split()[0] for k in replayed} == set(commands)
+    mismatches = []
+    for key, want in replayed.items():
+        rc = main(key.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        if (rc, digest) != (want["rc"], want["sha256"]):
+            mismatches.append(key)
+    assert mismatches == []

@@ -187,6 +187,17 @@ def test_single_class_space_yields_singletons():
     assert all(phi.size == 1 for phi in coevs)
 
 
+def test_fast_output_is_in_canonical_index_order():
+    # standing supports mix sizes (up to 4..15 at (3,3)), so the order is
+    # lexicographic on index tuples, not by size first
+    spaces = [sp for sp in space_family(max_histories=27) if sp.final is not None]
+    spec = LatticeSpec(4, 2)
+    spaces += [enumerate_histories(spec, initial_state(spec, "plus"), f) for f in range(4)]
+    for sp in spaces:
+        got = [phi.indices() for phi in enumerate_primitive(sp)]
+        assert got == sorted(set(got))
+
+
 # -- brute force and mutual oracles ---------------------------------------------------
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import oracles
 import pytest
 
 from qhopper.subsetwalk import (
@@ -146,3 +147,17 @@ def test_minimal_uncovered_finds_min_supersets():
     got = minimal_uncovered(covered, num_bits)
     hits = sorted(int(m) for m in np.nonzero(got)[0])
     assert hits == [0b01000, 0b10000]
+
+
+@pytest.mark.parametrize("num_bits", range(13))
+def test_word_sweeps_match_the_per_bit_reference(num_bits):
+    rng = np.random.default_rng(num_bits)
+    for density in (0.002, 0.05, 0.5):
+        marked = rng.random(1 << num_bits) < density
+        closed = close_downward(marked.copy(), num_bits)
+        assert np.array_equal(closed, oracles.close_downward_per_bit(marked, num_bits))
+        for covered in (marked, closed):
+            assert np.array_equal(
+                minimal_uncovered(covered, num_bits),
+                oracles.minimal_uncovered_per_bit(covered, num_bits),
+            )
