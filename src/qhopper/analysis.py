@@ -3,25 +3,39 @@
 Everything here is exact: circulation totals are integers, averages are
 rationals, and event verdicts are subset checks on bitsets.
 
-Per-history observables are index tables built once per space
-(`HistorySpace.circulations` and `.rest_counts`), so a coevent's
-statistics are lookups by its support's indices; no site tuple is walked
-per coevent.  Coevents are compared across states and final sites by
-global history indices, final * n**T + i, which name the same site tuple
-whatever the initial state.  A lattice rotation is one permutation of
-those indices, built once per shift and shared by `rotate_coevent` and
+Two layers answer the same questions.  The per-coevent functions
+(`net_circulation`, `classify_restlessness`, `event_verdicts`, ...) take
+any sequence of coevents and read per-history index tables built once
+per space (`HistorySpace.circulations` and `.rest_counts`).  The
+whole-ensemble figures (`ensemble_*`, the symmetry and discrimination
+reports) read a `PrimitiveProfile` instead: every figure depends only on
+how many histories a support takes from each amplitude class, so it is a
+binomial sum over the minimal class vectors and no support is expanded.
+Supports are listed only where they are printed (positive-only
+affirmers, common supports), each under the `max_supports` guard.  The
+per-coevent layer is the oracle the tests hold the closed forms to.
+
+Coevents are compared across states and final sites by global history
+indices, final * n**T + i, which name the same site tuple whatever the
+initial state.  A lattice rotation is one permutation of those indices,
+built once per shift and shared by `rotate_coevent` and
 `ensemble_symmetry_report`.
 """
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .coevents import MultiplicativeCoevent, enumerate_primitive
-from .errors import LIMITS
+from .coevents import (  # noqa: F401  enumerate_primitive stays importable from here
+    MultiplicativeCoevent,
+    PrimitiveProfile,
+    enumerate_primitive,
+    primitive_profile,
+)
+from .errors import LIMITS, SpaceMismatchError
 from .histories import Event, HistorySpace, Sites, enumerate_histories, visited
 from .model import LatticeSpec, initial_state
 
@@ -33,6 +47,11 @@ __all__ = [
     "support_size_histogram",
     "rest_profile",
     "classify_restlessness",
+    "ensemble_average_circulation",
+    "ensemble_positive_only_circulations",
+    "ensemble_restlessness",
+    "EventTally",
+    "ensemble_event_tally",
     "never_moves_event",
     "never_rests_event",
     "rests_exactly_once_event",
@@ -60,11 +79,11 @@ RESTLESSNESS_BUCKETS = ("all_moving", "mixed_6v1", "rest_once_each", "other")
 @functools.lru_cache(maxsize=None)
 def named_ensemble(
     spec: LatticeSpec, state_label: str, final: int, max_histories: int
-) -> tuple[HistorySpace, tuple[MultiplicativeCoevent, ...]]:
-    """The fixed-final space of a named state and its primitive ensemble, built once."""
+) -> tuple[HistorySpace, PrimitiveProfile]:
+    """The fixed-final space of a named state and its primitive profile, built once."""
     state = initial_state(spec, state_label)
     space = enumerate_histories(spec, state, final, max_histories=max_histories)
-    return space, tuple(enumerate_primitive(space))
+    return space, primitive_profile(space)
 
 
 # -- per-coevent statistics ----------------------------------------------------
@@ -257,6 +276,63 @@ def event_verdicts(
     )
 
 
+# -- whole-ensemble figures from a primitive profile -------------------------------
+#
+# Each equals its per-coevent counterpart above applied to the expanded
+# ensemble.  A primitive support is never empty (the empty set is
+# precluded), so it lies inside an event or inside its complement, never
+# both, and it falls in exactly one restlessness bucket.
+
+
+def ensemble_average_circulation(profile: PrimitiveProfile) -> Fraction:
+    """`average_net_circulation` of the profile's ensemble."""
+    if not profile.count:
+        raise ValueError("cannot average over an empty ensemble")
+    return Fraction(profile.total(profile.space.circulations), profile.count)
+
+
+def ensemble_positive_only_circulations(profile: PrimitiveProfile) -> list[int]:
+    """`positive_only_circulations` of the profile's ensemble; expands only the affirmers."""
+    event = circulates_positive_only_event(profile.space)
+    return sorted(net_circulation(phi) for phi in profile.expand(event.members))
+
+
+def ensemble_restlessness(profile: PrimitiveProfile) -> dict[str, int]:
+    """`classify_restlessness` of the profile's ensemble.
+
+    all_moving and rest_once_each count the supports inside the event of
+    0 and of 1 rests; mixed_6v1 counts those of two or more histories
+    with one never moving and the rest never resting; other is what is
+    left.
+    """
+    space = profile.space
+    moving = never_rests_event(space).members
+    hist = {
+        "all_moving": profile.count_within(moving),
+        "mixed_6v1": profile.count_one_of(never_moves_event(space).members, moving),
+        "rest_once_each": profile.count_within(rests_exactly_once_event(space).members),
+    }
+    hist["other"] = profile.count - sum(hist.values())
+    return {name: hist[name] for name in RESTLESSNESS_BUCKETS}
+
+
+class EventTally(NamedTuple):
+    """How many coevents of an ensemble affirm an event, its complement, or neither."""
+
+    affirmed: int
+    complement_affirmed: int
+    both_denied: int  # anhomomorphism witnesses
+
+
+def ensemble_event_tally(profile: PrimitiveProfile, event: Event) -> EventTally:
+    """`event_verdicts(..., with_complement=True)`'s tallies for the profile's ensemble."""
+    if event.space is not profile.space:
+        raise SpaceMismatchError("profile and event live over different spaces")
+    affirmed = profile.count_within(event.members)
+    complement = profile.count_within(event.complement().members)
+    return EventTally(affirmed, complement, profile.count - affirmed - complement)
+
+
 # -- rotation symmetry -----------------------------------------------------------
 
 
@@ -340,26 +416,34 @@ def ensemble_symmetry_report(
 ) -> SymmetryReport:
     """Rotation symmetry of the all-final-sites primitive ensemble.
 
-    Individual coevents are compared to their own rotations; the full
-    ensemble (union over final sites) is compared to its rotated image
-    as a set of supports, each a bitset of global history indices.
+    A rotation by a nonzero shift moves every fixed-final support to
+    another final site, so no coevent is its own rotation.  It maps the
+    ensemble of final site f into the space of final site f + shift, and
+    the whole ensemble is invariant iff every final's ensemble maps onto
+    its image's: the supports shared through the rotation number as many
+    as both ensembles hold.
     """
     n = spec.n
-    ensembles = [named_ensemble(spec, state_label, f, max_histories)[1] for f in range(n)]
-    supports = [_global_mask(phi) for ens in ensembles for phi in ens]
-    pool = set(supports)
-    shifts: dict[int, ShiftSymmetry] = {0: ShiftSymmetry(len(supports), True)}
+    profiles = [named_ensemble(spec, state_label, f, max_histories)[1] for f in range(n)]
+    counts = [p.count for p in profiles]
+    per_final = n**spec.steps
+    shifts: dict[int, ShiftSymmetry] = {0: ShiftSymmetry(sum(counts), True)}
     for shift in range(1, n):
         perm = _rotation(spec, shift)
-        rotated = [_rotate_mask(sup, perm) for sup in supports]
-        fixed = sum(1 for before, after in zip(supports, rotated) if before == after)
-        shifts[shift] = ShiftSymmetry(fixed, set(rotated) == pool)
+        invariant = True
+        for f, profile in enumerate(profiles):
+            g = (f + shift) % n
+            index_map = [perm[f * per_final + i] - g * per_final for i in range(per_final)]
+            if not counts[f] == counts[g] == profile.shared(profiles[g], index_map):
+                invariant = False
+                break
+        shifts[shift] = ShiftSymmetry(0, invariant)
     return SymmetryReport(
         state_label,
         n,
         spec.steps,
-        {f: len(ens) for f, ens in enumerate(ensembles)},
-        len(supports),
+        dict(enumerate(counts)),
+        sum(counts),
         shifts,
     )
 
@@ -385,9 +469,17 @@ class DiscriminationReport:
     states: tuple[str, ...]
     counts: dict[str, int]
     overlaps: dict[tuple[str, str], int]
-    common: dict[tuple[str, str], list[tuple[int, ...]]]
     witness_counts: dict[str, dict[str, int]]
     separators: dict[str, str | None]
+    profiles: dict[str, PrimitiveProfile] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def common(self) -> dict[tuple[str, str], list[tuple[int, ...]]]:
+        """Each pair's shared supports, sorted; listed on first use only."""
+        return {
+            (a, b): self.profiles[a].shared_supports(self.profiles[b])
+            for a, b in self.overlaps
+        }
 
 
 def discrimination_report(
@@ -402,29 +494,20 @@ def discrimination_report(
     An event separates when exactly one state's ensemble affirms it at
     all; a coevent affirming such an event pins the initial state down.
     """
-    spaces, ensembles = {}, {}
-    for label in state_labels:
-        spaces[label], ensembles[label] = named_ensemble(spec, label, final, max_histories)
-    support_sets = {
-        label: {phi.support.members for phi in ens} for label, ens in ensembles.items()
+    profiles = {
+        label: named_ensemble(spec, label, final, max_histories)[1]
+        for label in state_labels
     }
     overlaps: dict[tuple[str, str], int] = {}
-    common: dict[tuple[str, str], list[tuple[int, ...]]] = {}
     for i, a in enumerate(state_labels):
         for b in state_labels[i + 1 :]:
-            shared = sorted(
-                Event(spaces[a], m).indices() for m in support_sets[a] & support_sets[b]
-            )
-            overlaps[(a, b)] = len(shared)
-            common[(a, b)] = shared
+            overlaps[(a, b)] = profiles[a].shared(profiles[b])
     witness_counts: dict[str, dict[str, int]] = {}
     separators: dict[str, str | None] = {}
     for name in WITNESS_EVENTS:
         per_state = {
-            label: event_verdicts(
-                ensembles[label], event_by_name(spaces[label], name)
-            ).affirmed
-            for label in state_labels
+            label: profile.count_within(event_by_name(profile.space, name).members)
+            for label, profile in profiles.items()
         }
         witness_counts[name] = per_state
         affirmers = [label for label, k in per_state.items() if k > 0]
@@ -434,11 +517,11 @@ def discrimination_report(
         spec.steps,
         final,
         tuple(state_labels),
-        {label: len(ens) for label, ens in ensembles.items()},
+        {label: profile.count for label, profile in profiles.items()},
         overlaps,
-        common,
         witness_counts,
         separators,
+        profiles,
     )
 
 

@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 
 from . import analysis
-from .coevents import enumerate_primitive
+from .coevents import enumerate_primitive, primitive_profile
 from .cyclotomic import CycInt, root
 from .errors import LIMITS, HopperError, InfeasibleSizeError, check_size
 from .histories import (
@@ -165,13 +165,8 @@ def _vector_entries(table, vec) -> list[dict]:
     ]
 
 
-def _complement_verdicts(coevs, event) -> dict[str, int]:
-    v = analysis.event_verdicts(coevs, event, with_complement=True)
-    return {
-        "affirmed": v.affirmed,
-        "complement_affirmed": v.complement_affirmed,
-        "both_denied": v.both_denied,
-    }
+def _complement_verdicts(profile, event) -> dict[str, int]:
+    return analysis.ensemble_event_tally(profile, event)._asdict()
 
 
 # -- output rendering --------------------------------------------------------------
@@ -346,28 +341,21 @@ def cmd_primitives(args) -> int:
     if final is None:
         raise UsageError("primitives needs a fixed final site (--final <int>)")
     space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
-    classes = amplitude_classes(space)
-    table = sector_tables(classes)[final]
-    coevs = enumerate_primitive(space)
-    # each support's class counts are one minimal preclusive vector
-    minimal = {classes.event_counts(phi.support.members) for phi in coevs}
+    profile = primitive_profile(space)
+    table = sector_tables(profile.classes)[final]
     data = {
         "state": args.state,
         "final": final,
-        "count": len(coevs),
-        "support_sizes": analysis.support_size_histogram(coevs),
-        "minimal_class_vectors": [
-            _vector_entries(table, vec)
-            for vec in sorted(minimal, key=lambda v: (sum(v), v))
-        ],
+        "count": profile.count,
+        "support_sizes": profile.size_histogram(),
+        "minimal_class_vectors": [_vector_entries(table, vec) for vec in profile.minimal],
     }
     records = None
     if args.emit_supports:
-        data["supports"] = [list(phi.indices()) for phi in coevs]
-        records = [
-            {"coevent_id": i, "support": list(phi.indices())}
-            for i, phi in enumerate(coevs)
-        ]
+        supports = [list(phi.indices()) for phi in enumerate_primitive(profile)]
+        data["supports"] = supports
+        if args.format == "csv":  # only csv prints records
+            records = [{"coevent_id": i, "support": s} for i, s in enumerate(supports)]
     _emit(args, data, records)
     return EXIT_OK
 
@@ -379,39 +367,42 @@ def cmd_classify(args) -> int:
     if final is None:
         raise UsageError("classify needs a fixed final site (--final <int>)")
     space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
-    coevs = enumerate_primitive(space)
+    profile = primitive_profile(space)
     events = {
         name: analysis.event_by_name(space, name)
         for name in ("never_moves", "never_rests", "rests_exactly_once",
                      "circulates_positive_only")
     }
-    pos_net = analysis.positive_only_circulations(space, coevs)
+    pos_net = analysis.ensemble_positive_only_circulations(profile)
     data = {
         "n": spec.n,
         "steps": spec.steps,
         "state": args.state,
         "final": final,
-        "count": len(coevs),
-        "restlessness": analysis.classify_restlessness(coevs),
+        "count": profile.count,
+        "restlessness": analysis.ensemble_restlessness(profile),
         "circulation": {
-            "average": analysis.average_net_circulation(coevs),
+            "average": analysis.ensemble_average_circulation(profile),
             "positive_only_affirmed": len(pos_net),
             "positive_only_net": pos_net,
         },
         "event_affirmations": {
-            name: analysis.event_verdicts(coevs, ev).affirmed
-            for name, ev in events.items()
+            name: profile.count_within(ev.members) for name, ev in events.items()
         },
         "avoids_site": {
-            s: _complement_verdicts(coevs, analysis.avoids_site_event(space, s))
+            s: _complement_verdicts(profile, analysis.avoids_site_event(space, s))
             for s in range(spec.n)
         },
         "avoids_any_site": _complement_verdicts(
-            coevs, analysis.avoids_any_site_event(space)
+            profile, analysis.avoids_any_site_event(space)
         ),
     }
-    # only csv prints per-coevent records
-    records = analysis.coevent_records(coevs, events) if args.format == "csv" else None
+    # only csv prints per-coevent records, so only csv expands every support
+    records = (
+        analysis.coevent_records(enumerate_primitive(profile), events)
+        if args.format == "csv"
+        else None
+    )
     _emit(args, data, records)
     return EXIT_OK
 
@@ -451,31 +442,27 @@ def _build_criteria(
 ) -> dict:
     """The paper's criteria; `disc` holds ground/plus/minus at final site 0."""
     n = spec.n
-    spaces, ensembles = {}, {}
+    spaces, profiles = {}, {}
     for lb in ("ground", "plus", "minus"):
-        spaces[lb], ensembles[lb] = analysis.named_ensemble(spec, lb, 0, max_histories)
-    classes = {lb: amplitude_classes(sp) for lb, sp in spaces.items()}
+        spaces[lb], profiles[lb] = analysis.named_ensemble(spec, lb, 0, max_histories)
+    classes = {lb: p.classes for lb, p in profiles.items()}
 
     def class_counts(lb: str) -> dict[str, int]:
         return {value_label(c.value): c.count for c in classes[lb].classes}
 
     precluded = {lb: count_precluded(classes[lb]) for lb in ("plus", "ground")}
     table_plus = sector_tables(classes["plus"])[0]
-    pos_net = analysis.positive_only_circulations(spaces["plus"], ensembles["plus"])
+    pos_net = analysis.ensemble_positive_only_circulations(profiles["plus"])
 
-    avoids_max = 0
-    avoids_any = {}
-    for lb in ("ground", "plus"):
-        for s in range(n):
-            avoids_max = max(
-                avoids_max,
-                analysis.event_verdicts(
-                    ensembles[lb], analysis.avoids_site_event(spaces[lb], s)
-                ).affirmed,
-            )
-        avoids_any[lb] = _complement_verdicts(
-            ensembles[lb], analysis.avoids_any_site_event(spaces[lb])
-        )
+    avoids_max = max(
+        profiles[lb].count_within(analysis.avoids_site_event(spaces[lb], s).members)
+        for lb in ("ground", "plus")
+        for s in range(n)
+    )
+    avoids_any = {
+        lb: _complement_verdicts(profiles[lb], analysis.avoids_any_site_event(spaces[lb]))
+        for lb in ("ground", "plus")
+    }
 
     t2_overlap = analysis.discrimination_report(
         LatticeSpec(n, 2), ("ground", "plus"), 0, max_histories=max_histories
@@ -498,21 +485,21 @@ def _build_criteria(
             {value_label(v): k for v, k in zip(table_plus.values, vec) if k}
             for vec in maximal_zero_count_vectors(classes["plus"])
         ],
-        "primitive_count_plus": len(ensembles["plus"]),
-        "primitive_count_ground": len(ensembles["ground"]),
-        "primitive_count_minus": len(ensembles["minus"]),
-        "support_sizes_plus": analysis.support_size_histogram(ensembles["plus"]),
-        "support_sizes_ground": analysis.support_size_histogram(ensembles["ground"]),
+        "primitive_count_plus": profiles["plus"].count,
+        "primitive_count_ground": profiles["ground"].count,
+        "primitive_count_minus": profiles["minus"].count,
+        "support_sizes_plus": profiles["plus"].size_histogram(),
+        "support_sizes_ground": profiles["ground"].size_histogram(),
         "positive_only_affirmed_plus": len(pos_net),
         "positive_only_net_circulations": pos_net,
-        "average_circulation_plus": analysis.average_net_circulation(ensembles["plus"]),
-        "average_circulation_ground": analysis.average_net_circulation(
-            ensembles["ground"]
+        "average_circulation_plus": analysis.ensemble_average_circulation(profiles["plus"]),
+        "average_circulation_ground": analysis.ensemble_average_circulation(
+            profiles["ground"]
         ),
-        "average_circulation_minus": analysis.average_net_circulation(
-            ensembles["minus"]
+        "average_circulation_minus": analysis.ensemble_average_circulation(
+            profiles["minus"]
         ),
-        "restlessness_ground": analysis.classify_restlessness(ensembles["ground"]),
+        "restlessness_ground": analysis.ensemble_restlessness(profiles["ground"]),
         "avoids_site_affirmed_max": avoids_max,
         "avoids_any_site_affirmed_ground": avoids_any["ground"]["affirmed"],
         "avoids_any_site_affirmed_plus": avoids_any["plus"]["affirmed"],
@@ -534,12 +521,12 @@ def _standing_section(
     spec: LatticeSpec, disc: analysis.DiscriminationReport, max_histories: int
 ) -> dict:
     """The standing wave's statistics; `disc` includes it among its states."""
-    _, coevs = analysis.named_ensemble(spec, "standing", 0, max_histories)
+    _, profile = analysis.named_ensemble(spec, "standing", 0, max_histories)
     return {
         "unverified_by_paper": True,
-        "primitive_count": len(coevs),
-        "restlessness": analysis.classify_restlessness(coevs),
-        "average_circulation": analysis.average_net_circulation(coevs),
+        "primitive_count": profile.count,
+        "restlessness": analysis.ensemble_restlessness(profile),
+        "average_circulation": analysis.ensemble_average_circulation(profile),
         "overlaps": {
             "|".join(pair): k
             for pair, k in sorted(disc.overlaps.items())

@@ -5,13 +5,14 @@ support F.  It is preclusive when F is contained in no precluded event,
 and primitive when moreover no proper subset of F is still preclusive.
 Preclusivity is upward closed, so primitivity only needs single-history
 deletions, and it depends only on how many histories the support takes
-from each amplitude class.  The fast enumerator therefore finds the
-inclusion-minimal preclusive count vectors and expands them into
-explicit supports.  The brute-force enumerator instead judges every
-subset of the space from exact amplitude sums: a table of each sector's
-zero-sum subsets, closed downward, gives the subsets contained in a
-precluded event, and the primitive supports are the minimal subsets
-outside it.
+from each amplitude class.  A `PrimitiveProfile` therefore holds the
+inclusion-minimal preclusive count vectors: whole-ensemble figures are
+binomial sums over them, and the fast enumerator expands them into
+explicit supports only where supports are listed.  The brute-force
+enumerator instead judges every subset of the space from exact
+amplitude sums: a table of each sector's zero-sum subsets, closed
+downward, gives the subsets contained in a precluded event, and the
+primitive supports are the minimal subsets outside it.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ __all__ = [
     "is_preclusive",
     "is_primitive",
     "minimal_preclusive_vectors",
+    "PrimitiveProfile",
+    "primitive_profile",
     "enumerate_primitive",
     "count_primitive",
     "enumerate_primitive_bruteforce",
@@ -151,59 +154,247 @@ def minimal_preclusive_vectors(
     return _dualise_maxima(table.maximal_zero, table.counts, max_vectors)
 
 
-def _support_count(counts: tuple[int, ...], minimal: list[tuple[int, ...]]) -> int:
+def _support_count(
+    counts: tuple[int, ...], minimal: tuple[tuple[int, ...], ...] | list[tuple[int, ...]]
+) -> int:
     return sum(math.prod(map(math.comb, counts, vec)) for vec in minimal)
+
+
+@dataclass(frozen=True, eq=False)
+class PrimitiveProfile:
+    """The primitive ensemble of a fixed-final space, held as its minimal class vectors.
+
+    A support is primitive exactly when its per-class counts form a
+    minimal preclusive vector w, and every choice of w_c members of each
+    class c gives one.  So each whole-ensemble figure is a sum over the
+    minimal vectors of products of binomials, and supports are expanded
+    only where they are listed (`expand`, `shared_supports`).
+    """
+
+    classes: AmplitudeClasses
+    minimal: tuple[tuple[int, ...], ...]  # sorted by total, then lexicographically
+
+    @property
+    def space(self) -> HistorySpace:
+        return self.classes.space
+
+    @functools.cached_property
+    def count(self) -> int:
+        """Number of primitive supports."""
+        return _support_count(self.classes.counts, self.minimal)
+
+    def size_histogram(self) -> dict[int, int]:
+        """Number of supports per support size, by increasing size."""
+        hist: dict[int, int] = {}
+        for vec in self.minimal:
+            size = sum(vec)
+            hist[size] = hist.get(size, 0) + _support_count(self.classes.counts, (vec,))
+        return dict(sorted(hist.items()))
+
+    def count_within(self, members: int) -> int:
+        """Supports inside the event bitset: sum over w of prod_c C(|class_c & E|, w_c)."""
+        return _support_count(self.classes.event_counts(members), self.minimal)
+
+    def count_one_of(self, one: int, rest: int) -> int:
+        """Supports of two or more histories: one in bitset `one`, the others in `rest`.
+
+        The bitsets must be disjoint.  The member from `one` comes from
+        some class c, which leaves w_c - 1 members to choose from class
+        c's part of `rest`.
+        """
+        ones = self.classes.event_counts(one)
+        rests = self.classes.event_counts(rest)
+        total = 0
+        for vec in self.minimal:
+            if sum(vec) < 2:
+                continue
+            for c, k in enumerate(vec):
+                if k and ones[c]:
+                    others = vec[:c] + (k - 1,) + vec[c + 1 :]
+                    total += ones[c] * _support_count(rests, (others,))
+        return total
+
+    def total(self, table: tuple[int, ...] | list[int]) -> int:
+        """Sum of table[i] over every member i of every support.
+
+        A member of class c lies in C(n_c - 1, w_c - 1) * prod_{j != c}
+        C(n_j, w_j) supports of vector w, that is prod_j C(n_j, w_j)
+        * w_c / n_c of them, so class c contributes its table total T_c
+        times that many.
+        """
+        counts = self.classes.counts
+        class_totals = [sum(table[i] for i in ids) for ids in self._member_lists]
+        total = 0
+        for vec in self.minimal:
+            supports = _support_count(counts, (vec,))
+            for t, k, n in zip(class_totals, vec, counts):
+                if k:
+                    total += t * (supports * k // n)
+        return total
+
+    @functools.cached_property
+    def _member_lists(self) -> list[tuple[int, ...]]:
+        space = self.space
+        return [Event(space, c.members).indices() for c in self.classes.classes]
+
+    def expand(
+        self, within: int | None = None, *, max_supports: int = LIMITS.max_supports.default
+    ) -> list[MultiplicativeCoevent]:
+        """The primitive coevents, in canonical index order; only those inside
+        the event bitset `within` when it is given."""
+        space = self.space
+        if within is None:
+            within = space.universe_mask
+        check_size("expansion of {} primitive supports", self.count_within(within),
+                   max_supports, LIMITS.max_supports)
+        # A combination is coded as rev << N | mask, where rev holds history i
+        # at bit N-1-i; codes of disjoint sets add without carries.  Primitive
+        # supports form an antichain, so no support's index tuple is a prefix
+        # of another's: the lowest history where two supports differ decides
+        # their canonical order, and the one holding it, whose rev is larger,
+        # comes first.  Descending codes are therefore in canonical order.
+        size = space.size
+        member_lists = [
+            tuple(i for i in ids if within >> i & 1) for ids in self._member_lists
+        ]
+
+        @functools.cache
+        def codes(cid: int, k: int) -> list[int]:
+            return [
+                sum(1 << (2 * size - 1 - i) | 1 << i for i in combo)
+                for combo in itertools.combinations(member_lists[cid], k)
+            ]
+
+        supports: list[int] = []
+        for vec in self.minimal:
+            per_class = [codes(cid, k) for cid, k in enumerate(vec) if k]
+            supports.extend(map(sum, itertools.product(*per_class)))
+        supports.sort(reverse=True)
+        low = space.universe_mask
+        return [MultiplicativeCoevent(Event(space, code & low)) for code in supports]
+
+    def _joint_tables(
+        self, other: PrimitiveProfile, index_map: list[int] | None, max_vectors: int
+    ) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+        """Cells of the two class partitions' meet, and their minimal joint tables.
+
+        History i of this space falls in cell (its class here, the class
+        of history index_map[i] there).  A support of this space is
+        primitive in both (read through the map) exactly when its count
+        table over the cells has a minimal vector of each profile as its
+        two marginals.  Returns the cells' member lists and those tables.
+        """
+        own, theirs = self.classes.class_of, other.classes.class_of
+        cells: dict[tuple[int, int], list[int]] = {}
+        for i in range(self.space.size):
+            j = i if index_map is None else index_map[i]
+            cells.setdefault((own[i], theirs[j]), []).append(i)
+        keys = sorted(cells)
+        members = [cells[key] for key in keys]
+        rows: list[list[int]] = [[] for _ in self.classes.classes]
+        for cell, (a, _) in enumerate(keys):
+            rows[a].append(cell)
+        table = [0] * len(keys)
+        tables: list[tuple[int, ...]] = []
+        visited = 0
+
+        def fill(row: int, pos: int, left: int, row_sums, cols: list[int]) -> None:
+            # spread what row `row` still holds over its cells from `pos` on
+            nonlocal visited
+            visited += 1
+            check_size("joint enumeration of {} partial count tables", visited,
+                       max_vectors, LIMITS.max_vectors)
+            if pos == len(rows[row]):
+                if left:
+                    return
+                if row + 1 < len(rows):
+                    fill(row + 1, 0, row_sums[row + 1], row_sums, cols)
+                else:  # the two marginals have equal totals, so every column is full
+                    tables.append(tuple(table))
+                return
+            cell = rows[row][pos]
+            b = keys[cell][1]
+            for k in range(min(left, len(members[cell]), cols[b]) + 1):
+                table[cell] = k
+                cols[b] -= k
+                fill(row, pos + 1, left - k, row_sums, cols)
+                cols[b] += k
+            table[cell] = 0
+
+        for vec in self.minimal:
+            for target in other.minimal:
+                if sum(target) == sum(vec):
+                    fill(0, 0, vec[0], vec, list(target))
+        return members, tables
+
+    def shared(
+        self,
+        other: PrimitiveProfile,
+        index_map: list[int] | None = None,
+        *,
+        max_vectors: int = LIMITS.max_vectors.default,
+    ) -> int:
+        """Number of this ensemble's supports whose image under `index_map`
+        (this space's index to the other's; identity if None) is a support of
+        the other ensemble."""
+        members, tables = self._joint_tables(other, index_map, max_vectors)
+        return _support_count(tuple(map(len, members)), tables)
+
+    def shared_supports(
+        self,
+        other: PrimitiveProfile,
+        index_map: list[int] | None = None,
+        *,
+        max_vectors: int = LIMITS.max_vectors.default,
+        max_supports: int = LIMITS.max_supports.default,
+    ) -> list[tuple[int, ...]]:
+        """The supports `shared` counts, as sorted index tuples of this space."""
+        members, tables = self._joint_tables(other, index_map, max_vectors)
+        check_size("listing of {} shared supports",
+                   _support_count(tuple(map(len, members)), tables),
+                   max_supports, LIMITS.max_supports)
+        supports = []
+        for table in tables:
+            per_cell = [
+                itertools.combinations(ids, k) for ids, k in zip(members, table) if k
+            ]
+            for parts in itertools.product(*per_cell):
+                supports.append(tuple(sorted(itertools.chain.from_iterable(parts))))
+        return sorted(supports)
+
+
+def primitive_profile(
+    space: HistorySpace, *, max_vectors: int = LIMITS.max_vectors.default
+) -> PrimitiveProfile:
+    """The primitive profile of a fixed-final space; dualises once."""
+    classes = amplitude_classes(space)
+    minimal = minimal_preclusive_vectors(classes, max_vectors=max_vectors)
+    return PrimitiveProfile(classes, tuple(minimal))
 
 
 def count_primitive(
     space: HistorySpace, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> int:
     """Number of primitive coevents, without expanding supports."""
-    classes = amplitude_classes(space)
-    minimal = minimal_preclusive_vectors(classes, max_vectors=max_vectors)
-    return _support_count(classes.counts, minimal)
+    return primitive_profile(space, max_vectors=max_vectors).count
 
 
 def enumerate_primitive(
-    space: HistorySpace,
+    source: HistorySpace | PrimitiveProfile,
     *,
     max_supports: int = LIMITS.max_supports.default,
     max_vectors: int = LIMITS.max_vectors.default,
 ) -> list[MultiplicativeCoevent]:
     """All primitive coevents of a fixed-final space, in canonical index order.
 
-    Same-class histories are interchangeable, so each minimal preclusive
-    count vector expands into every way of choosing that many members
-    per class.  A support is the sum of one combination mask per class.
+    `source` is the space, or its profile when one is at hand, which is
+    then not dualised again.  Same-class histories are interchangeable,
+    so each minimal preclusive count vector expands into every way of
+    choosing that many members per class.
     """
-    classes = amplitude_classes(space)
-    minimal = minimal_preclusive_vectors(classes, max_vectors=max_vectors)
-    total = _support_count(classes.counts, minimal)
-    check_size("expansion of {} primitive supports", total, max_supports,
-               LIMITS.max_supports)
-    # A combination is coded as rev << N | mask, where rev holds history i at
-    # bit N-1-i; codes of disjoint sets add without carries.  Primitive
-    # supports form an antichain, so no support's index tuple is a prefix of
-    # another's: the lowest history where two supports differ decides their
-    # canonical order, and the one holding it, whose rev is larger, comes
-    # first.  Descending codes are therefore in canonical order.
-    size = space.size
-    member_lists = [Event(space, c.members).indices() for c in classes.classes]
-
-    @functools.cache
-    def codes(cid: int, k: int) -> list[int]:
-        return [
-            sum(1 << (2 * size - 1 - i) | 1 << i for i in combo)
-            for combo in itertools.combinations(member_lists[cid], k)
-        ]
-
-    supports: list[int] = []
-    for vec in minimal:
-        per_class = [codes(cid, k) for cid, k in enumerate(vec) if k]
-        supports.extend(map(sum, itertools.product(*per_class)))
-    supports.sort(reverse=True)
-    low = space.universe_mask
-    return [MultiplicativeCoevent(Event(space, code & low)) for code in supports]
+    if isinstance(source, HistorySpace):
+        source = primitive_profile(source, max_vectors=max_vectors)
+    return source.expand(max_supports=max_supports)
 
 
 def enumerate_primitive_bruteforce(
@@ -234,19 +425,22 @@ def enumerate_primitive_bruteforce(
     return [MultiplicativeCoevent(Event(space, m)) for m in masks]
 
 
+def _comparable(a_space: HistorySpace, b_space: HistorySpace) -> None:
+    if a_space.spec != b_space.spec or a_space.final != b_space.final:
+        raise SpaceMismatchError(
+            "overlap compares spaces sharing lattice, steps, and final site"
+        )
+
+
 def overlap(a_space: HistorySpace, b_space: HistorySpace) -> int:
     """Number of supports primitive for both spaces (as history-index sets)."""
-    return len(common_supports(a_space, b_space))
+    _comparable(a_space, b_space)
+    return primitive_profile(a_space).shared(primitive_profile(b_space))
 
 
 def common_supports(
     a_space: HistorySpace, b_space: HistorySpace
 ) -> list[tuple[int, ...]]:
     """Supports shared by the two spaces' primitive coevents, sorted."""
-    if a_space.spec != b_space.spec or a_space.final != b_space.final:
-        raise SpaceMismatchError(
-            "overlap compares spaces sharing lattice, steps, and final site"
-        )
-    a = {phi.indices() for phi in enumerate_primitive(a_space)}
-    b = {phi.indices() for phi in enumerate_primitive(b_space)}
-    return sorted(a & b)
+    _comparable(a_space, b_space)
+    return primitive_profile(a_space).shared_supports(primitive_profile(b_space))

@@ -79,16 +79,25 @@ def transfer_matrix(spec: LatticeSpec) -> tuple[tuple[CycInt, ...], ...]:
 
 
 def check_unitarity(spec: LatticeSpec) -> bool:
-    """True iff U * U^dagger equals n * I exactly."""
+    """True iff U * U^dagger equals n * I exactly.
+
+    U * U^dagger is Hermitian, so only the entries r <= c are checked.
+    Each entry is accumulated as a plain coefficient list over the phase
+    ring and decided with one zero test.
+    """
     u = transfer_matrix(spec)
-    n = spec.n
+    n, m = spec.n, spec.phase_order
+    terms = [[[(k, a) for k, a in enumerate(x.coeffs) if a] for x in row] for row in u]
+    conj = [[[(-k % m, a) for k, a in entry] for entry in row] for row in terms]
     for r in range(n):
-        for c in range(n):
-            acc = CycInt.zero(spec.phase_order)
-            for x in range(n):
-                acc = acc + u[r][x] * u[c][x].conj()
-            expect = n if r == c else 0
-            if not (acc - expect).is_zero():
+        for c in range(r, n):
+            acc = [0] * m
+            acc[0] = -n if r == c else 0
+            for left, right in zip(terms[r], conj[c]):
+                for i, a in left:
+                    for j, b in right:
+                        acc[(i + j) % m] += a * b
+            if not CycInt(m, acc).is_zero():
                 return False
     return True
 

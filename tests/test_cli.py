@@ -15,6 +15,7 @@ from qhopper import (
     LatticeSpec,
     amplitude_classes,
     count_precluded,
+    count_primitive,
     enumerate_histories,
     initial_state,
 )
@@ -251,7 +252,8 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_report_builds_each_space_once(monkeypatch, capsys, extra, spaces, ensembles):
     qhopper.analysis.named_ensemble.cache_clear()
     histories = _count_calls(monkeypatch, qhopper.histories.enumerate_histories)
-    primitive = _count_calls(monkeypatch, qhopper.coevents.enumerate_primitive)
+    profiles = _count_calls(monkeypatch, qhopper.coevents.primitive_profile)
+    expanded = _count_calls(monkeypatch, qhopper.coevents.enumerate_primitive)
     assert main(["report", "--format", "json", *extra]) == 0
     capsys.readouterr()
 
@@ -259,10 +261,12 @@ def test_report_builds_each_space_once(monkeypatch, capsys, extra, spaces, ensem
         return spec, state.label, final
 
     built = [key(*args) for args in histories]
-    expanded = [key(sp.spec, sp.state, sp.final) for (sp,) in primitive]
+    dualised = [key(sp.spec, sp.state, sp.final) for (sp,) in profiles]
     assert len(built) == len(set(built)) == spaces
-    assert len(expanded) == len(set(expanded)) == ensembles
-    assert set(expanded) <= set(built)
+    assert len(dualised) == len(set(dualised)) == ensembles
+    assert set(dualised) <= set(built)
+    # every figure comes from the profiles; no ensemble is expanded
+    assert expanded == []
 
 
 @pytest.mark.parametrize(
@@ -340,8 +344,9 @@ def test_emit_renders_integers_of_any_length(capsys, fmt, records):
 
 
 def test_huge_refusal_states_the_size_by_bit_length(capsys):
+    # only listing the supports expands them
     assert main(["primitives", "--sites", "3", "--steps", "9", "--state", "plus",
-                 "--final", "0"]) == 2
+                 "--final", "0", "--emit-supports"]) == 2
     err = capsys.readouterr().err
     assert len(err.encode()) < 200
     assert "expansion of 2^1088..2^1089 primitive supports" in err
@@ -382,3 +387,55 @@ def test_recorded_paper_outputs_replay_byte_identical(capsys):
         if (rc, digest) != (want["rc"], want["sha256"]):
             mismatches.append(key)
     assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--state", "plus", "--final", "0"],
+        ["compare", "--state", "ground", "--with", "plus", "--final", "0"],
+        ["report"],
+        ["primitives", "--state", "standing", "--final", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_four_step_ensembles_answer_without_expansion(capsys, argv):
+    # (3,4) holds 13 884 156 primitive supports per plus, ground or minus final
+    # site, past the max_supports guard; only listing them is refused
+    code, data = run_json(capsys, *argv, "--sites", "3", "--steps", "4")
+    assert code == 0
+    spec = LatticeSpec(3, 4)
+
+    def primitive(label):
+        return count_primitive(enumerate_histories(spec, initial_state(spec, label), 0))
+
+    if argv[0] == "classify":
+        assert data["count"] == primitive("plus") == 13884156
+        assert sum(data["restlessness"].values()) == data["count"]
+        for tally in (*data["avoids_site"].values(), data["avoids_any_site"]):
+            assert sum(tally.values()) == data["count"]
+    elif argv[0] == "compare":
+        assert data["counts"] == {"ground": primitive("ground"), "plus": primitive("plus")}
+        assert len(data["common_supports"]) == data["overlap"]
+    elif argv[0] == "report":
+        criteria = data["criteria"]
+        assert criteria["primitive_count_ground"] == primitive("ground")
+        assert sum(criteria["restlessness_ground"].values()) == primitive("ground")
+        assert criteria["ensemble_size_all_finals"] == 3 * primitive("ground")
+        assert data["golden_comparison"] == {"checked": False}
+    else:
+        assert data["count"] == primitive("standing") == 1757570868
+        assert sum(data["support_sizes"].values()) == data["count"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--format", "csv"],
+        ["primitives", "--emit-supports"],
+    ],
+)
+def test_four_step_listings_stay_refused(capsys, argv):
+    assert main([*argv, "--sites", "3", "--steps", "4", "--final", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "expansion of 13884156 primitive supports exceeds the max_supports guard" in err

@@ -77,6 +77,39 @@ def test_unitarity(n):
     assert check_unitarity(LatticeSpec(n, 1))
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 8))
+def test_unitarity_fails_for_any_perturbed_entry(monkeypatch, n):
+    # moving one entry's phase breaks the inner product of its row with every
+    # other row, so each position is caught, below the diagonal as well
+    import qhopper.model
+
+    spec = LatticeSpec(n, 1)
+    exact = transfer_matrix(spec)
+    m = spec.phase_order
+    for r in range(n):
+        for x in range(n):
+            (k,) = (k for k, a in enumerate(exact[r][x].coeffs) if a)
+            rows = [list(row) for row in exact]
+            rows[r][x] = root(m, k + 1)
+            perturbed = tuple(tuple(row) for row in rows)
+            monkeypatch.setattr(qhopper.model, "transfer_matrix", lambda _: perturbed)
+            assert not check_unitarity(spec)
+    monkeypatch.setattr(qhopper.model, "transfer_matrix", lambda _: exact)
+    assert check_unitarity(spec)
+
+
+def test_unitarity_fails_for_a_scaled_row(monkeypatch):
+    import qhopper.model
+
+    spec = LatticeSpec(3, 1)
+    rows = [list(row) for row in transfer_matrix(spec)]
+    # the rows stay orthogonal, so only the diagonal entry (2, 2) of U U^dagger
+    # is wrong: 12, not 3
+    rows[2] = [x * 2 for x in rows[2]]
+    monkeypatch.setattr(qhopper.model, "transfer_matrix", lambda _: rows)
+    assert not check_unitarity(spec)
+
+
 def test_hop_amplitude_translation_invariance_and_symmetry():
     spec = LatticeSpec(5, 1)
     for x in range(5):

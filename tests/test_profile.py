@@ -1,0 +1,206 @@
+"""Whole-ensemble figures from primitive profiles, held to explicit expansion."""
+from __future__ import annotations
+
+import itertools
+import random
+
+import oracles
+import pytest
+from conftest import space_family
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qhopper import (
+    LatticeSpec,
+    average_net_circulation,
+    classify_restlessness,
+    common_supports,
+    count_primitive,
+    discrimination_report,
+    enumerate_histories,
+    enumerate_primitive,
+    event_by_name,
+    event_verdicts,
+    initial_state,
+    net_circulation,
+    overlap,
+)
+from qhopper.analysis import (
+    _rotation,
+    ensemble_average_circulation,
+    ensemble_event_tally,
+    ensemble_positive_only_circulations,
+    ensemble_restlessness,
+    positive_only_circulations,
+    support_size_histogram,
+)
+from qhopper.cli import _parse_state
+from qhopper.coevents import primitive_profile
+from qhopper.model import STATE_LABELS
+
+ORACLE_LATTICES = ((3, 2), (3, 3), (4, 2), (2, 3))
+
+
+def event_names(n: int) -> list[str]:
+    return [
+        "never_moves",
+        "never_rests",
+        "rests_exactly_once",
+        "avoids_any_site",
+        "circulates_positive_only",
+        *(f"avoids_site:{s}" for s in range(n)),
+        *(f"terminates_at:{s}" for s in range(n)),
+    ]
+
+
+def check_against_expansion(space):
+    """Every closed form of the space's profile against its expanded ensemble."""
+    profile = primitive_profile(space)
+    ensemble = enumerate_primitive(space)
+    assert profile.count == len(ensemble) == count_primitive(space)
+    assert profile.size_histogram() == support_size_histogram(ensemble)
+    assert profile.total(space.circulations) == sum(map(net_circulation, ensemble))
+    if ensemble:
+        assert ensemble_average_circulation(profile) == average_net_circulation(ensemble)
+    else:
+        with pytest.raises(ValueError):
+            ensemble_average_circulation(profile)
+    assert ensemble_restlessness(profile) == classify_restlessness(ensemble)
+    assert ensemble_positive_only_circulations(profile) == positive_only_circulations(
+        space, ensemble
+    )
+    for name in event_names(space.spec.n):
+        event = event_by_name(space, name)
+        v = event_verdicts(ensemble, event, with_complement=True)
+        assert ensemble_event_tally(profile, event) == (
+            v.affirmed, v.complement_affirmed, v.both_denied
+        )
+        assert profile.expand(event.members) == [
+            phi for phi in ensemble if phi.evaluate(event)
+        ]
+    rng = random.Random(space.size)
+    for _ in range(3):
+        table = [rng.randrange(-3, 4) for _ in range(space.size)]
+        assert profile.total(table) == sum(
+            sum(table[i] for i in phi.indices()) for phi in ensemble
+        )
+        one = rng.randrange(1 << space.size)
+        rest = rng.randrange(1 << space.size) & ~one
+        assert profile.count_one_of(one, rest) == sum(
+            1
+            for phi in ensemble
+            if phi.size >= 2
+            and (phi.support.members & one).bit_count() == 1
+            and phi.support.members & ~(one | rest) == 0
+        )
+    return profile, ensemble
+
+
+def explicit_shared(ensemble, target_ensemble, shift: int) -> int:
+    """Supports whose rotation by `shift` is a support of the target ensemble."""
+    target = {phi.support for phi in target_ensemble}
+    space = target_ensemble[0].space if target_ensemble else None
+    if space is None:
+        return 0
+    return sum(1 for phi in ensemble if oracles.rotate_support(phi, shift, space) in target)
+
+
+def rotation_map(spec: LatticeSpec, final: int, shift: int) -> list[int]:
+    per_final = spec.n**spec.steps
+    target = (final + shift) % spec.n
+    perm = _rotation(spec, shift)
+    return [perm[final * per_final + i] - target * per_final for i in range(per_final)]
+
+
+def test_closed_forms_match_expansion_on_every_family_space():
+    spaces = [sp for sp in space_family(max_histories=27) if sp.final is not None]
+    assert {(sp.spec.n, sp.spec.steps) for sp in spaces} >= {(2, 3), (3, 3)}
+    for space in spaces:
+        check_against_expansion(space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lattice=st.sampled_from(((2, 2), (2, 3), (3, 2), (4, 2))),
+    terms=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(-2, 2)), min_size=4, max_size=4
+    ),
+    final=st.integers(0, 3),
+    shift=st.integers(1, 3),
+)
+@example(lattice=(4, 2), terms=[(0, 1), (1, 0), (2, -1), (3, 2)], final=1, shift=2)
+@example(lattice=(3, 2), terms=[(0, 1), (0, 0), (0, 2), (0, 0)], final=0, shift=1)
+def test_closed_forms_match_expansion_on_custom_states(lattice, terms, final, shift):
+    n, steps = lattice
+    terms = terms[:n]
+    if not any(c for _, c in terms):
+        return  # an identically zero state is refused
+    spec = LatticeSpec(n, steps)
+    state = _parse_state(spec, "custom:" + ",".join(f"{e % n}:{c}" for e, c in terms))
+    final, shift = final % n, shift % n
+    space = enumerate_histories(spec, state, final)
+    profile, ensemble = check_against_expansion(space)
+
+    plus = enumerate_histories(spec, initial_state(spec, "plus"), final)
+    explicit = sorted(
+        {phi.indices() for phi in ensemble} & {phi.indices() for phi in enumerate_primitive(plus)}
+    )
+    assert profile.shared(primitive_profile(plus)) == len(explicit)
+    assert profile.shared_supports(primitive_profile(plus)) == explicit
+
+    target = enumerate_histories(spec, state, (final + shift) % n)
+    assert profile.shared(
+        primitive_profile(target), rotation_map(spec, final, shift)
+    ) == explicit_shared(ensemble, enumerate_primitive(target), shift)
+
+
+@pytest.mark.parametrize(
+    "lattice", ORACLE_LATTICES, ids=[f"n{n}-T{t}" for n, t in ORACLE_LATTICES]
+)
+@pytest.mark.parametrize("final", (0, 1))
+def test_named_state_overlaps_match_expansion(lattice, final):
+    spec = LatticeSpec(*lattice)
+    spaces = {
+        label: enumerate_histories(spec, initial_state(spec, label), final)
+        for label in STATE_LABELS
+    }
+    ensembles = {label: enumerate_primitive(sp) for label, sp in spaces.items()}
+    supports = {label: {phi.indices() for phi in ens} for label, ens in ensembles.items()}
+    rep = discrimination_report(spec, STATE_LABELS, final)
+    assert rep.counts == {label: len(ens) for label, ens in ensembles.items()}
+    for a, b in itertools.combinations(STATE_LABELS, 2):
+        explicit = sorted(supports[a] & supports[b])
+        assert overlap(spaces[a], spaces[b]) == rep.overlaps[(a, b)] == len(explicit)
+        assert common_supports(spaces[a], spaces[b]) == rep.common[(a, b)] == explicit
+    for name, per_state in rep.witness_counts.items():
+        for label, affirmed in per_state.items():
+            event = event_by_name(spaces[label], name)
+            assert affirmed == event_verdicts(ensembles[label], event).affirmed
+
+
+@pytest.mark.parametrize(
+    "lattice", ORACLE_LATTICES, ids=[f"n{n}-T{t}" for n, t in ORACLE_LATTICES]
+)
+@pytest.mark.parametrize("label", STATE_LABELS)
+def test_rotation_shared_counts_match_expansion(lattice, label):
+    spec = LatticeSpec(*lattice)
+    state = initial_state(spec, label)
+    spaces = [enumerate_histories(spec, state, f) for f in range(spec.n)]
+    profiles = [primitive_profile(sp) for sp in spaces]
+    ensembles = [enumerate_primitive(sp) for sp in spaces]
+    for final in range(spec.n):
+        for shift in range(1, spec.n):
+            target = (final + shift) % spec.n
+            got = profiles[final].shared(profiles[target], rotation_map(spec, final, shift))
+            assert got == explicit_shared(ensembles[final], ensembles[target], shift)
+
+
+def test_listing_shared_supports_is_guarded():
+    spec = LatticeSpec(3, 2)
+    a, b = (primitive_profile(enumerate_histories(spec, initial_state(spec, lb), 0))
+            for lb in ("ground", "plus"))
+    assert a.shared(b) == 3
+    with pytest.raises(Exception, match="max_supports guard of 2"):
+        a.shared_supports(b, max_supports=2)
+    with pytest.raises(Exception, match="max_vectors guard of 0"):
+        a.shared(b, max_vectors=0)
