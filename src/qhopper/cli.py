@@ -24,7 +24,7 @@ from .histories import (
     enumerate_histories,
     half_hop_count,
 )
-from .measure import count_precluded, maximal_zero_count_vectors, sector_tables
+from .measure import count_precluded, sector_tables
 from .model import (
     STATE_LABELS,
     LatticeSpec,
@@ -157,12 +157,13 @@ def _spec_from(args) -> LatticeSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _vector_entries(table, vec) -> list[dict]:
-    return [
-        {"class": value_label(v), "k": k}
-        for v, k in zip(table.values, vec)
-        if k > 0
-    ]
+def _vector_entries(values, vec) -> list[dict]:
+    return [{"class": value_label(v), "k": k} for v, k in zip(values, vec) if k > 0]
+
+
+def _average_circulation(profile):
+    """The ensemble's average net circulation; None (null) for an empty ensemble."""
+    return analysis.ensemble_average_circulation(profile) if profile.count else None
 
 
 def _complement_verdicts(profile, event) -> dict[str, int]:
@@ -323,7 +324,7 @@ def cmd_preclusion(args) -> int:
         "preclusive_coevents_log2": (1 << space.size) - precluded,
     }
     maximal = {
-        f: [_vector_entries(table, vec) for vec in sorted(table.maximal_zero)]
+        f: [_vector_entries(table.values, vec) for vec in table.maximal_zero]
         for f, table in sector_tables(classes).items()
     }
     if final is not None:
@@ -342,13 +343,13 @@ def cmd_primitives(args) -> int:
         raise UsageError("primitives needs a fixed final site (--final <int>)")
     space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
     profile = primitive_profile(space)
-    table = sector_tables(profile.classes)[final]
+    values = [c.value for c in profile.classes.classes]
     data = {
         "state": args.state,
         "final": final,
         "count": profile.count,
         "support_sizes": profile.size_histogram(),
-        "minimal_class_vectors": [_vector_entries(table, vec) for vec in profile.minimal],
+        "minimal_class_vectors": [_vector_entries(values, vec) for vec in profile.minimal],
     }
     records = None
     if args.emit_supports:
@@ -382,7 +383,7 @@ def cmd_classify(args) -> int:
         "count": profile.count,
         "restlessness": analysis.ensemble_restlessness(profile),
         "circulation": {
-            "average": analysis.ensemble_average_circulation(profile),
+            "average": _average_circulation(profile),
             "positive_only_affirmed": len(pos_net),
             "positive_only_net": pos_net,
         },
@@ -483,7 +484,7 @@ def _build_criteria(
         "preclusive_coevents_log2": (1 << spaces["plus"].size) - precluded["plus"],
         "maximal_zero_vectors_plus": [
             {value_label(v): k for v, k in zip(table_plus.values, vec) if k}
-            for vec in maximal_zero_count_vectors(classes["plus"])
+            for vec in table_plus.maximal_zero
         ],
         "primitive_count_plus": profiles["plus"].count,
         "primitive_count_ground": profiles["ground"].count,
@@ -492,13 +493,9 @@ def _build_criteria(
         "support_sizes_ground": profiles["ground"].size_histogram(),
         "positive_only_affirmed_plus": len(pos_net),
         "positive_only_net_circulations": pos_net,
-        "average_circulation_plus": analysis.ensemble_average_circulation(profiles["plus"]),
-        "average_circulation_ground": analysis.ensemble_average_circulation(
-            profiles["ground"]
-        ),
-        "average_circulation_minus": analysis.ensemble_average_circulation(
-            profiles["minus"]
-        ),
+        "average_circulation_plus": _average_circulation(profiles["plus"]),
+        "average_circulation_ground": _average_circulation(profiles["ground"]),
+        "average_circulation_minus": _average_circulation(profiles["minus"]),
         "restlessness_ground": analysis.ensemble_restlessness(profiles["ground"]),
         "avoids_site_affirmed_max": avoids_max,
         "avoids_any_site_affirmed_ground": avoids_any["ground"]["affirmed"],
@@ -526,7 +523,7 @@ def _standing_section(
         "unverified_by_paper": True,
         "primitive_count": profile.count,
         "restlessness": analysis.ensemble_restlessness(profile),
-        "average_circulation": analysis.ensemble_average_circulation(profile),
+        "average_circulation": _average_circulation(profile),
         "overlaps": {
             "|".join(pair): k
             for pair, k in sorted(disc.overlaps.items())

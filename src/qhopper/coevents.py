@@ -160,6 +160,32 @@ def _support_count(
     return sum(math.prod(map(math.comb, counts, vec)) for vec in minimal)
 
 
+def _support_masks(size: int, member_lists, vectors) -> list[int]:
+    """Bitsets of the supports taking vec[j] members of member_lists[j], for
+    every vector; in canonical index order if the supports form an antichain.
+
+    A combination is coded as rev << size | mask, where rev holds history
+    i at bit size-1-i; codes of disjoint lists add without carries.  In
+    an antichain no support's index tuple is a prefix of another's, so
+    the lowest history where two supports differ decides their canonical
+    order, and the one holding it, whose rev is larger, comes first.
+    """
+
+    @functools.cache
+    def codes(j: int, k: int) -> list[int]:
+        return [
+            sum(1 << (2 * size - 1 - i) | 1 << i for i in combo)
+            for combo in itertools.combinations(member_lists[j], k)
+        ]
+
+    supports: list[int] = []
+    for vec in vectors:
+        per_list = [codes(j, k) for j, k in enumerate(vec) if k]
+        supports.extend(map(sum, itertools.product(*per_list)))
+    low = (1 << size) - 1
+    return [code & low for code in sorted(supports, reverse=True)]
+
+
 @dataclass(frozen=True, eq=False)
 class PrimitiveProfile:
     """The primitive ensemble of a fixed-final space, held as its minimal class vectors.
@@ -247,31 +273,12 @@ class PrimitiveProfile:
             within = space.universe_mask
         check_size("expansion of {} primitive supports", self.count_within(within),
                    max_supports, LIMITS.max_supports)
-        # A combination is coded as rev << N | mask, where rev holds history i
-        # at bit N-1-i; codes of disjoint sets add without carries.  Primitive
-        # supports form an antichain, so no support's index tuple is a prefix
-        # of another's: the lowest history where two supports differ decides
-        # their canonical order, and the one holding it, whose rev is larger,
-        # comes first.  Descending codes are therefore in canonical order.
-        size = space.size
+        # primitive supports form an antichain
         member_lists = [
             tuple(i for i in ids if within >> i & 1) for ids in self._member_lists
         ]
-
-        @functools.cache
-        def codes(cid: int, k: int) -> list[int]:
-            return [
-                sum(1 << (2 * size - 1 - i) | 1 << i for i in combo)
-                for combo in itertools.combinations(member_lists[cid], k)
-            ]
-
-        supports: list[int] = []
-        for vec in self.minimal:
-            per_class = [codes(cid, k) for cid, k in enumerate(vec) if k]
-            supports.extend(map(sum, itertools.product(*per_class)))
-        supports.sort(reverse=True)
-        low = space.universe_mask
-        return [MultiplicativeCoevent(Event(space, code & low)) for code in supports]
+        masks = _support_masks(space.size, member_lists, self.minimal)
+        return [MultiplicativeCoevent(Event(space, m)) for m in masks]
 
     def _joint_tables(
         self, other: PrimitiveProfile, index_map: list[int] | None, max_vectors: int
@@ -353,14 +360,9 @@ class PrimitiveProfile:
         check_size("listing of {} shared supports",
                    _support_count(tuple(map(len, members)), tables),
                    max_supports, LIMITS.max_supports)
-        supports = []
-        for table in tables:
-            per_cell = [
-                itertools.combinations(ids, k) for ids, k in zip(members, table) if k
-            ]
-            for parts in itertools.product(*per_cell):
-                supports.append(tuple(sorted(itertools.chain.from_iterable(parts))))
-        return sorted(supports)
+        # shared supports are primitive here, so they form an antichain
+        space = self.space
+        return [Event(space, m).indices() for m in _support_masks(space.size, members, tables)]
 
 
 def primitive_profile(

@@ -10,7 +10,10 @@ how many members it takes from each class, so the zero-sum predicate
 lives on the small lattice of per-class count vectors and each zero-sum
 vector contributes a product of binomial coefficients.  The zero-sum
 vectors are the integer kernel points of the class-value matrix inside
-the box 0 <= k <= counts, found by walking the free classes only.
+the box 0 <= k <= counts.  One walk over the kernel's free classes, each
+from its highest count down, visits them without listing them: it sums
+their binomial products into the precluded count and keeps the vectors
+no earlier one dominates, which are exactly the maxima.
 """
 from __future__ import annotations
 
@@ -54,8 +57,8 @@ class SectorTable:
     class_ids: tuple[int, ...]  # global class indices, in class order
     values: tuple[CycInt, ...]
     counts: tuple[int, ...]
-    zero_vectors: tuple[tuple[int, ...], ...]
-    maximal_zero: tuple[tuple[int, ...], ...]
+    precluded: int  # zero-sum subsets of the sector, the empty one included
+    maximal_zero: tuple[tuple[int, ...], ...]  # in ascending lexicographic order
 
     def extendable(self, vec: tuple[int, ...]) -> bool:
         """True iff some zero-sum count vector dominates `vec` componentwise."""
@@ -124,24 +127,28 @@ def _check_free_box(kernel: _Kernel, counts: tuple[int, ...], max_vectors: int) 
     check_size("free-class box of {} points " + free, box, max_vectors, LIMITS.max_vectors)
 
 
-def _enumerate_zero_vectors(
-    values: tuple[CycInt, ...], counts: tuple[int, ...], order: int, max_vectors: int
-) -> list[tuple[int, ...]]:
-    """Zero-sum count vectors in the box 0 <= k <= counts, in lexicographic order.
+def _kernel_walk(
+    kernel: _Kernel, counts: tuple[int, ...]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Zero-sum subset count and maximal zero-sum count vectors, in one walk.
 
     Only the box of the kernel's free classes is walked; each pivot class
-    is solved exactly and kept when integral and within its count.  The
-    values' canonical coordinates already carry their common `order`.
-    Each pivot row's partial sum over the free classes is carried from
-    digit to digit, and at every digit the range of the digit is cut to
-    values for which the remaining free classes can still bring every
-    pivot class into its count.
+    is solved exactly and kept when integral.  Each pivot row's partial
+    sum over the free classes is carried from digit to digit, and at
+    every digit the range of the digit is cut to values for which the
+    remaining free classes can still bring every pivot class into its
+    count.  A zero-sum vector k adds prod_c C(counts_c, k_c) to the count.
+
+    Every free digit runs from high to low.  A zero-sum vector is fixed
+    by its free part, so any vector dominating k has a lexicographically
+    larger free part and is reached before k: k is maximal iff no
+    maximum found so far dominates it.  The maxima are returned in
+    ascending lexicographic order.
     """
-    kernel = _sector_kernel(values, counts)
-    _check_free_box(kernel, counts, max_vectors)
     pivots, denoms, free = kernel.pivots, kernel.denoms, kernel.free
     rows = range(len(pivots))
     caps = [counts[f] for f in free]
+    binoms = [_binomial_row(c) for c in counts]
     # pivot row r needs its free sum s_r in [-limits[r], 0]
     limits = [d * counts[p] for p, d in zip(pivots, denoms)]
     # rest_lo[i][r], rest_hi[i][r]: range of row r's sum over free digits i..
@@ -153,17 +160,22 @@ def _enumerate_zero_vectors(
             rest_lo[i][r] = rest_lo[i + 1][r] + min(0, span)
             rest_hi[i][r] = rest_hi[i + 1][r] + max(0, span)
 
-    out: list[tuple[int, ...]] = []
+    precluded = 0
+    maxima: list[tuple[int, ...]] = []
     vec = [0] * len(counts)
 
-    def rec(i: int, sums: list[int]) -> None:
+    def rec(i: int, sums: list[int], weight: int) -> None:
+        nonlocal precluded
         if i == len(free):
             for r in rows:
                 q, rem = divmod(-sums[r], denoms[r])
                 if rem:
                     return
                 vec[pivots[r]] = q
-            out.append(tuple(vec))
+                weight *= binoms[pivots[r]][q]
+            precluded += weight
+            if not any(all(map(operator.le, vec, m)) for m in maxima):
+                maxima.append(tuple(vec))
             return
         col, lo, hi = kernel.coeffs[i], rest_lo[i + 1], rest_hi[i + 1]
         k_lo, k_hi = 0, caps[i]
@@ -176,31 +188,15 @@ def _enumerate_zero_vectors(
                 k_lo, k_hi = max(k_lo, -(-above // a)), min(k_hi, below // a)
             elif below > 0 or above < 0:
                 return
-        if k_lo > k_hi:
-            return
-        cur = [s + a * k_lo for s, a in zip(sums, col)]
-        for k in range(k_lo, k_hi + 1):
+        row = binoms[free[i]]
+        cur = [s + a * k_hi for s, a in zip(sums, col)]
+        for k in range(k_hi, k_lo - 1, -1):
             vec[free[i]] = k
-            rec(i + 1, cur)
-            cur = [s + a for s, a in zip(cur, col)]
+            rec(i + 1, cur, weight * row[k])
+            cur = [s - a for s, a in zip(cur, col)]
 
-    rec(0, [0] * len(pivots))
-    out.sort()
-    return out
-
-
-def _vector_maxima(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The vectors no other one dominates, in their given order.
-
-    A vector dominating v has a larger sum, so scanning by decreasing sum
-    only needs to test v against the maxima already found.
-    """
-    maxima: list[tuple[int, ...]] = []
-    for v in sorted(vectors, key=sum, reverse=True):
-        if not any(all(map(operator.le, v, m)) for m in maxima):
-            maxima.append(v)
-    keep = set(maxima)
-    return [v for v in vectors if v in keep]
+    rec(0, [0] * len(pivots), 1)
+    return precluded, tuple(sorted(maxima))
 
 
 _tables_cache: "weakref.WeakKeyDictionary[AmplitudeClasses, dict[int, SectorTable]]"
@@ -219,18 +215,16 @@ def sector_tables(
     for final, cids in classes.sectors.items():
         values = tuple(classes.classes[c].value for c in cids)
         counts = tuple(classes.classes[c].count for c in cids)
-        _check_free_box(_sector_kernel(values, counts), counts, max_vectors)
-        sectors.append((final, cids, values, counts))
+        kernel = _sector_kernel(values, counts)
+        _check_free_box(kernel, counts, max_vectors)
+        sectors.append((final, cids, values, counts, kernel))
     cached = _tables_cache.get(classes)
     if cached is not None:
         return cached
-    order = classes.space.order
-    tables: dict[int, SectorTable] = {}
-    for final, cids, values, counts in sectors:
-        zeros = _enumerate_zero_vectors(values, counts, order, max_vectors)
-        tables[final] = SectorTable(
-            final, tuple(cids), values, counts, tuple(zeros), tuple(_vector_maxima(zeros))
-        )
+    tables = {
+        final: SectorTable(final, tuple(cids), values, counts, *_kernel_walk(kernel, counts))
+        for final, cids, values, counts, kernel in sectors
+    }
     _tables_cache[classes] = tables
     return tables
 
@@ -281,16 +275,12 @@ def count_precluded(
     """Exact number of zero-sum subsets (the empty set included).
 
     Per sector this is a sum over zero-sum count vectors of products of
-    binomials; sectors are independent, so an unrestricted space yields
-    the product of its sector counts.
+    binomials, summed by the table's kernel walk; sectors are
+    independent, so an unrestricted space yields the product of its
+    sector counts.
     """
-    total = 1
-    for table in sector_tables(classes, max_vectors=max_vectors).values():
-        binoms = [_binomial_row(c) for c in table.counts]
-        total *= sum(
-            math.prod(map(list.__getitem__, binoms, vec)) for vec in table.zero_vectors
-        )
-    return total
+    tables = sector_tables(classes, max_vectors=max_vectors).values()
+    return math.prod(table.precluded for table in tables)
 
 
 def _binomial_row(c: int) -> list[int]:
@@ -308,7 +298,7 @@ def maximal_zero_count_vectors(
     if classes.space.final is None:
         raise WrongSpaceError("maximal zero vectors are defined per fixed-final sector")
     (table,) = sector_tables(classes, max_vectors=max_vectors).values()
-    return sorted(table.maximal_zero)
+    return list(table.maximal_zero)
 
 
 def preclusive_coevent_count_exponent(space: HistorySpace) -> int:
@@ -332,7 +322,7 @@ def count_precluded_bruteforce(
     row block f of A holds the canonical coordinates of sector f's class
     values.  The split-half walk then reads one verdict per subset.
     Independent of :func:`count_precluded`, which never enumerates
-    subsets, and of the kernel tables it sums over.
+    subsets, and of the kernel walk behind it.
     """
     check_size("brute force over {} subsets", 1 << space.size, max_subsets,
                LIMITS.subset_ceiling)

@@ -439,3 +439,24 @@ def test_four_step_listings_stay_refused(capsys, argv):
     assert main([*argv, "--sites", "3", "--steps", "4", "--final", "0"]) == 2
     err = capsys.readouterr().err
     assert "expansion of 13884156 primitive supports exceeds the max_supports guard" in err
+
+
+# what each format prints for a zero count and an undefined average
+EMPTY_ENSEMBLE_LINES = {
+    "text": ("count: 0\n", "  average: None\n"),
+    "json": ('"count": 0,', '"average": null,'),
+    "csv": ("\ncount,0\n", "\ncirculation.average,None\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EMPTY_ENSEMBLE_LINES))
+def test_classify_answers_an_empty_ensemble(capsys, fmt):
+    # the standing wave at (4,2) has no primitive coevent ending at site 1
+    spec = LatticeSpec(4, 2)
+    assert count_primitive(enumerate_histories(spec, initial_state(spec, "standing"), 1)) == 0
+    argv = ["classify", "--sites", "4", "--steps", "2", "--state", "standing", "--final", "1"]
+    assert main([*argv, "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for line in EMPTY_ENSEMBLE_LINES[fmt]:
+        assert line in out

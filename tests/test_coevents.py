@@ -240,7 +240,7 @@ def test_bruteforces_read_no_kernel_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a brute force read the kernel tables")
 
-    for name in ("sector_tables", "_enumerate_zero_vectors"):
+    for name in ("sector_tables", "_kernel_walk"):
         fn = getattr(qhopper.measure, name)
         for mod in (qhopper, qhopper.measure, qhopper.coevents):
             for attr, value in list(vars(mod).items()):

@@ -1,9 +1,9 @@
 """Zero-sum tables from the integer kernel, and minimal vectors by dualisation.
 
-The kernel enumerator and the dualisation are checked against the
-whole-box references in `oracles.py`, on random class layouts and on
-real spaces; the reach points are pinned to the counts of the
-independent numpy/sympy checker `bench/checker.py`.
+The kernel walk and the dualisation are checked against the whole-box
+references in `oracles.py`, on random class layouts and on real spaces;
+the reach points are pinned to the counts of the independent
+numpy/sympy checker `bench/checker.py`.
 """
 from __future__ import annotations
 
@@ -33,11 +33,7 @@ from qhopper import (
 from qhopper.cli import main
 from qhopper.coevents import _dualise_maxima
 from qhopper.errors import LIMITS
-from qhopper.measure import (
-    _enumerate_zero_vectors,
-    _vector_maxima,
-    sector_tables,
-)
+from qhopper.measure import _kernel_walk, _sector_kernel, sector_tables
 
 ORDERS = (3, 4, 5, 8, 12)
 
@@ -48,10 +44,11 @@ def _monomials(order: int) -> set[tuple[int, ...]]:
 
 @st.composite
 def class_layouts(draw):
-    """An order, 1 to 6 non-monomial nonzero class values, counts 0 to 4.
+    """An order, 1 to 6 non-monomial class values, counts 0 to 4.
 
     A value may repeat an earlier one negated, so that nontrivial
-    kernels inside small boxes are common.
+    kernels inside small boxes are common, or be zero, so that a class
+    is free with no pivot row to bound it.
     """
     order = draw(st.sampled_from(ORDERS))
     excluded = _monomials(order) | {CycInt.zero(order).canonical()}
@@ -62,7 +59,10 @@ def class_layouts(draw):
     )
     values: list[CycInt] = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        if values and draw(st.booleans()):
+        kind = draw(st.sampled_from(("fresh", "negated", "zero")))
+        if kind == "zero":
+            values.append(CycInt.zero(order))
+        elif kind == "negated" and values:
             values.append(-draw(st.sampled_from(values)))
         else:
             values.append(draw(fresh))
@@ -76,24 +76,34 @@ def class_layouts(draw):
     return order, tuple(values), tuple(counts)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(class_layouts())
-def test_kernel_enumerator_equals_box_walk(layout):
-    order, values, counts = layout
-    fast = _enumerate_zero_vectors(values, counts, order, LIMITS.max_vectors.default)
-    assert fast == oracles.box_zero_vectors(values, counts, order)
+def _box_count(counts, zeros) -> int:
+    return sum(math.prod(map(math.comb, counts, v)) for v in zeros)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(class_layouts())
-def test_maxima_and_dualised_minimal_vectors_equal_box_scans(layout):
-    order, values, counts = layout
-    zeros = oracles.box_zero_vectors(values, counts, order)
-    maxima = tuple(_vector_maxima(zeros))
-    assert list(maxima) == [
+def _box_maxima(zeros) -> list[tuple[int, ...]]:
+    """The zero-sum vectors no other one dominates, in the order given."""
+    return [
         v for v in zeros
         if not any(w != v and all(a <= b for a, b in zip(v, w)) for w in zeros)
     ]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(class_layouts())
+def test_kernel_walk_equals_box_walk(layout):
+    order, values, counts = layout
+    precluded, maxima = _kernel_walk(_sector_kernel(values, counts), counts)
+    zeros = oracles.box_zero_vectors(values, counts, order)
+    assert precluded == _box_count(counts, zeros)
+    assert list(maxima) == _box_maxima(zeros)  # both in ascending lexicographic order
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(class_layouts())
+def test_dualised_maxima_equal_box_scan(layout):
+    order, values, counts = layout
+    zeros = oracles.box_zero_vectors(values, counts, order)
+    maxima = tuple(_box_maxima(zeros))
     assert _dualise_maxima(maxima, counts, LIMITS.max_vectors.default) == (
         oracles.box_minimal_preclusive(counts, zeros)
     )
@@ -135,7 +145,8 @@ def test_tables_and_minimal_vectors_match_box_references_on_real_spaces():
         if math.prod(c + 1 for c in table.counts) > 1 << 12:
             continue
         zeros = oracles.box_zero_vectors(table.values, table.counts, space.order)
-        assert list(table.zero_vectors) == zeros
+        assert table.precluded == _box_count(table.counts, zeros)
+        assert list(table.maximal_zero) == _box_maxima(zeros)
         assert minimal_preclusive_vectors(classes) == (
             oracles.box_minimal_preclusive(table.counts, zeros)
         )
@@ -157,6 +168,9 @@ def _guarded_calls(space, classes, max_vectors):
     )
 
 
+PLUS_PRECLUDED = 2017807  # zero-sum subsets of (3,3) plus at final 0
+
+
 def test_free_box_guard_does_not_depend_on_cache_state(spec3):
     # classes of 12, 9 and 6 histories over a rank-2 matrix: the two
     # largest are pivots, so the free box is the 7 counts of the third
@@ -164,13 +178,13 @@ def test_free_box_guard_does_not_depend_on_cache_state(spec3):
         space = enumerate_histories(spec3, initial_state(spec3, "plus"), 0)
         classes = amplitude_classes(space)
         if warm_first:
-            assert len(sector_tables(classes)[0].zero_vectors) == 7
+            assert sector_tables(classes)[0].precluded == PLUS_PRECLUDED
         for call in _guarded_calls(space, classes, 6):
             with pytest.raises(InfeasibleSizeError, match="free-class box of 7 points"):
                 call()
         for call in _guarded_calls(space, classes, 7):
             call()
-        assert len(sector_tables(classes, max_vectors=7)[0].zero_vectors) == 7
+        assert sector_tables(classes, max_vectors=7)[0].precluded == PLUS_PRECLUDED
 
 
 def test_dualisation_antichain_is_bounded_by_max_vectors():

@@ -240,7 +240,7 @@ def test_bruteforce_verdicts_do_not_use_the_kernel_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the brute force consulted the kernel walk")
 
-    monkeypatch.setattr(qhopper.measure, "_enumerate_zero_vectors", refuse)
+    monkeypatch.setattr(qhopper.measure, "_kernel_walk", refuse)
     spec = LatticeSpec(3, 3)
     sp = enumerate_histories(spec, initial_state(spec, "plus"), 0)
     assert count_precluded_bruteforce(sp) == 2017807
