@@ -67,6 +67,7 @@ __all__ = [
     "ensemble_symmetry_report",
     "DiscriminationReport",
     "discrimination_report",
+    "COEVENT_FIELDS",
     "coevent_records",
 ]
 
@@ -525,6 +526,10 @@ def discrimination_report(
     )
 
 
+# the leading fields of every coevent record; one 0/1 verdict per event follows
+COEVENT_FIELDS = ("coevent_id", "support", "circulation", "rest_profile")
+
+
 def coevent_records(
     coevents: Sequence[MultiplicativeCoevent],
     events: dict[str, Event],
@@ -532,12 +537,8 @@ def coevent_records(
     """Flat per-coevent records for tabular output."""
     records = []
     for cid, phi in enumerate(coevents):
-        rec = {
-            "coevent_id": cid,
-            "support": list(phi.indices()),
-            "circulation": net_circulation(phi),
-            "rest_profile": list(rest_profile(phi)),
-        }
+        values = (cid, list(phi.indices()), net_circulation(phi), list(rest_profile(phi)))
+        rec = dict(zip(COEVENT_FIELDS, values))
         for name, ev in events.items():
             rec[name] = int(phi.evaluate(ev))
         records.append(rec)

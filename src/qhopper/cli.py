@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Sequence
 from importlib import resources
 
 from . import analysis
@@ -54,18 +55,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p: argparse.ArgumentParser, *, with_state: bool = True) -> None:
+FORMATS = ("text", "json", "csv")
+
+
+def _add_model_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sites", type=int, default=3)
+    p.add_argument("--format", choices=FORMATS, default="text")
+    p.add_argument("--out", default=None)
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sites", type=int, default=3, help="number of lattice sites n")
     p.add_argument("--steps", type=int, default=3, help="number of time steps")
-    if with_state:
-        p.add_argument(
-            "--state",
-            default="plus",
-            help="ground|plus|minus|standing|custom:<per-site terms>"
-            " (term = integer coefficient, or exponent:coefficient over the n-th root)",
-        )
+    p.add_argument(
+        "--state",
+        default="plus",
+        help="ground|plus|minus|standing|custom:<per-site terms>"
+        " (term = integer coefficient, or exponent:coefficient over the n-th root)",
+    )
     p.add_argument("--final", default="0", help="final site, or 'all'")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     p.add_argument(
         "--threads", type=int, default=1, help="accepted; changes no output or work"
@@ -73,46 +82,18 @@ def _add_common(p: argparse.ArgumentParser, *, with_state: bool = True) -> None:
     p.add_argument("--max-histories", type=int, default=LIMITS.max_histories.default)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qhopper", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("model", help="transfer matrix and unitarity check")
-    p.add_argument("--sites", type=int, default=3)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_model)
-
-    p = sub.add_parser("histories", help="enumerate histories and amplitude classes")
-    _add_common(p)
-    p.set_defaults(func=cmd_histories)
-
-    p = sub.add_parser("preclusion", help="count precluded events exactly")
-    _add_common(p)
-    p.set_defaults(func=cmd_preclusion)
-
-    p = sub.add_parser("primitives", help="enumerate primitive coevents")
+def _add_primitives_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument(
         "--emit-supports",
         action="store_true",
         help="include explicit supports (gate for large expansions)",
     )
-    p.set_defaults(func=cmd_primitives)
 
-    p = sub.add_parser("classify", help="circulation, restlessness, event verdicts")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("compare", help="overlap of primitive coevents of two states")
+def _add_compare_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--with", dest="other", required=True, help="second initial state")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("report", help="full reproduction bundle with golden check")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-    return parser
 
 
 # -- config helpers --------------------------------------------------------------
@@ -220,15 +201,18 @@ def _flatten(d: dict, prefix: str = "") -> list[tuple[str, str]]:
     return rows
 
 
-def _emit(args, data: dict, records: list[dict] | None = None) -> None:
+def _emit(
+    args, data: dict, records: list[dict] | None = None, fields: Sequence[str] = ()
+) -> None:
+    """Print `data` in the chosen format; csv prints `records` instead, when
+    given, under the header `fields` (the header alone when there are none)."""
     fmt = getattr(args, "format", "text")
     if fmt == "json":
         text = dumps_canonical(data)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if records:
-            fields = list(records[0].keys())
+        if records is not None:
             writer.writerow(fields)
             for rec in json_ready(records):
                 writer.writerow(
@@ -279,18 +263,22 @@ def cmd_histories(args) -> int:
     final = _parse_final(args.final, spec)
     space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
     classes = amplitude_classes(space)
+    half_hops = spec.n % 2 == 0
+    fields = ("index", "history", "amplitude", "circulation", "rests") + (
+        ("half_hops",) if half_hops else ()
+    )
     records = []
     for i, h in enumerate(space.histories):
-        rec = {
-            "index": i,
-            "history": history_str(h),
-            "amplitude": value_label(space.amps[i]),
-            "circulation": space.circulations[i],
-            "rests": space.rest_counts[i],
-        }
-        if spec.n % 2 == 0:
-            rec["half_hops"] = half_hop_count(h, spec.n)
-        records.append(rec)
+        row = [
+            i,
+            history_str(h),
+            value_label(space.amps[i]),
+            space.circulations[i],
+            space.rest_counts[i],
+        ]
+        if half_hops:
+            row.append(half_hop_count(h, spec.n))
+        records.append(dict(zip(fields, row)))
     data = {
         "n": spec.n,
         "steps": spec.steps,
@@ -303,7 +291,7 @@ def cmd_histories(args) -> int:
         ],
         "histories": records,
     }
-    _emit(args, data, records)
+    _emit(args, data, records, fields)
     return EXIT_OK
 
 
@@ -351,13 +339,13 @@ def cmd_primitives(args) -> int:
         "support_sizes": profile.size_histogram(),
         "minimal_class_vectors": [_vector_entries(values, vec) for vec in profile.minimal],
     }
-    records = None
+    records, fields = None, ("coevent_id", "support")
     if args.emit_supports:
         supports = [list(phi.indices()) for phi in enumerate_primitive(profile)]
         data["supports"] = supports
         if args.format == "csv":  # only csv prints records
-            records = [{"coevent_id": i, "support": s} for i, s in enumerate(supports)]
-    _emit(args, data, records)
+            records = [dict(zip(fields, rec)) for rec in enumerate(supports)]
+    _emit(args, data, records, fields)
     return EXIT_OK
 
 
@@ -404,7 +392,7 @@ def cmd_classify(args) -> int:
         if args.format == "csv"
         else None
     )
-    _emit(args, data, records)
+    _emit(args, data, records, (*analysis.COEVENT_FIELDS, *events))
     return EXIT_OK
 
 
@@ -590,10 +578,48 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# -- parsers ------------------------------------------------------------------------
+
+# name -> (help line, argument filler, handler); both parsers are built from it
+_COMMANDS = {
+    "model": ("transfer matrix and unitarity check", _add_model_args, cmd_model),
+    "histories": ("enumerate histories and amplitude classes", _add_common, cmd_histories),
+    "preclusion": ("count precluded events exactly", _add_common, cmd_preclusion),
+    "primitives": ("enumerate primitive coevents", _add_primitives_args, cmd_primitives),
+    "classify": ("circulation, restlessness, event verdicts", _add_common, cmd_classify),
+    "compare": ("overlap of primitive coevents of two states", _add_compare_args, cmd_compare),
+    "report": ("full reproduction bundle with golden check", _add_common, cmd_report),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: top-level help and usage, and every command's parser."""
+    parser = _Parser(prog="qhopper", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_line, add_args, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(func=handler)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Build only the invoked command's parser; the full tree is built for
+    top-level help, a missing command and an unknown one."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    command, rest = argv[0], argv[1:]
+    _, add_args, handler = _COMMANDS[command]
+    parser = _Parser(prog=f"qhopper {command}")
+    add_args(parser)
+    args = parser.parse_args(rest)
+    args.command, args.func = command, handler
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -157,6 +157,49 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+# one argv per command, with options set away from their defaults
+REPRESENTATIVE_ARGVS = {
+    "model": ["--sites", "4", "--format", "json", "--out", "m.json"],
+    "histories": ["--sites", "2", "--steps", "4", "--state", "ground", "--final", "all",
+                  "--format", "csv", "--out", "h.csv", "--threads", "2",
+                  "--max-histories", "99"],
+    "preclusion": ["--state", "custom:2,-1,-1", "--final", "1", "--threads", "8"],
+    "primitives": ["--steps", "2", "--state", "minus", "--emit-supports",
+                   "--max-histories", "5"],
+    "classify": ["--sites", "4", "--steps", "2", "--state", "standing", "--final", "3"],
+    "compare": ["--state", "ground", "--with", "minus", "--final", "2", "--format", "text"],
+    "report": ["--state", "standing", "--format", "json", "--out", "r.json"],
+}
+
+
+def _exit_output(capsys, parse, argv) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("command", sorted(REPRESENTATIVE_ARGVS))
+def test_command_parser_agrees_with_the_full_tree(capsys, command):
+    assert set(REPRESENTATIVE_ARGVS) == set(qhopper.cli._COMMANDS)
+    full = qhopper.cli._build_parser().parse_args
+    alone = qhopper.cli._parse_args
+    helps = [_exit_output(capsys, parse, [command, "--help"]) for parse in (full, alone)]
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].startswith(f"usage: qhopper {command} ")
+    argv = [command, *REPRESENTATIVE_ARGVS[command]]
+    assert alone(argv) == full(argv)
+    bad = [_exit_output(capsys, parse, [command, "--format", "xml"]) for parse in (full, alone)]
+    assert bad[0] == bad[1]
+    assert bad[0][0] == 1 and "invalid choice: 'xml'" in bad[0][2]
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["-x"]])
+def test_no_or_unknown_command_exits_one_with_top_level_usage(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: qhopper [-h]")
+
+
 def test_infeasible_exits_two(capsys):
     assert main(["histories", "--sites", "3", "--steps", "20", "--final", "0"]) == 2
     capsys.readouterr()
@@ -339,7 +382,7 @@ def test_emit_renders_integers_of_any_length(capsys, fmt, records):
     big = 7**6000  # 5 071 digits
     data = {"count": big}
     qhopper.cli._emit(argparse.Namespace(format=fmt, out=None), data,
-                      [data] if records else None)
+                      [data] if records else None, ("count",))
     assert str(Decimal(big)) in capsys.readouterr().out
 
 
@@ -441,11 +484,16 @@ def test_four_step_listings_stay_refused(capsys, argv):
     assert "expansion of 13884156 primitive supports exceeds the max_supports guard" in err
 
 
-# what each format prints for a zero count and an undefined average
+CLASSIFY_CSV_HEADER = (
+    "coevent_id,support,circulation,rest_profile,"
+    "never_moves,never_rests,rests_exactly_once,circulates_positive_only\n"
+)
+# what each format prints for a zero count and an undefined average; csv
+# prints the per-coevent records, here the header alone
 EMPTY_ENSEMBLE_LINES = {
     "text": ("count: 0\n", "  average: None\n"),
     "json": ('"count": 0,', '"average": null,'),
-    "csv": ("\ncount,0\n", "\ncirculation.average,None\n"),
+    "csv": (CLASSIFY_CSV_HEADER,),
 }
 
 
@@ -460,3 +508,18 @@ def test_classify_answers_an_empty_ensemble(capsys, fmt):
     assert err == ""
     for line in EMPTY_ENSEMBLE_LINES[fmt]:
         assert line in out
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["classify"], CLASSIFY_CSV_HEADER),
+        (["primitives", "--emit-supports"], "coevent_id,support\n"),
+    ],
+    ids=["classify", "primitives"],
+)
+def test_empty_ensemble_csv_keeps_the_records_header(capsys, argv, header):
+    # a non-empty ensemble prints this header and one row per coevent
+    assert main([*argv, "--sites", "4", "--steps", "2", "--state", "standing",
+                 "--final", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == header
