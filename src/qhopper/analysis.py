@@ -67,7 +67,7 @@ __all__ = [
     "ensemble_symmetry_report",
     "DiscriminationReport",
     "discrimination_report",
-    "COEVENT_FIELDS",
+    "coevent_fields",
     "coevent_records",
 ]
 
@@ -526,8 +526,10 @@ def discrimination_report(
     )
 
 
-# the leading fields of every coevent record; one 0/1 verdict per event follows
-COEVENT_FIELDS = ("coevent_id", "support", "circulation", "rest_profile")
+def coevent_fields(events: dict[str, Event]) -> tuple[str, ...]:
+    """The keys of every coevent record, in order: one 0/1 verdict per event
+    follows the coevent's own fields."""
+    return ("coevent_id", "support", "circulation", "rest_profile", *events)
 
 
 def coevent_records(
@@ -535,11 +537,10 @@ def coevent_records(
     events: dict[str, Event],
 ) -> list[dict]:
     """Flat per-coevent records for tabular output."""
+    fields = coevent_fields(events)
     records = []
     for cid, phi in enumerate(coevents):
+        verdicts = [int(phi.evaluate(ev)) for ev in events.values()]
         values = (cid, list(phi.indices()), net_circulation(phi), list(rest_profile(phi)))
-        rec = dict(zip(COEVENT_FIELDS, values))
-        for name, ev in events.items():
-            rec[name] = int(phi.evaluate(ev))
-        records.append(rec)
+        records.append(dict(zip(fields, (*values, *verdicts))))
     return records

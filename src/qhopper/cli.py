@@ -202,17 +202,19 @@ def _flatten(d: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 
 def _emit(
-    args, data: dict, records: list[dict] | None = None, fields: Sequence[str] = ()
+    args, data: dict, table: tuple[Sequence[str], list[dict]] | None = None
 ) -> None:
-    """Print `data` in the chosen format; csv prints `records` instead, when
-    given, under the header `fields` (the header alone when there are none)."""
+    """Print `data` in the chosen format; csv prints `table`, a pair of header
+    fields and records, instead when given (the header alone when there are
+    no records)."""
     fmt = getattr(args, "format", "text")
     if fmt == "json":
         text = dumps_canonical(data)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if records is not None:
+        if table is not None:
+            fields, records = table
             writer.writerow(fields)
             for rec in json_ready(records):
                 writer.writerow(
@@ -291,7 +293,7 @@ def cmd_histories(args) -> int:
         ],
         "histories": records,
     }
-    _emit(args, data, records, fields)
+    _emit(args, data, (fields, records))
     return EXIT_OK
 
 
@@ -339,13 +341,14 @@ def cmd_primitives(args) -> int:
         "support_sizes": profile.size_histogram(),
         "minimal_class_vectors": [_vector_entries(values, vec) for vec in profile.minimal],
     }
-    records, fields = None, ("coevent_id", "support")
+    table = None
     if args.emit_supports:
         supports = [list(phi.indices()) for phi in enumerate_primitive(profile)]
         data["supports"] = supports
         if args.format == "csv":  # only csv prints records
-            records = [dict(zip(fields, rec)) for rec in enumerate(supports)]
-    _emit(args, data, records, fields)
+            fields = ("coevent_id", "support")
+            table = (fields, [dict(zip(fields, rec)) for rec in enumerate(supports)])
+    _emit(args, data, table)
     return EXIT_OK
 
 
@@ -387,12 +390,15 @@ def cmd_classify(args) -> int:
         ),
     }
     # only csv prints per-coevent records, so only csv expands every support
-    records = (
-        analysis.coevent_records(enumerate_primitive(profile), events)
+    table = (
+        (
+            analysis.coevent_fields(events),
+            analysis.coevent_records(enumerate_primitive(profile), events),
+        )
         if args.format == "csv"
         else None
     )
-    _emit(args, data, records, (*analysis.COEVENT_FIELDS, *events))
+    _emit(args, data, table)
     return EXIT_OK
 
 
@@ -580,7 +586,7 @@ def cmd_report(args) -> int:
 
 # -- parsers ------------------------------------------------------------------------
 
-# name -> (help line, argument filler, handler); both parsers are built from it
+# name -> (help line, argument filler, handler)
 _COMMANDS = {
     "model": ("transfer matrix and unitarity check", _add_model_args, cmd_model),
     "histories": ("enumerate histories and amplitude classes", _add_common, cmd_histories),
@@ -592,29 +598,32 @@ _COMMANDS = {
 }
 
 
+def _fill(p: argparse.ArgumentParser, command: str) -> None:
+    _, add_args, handler = _COMMANDS[command]
+    add_args(p)
+    p.set_defaults(command=command, func=handler)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    """The full tree: top-level help and usage, and every command's parser."""
+    """The full command tree: top-level help and usage, and every command."""
     parser = _Parser(prog="qhopper", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_line, add_args, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        add_args(p)
-        p.set_defaults(func=handler)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Build only the invoked command's parser; the full tree is built for
-    top-level help, a missing command and an unknown one."""
-    if not argv or argv[0] not in _COMMANDS:
-        return _build_parser().parse_args(argv)
-    command, rest = argv[0], argv[1:]
-    _, add_args, handler = _COMMANDS[command]
-    parser = _Parser(prog=f"qhopper {command}")
-    add_args(parser)
-    args = parser.parse_args(rest)
-    args.command, args.func = command, handler
-    return args
+    """Parse with the invoked command's parser alone (what its subparser in
+    the tree would do, without building the tree); anything else, and any
+    unrecognised argument, goes through the tree, which reports it."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"qhopper {argv[0]}")
+        _fill(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -61,21 +61,10 @@ def json_ready(obj):
     Integers beyond 2**53 and all rationals become decimal strings so
     consumers without big integers cannot silently round them; Decimal
     prints any length, where str(int) stops at sys.get_int_max_str_digits().
-    The exact built-in types are dispatched first; subclasses and every
-    other type take the isinstance chain below.
     """
-    kind = type(obj)
-    if kind is int:
-        return obj if -JSON_INT_LIMIT <= obj <= JSON_INT_LIMIT else str(Decimal(obj))
-    if kind is str or kind is bool or obj is None:
+    if isinstance(obj, bool) or obj is None:
         return obj
-    if kind is list or kind is tuple:
-        if all(type(v) is int and -JSON_INT_LIMIT <= v <= JSON_INT_LIMIT for v in obj):
-            return list(obj)
-        return [json_ready(v) for v in obj]
-    if kind is dict:
-        return {_key(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, int):  # bool is final, so no bool reaches here
+    if isinstance(obj, int):
         return str(Decimal(obj)) if abs(obj) > JSON_INT_LIMIT else obj
     if isinstance(obj, Fraction):
         return str(obj)

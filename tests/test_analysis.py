@@ -27,6 +27,8 @@ from qhopper.analysis import (
     avoids_any_site_event,
     avoids_site_event,
     circulates_positive_only_event,
+    coevent_fields,
+    coevent_records,
     never_moves_event,
     never_rests_event,
     rests_exactly_once_event,
@@ -40,6 +42,18 @@ def positive_only_coevent(space, coevents):
     hits = [phi for phi in coevents if phi.evaluate(event)]
     assert len(hits) == 1
     return hits[0]
+
+
+def test_coevent_records_carry_exactly_the_coevent_fields(plus_space, plus_coevents):
+    events = {
+        "never_moves": never_moves_event(plus_space),
+        "positive": circulates_positive_only_event(plus_space),
+    }
+    records = coevent_records(plus_coevents, events)
+    assert len(records) == len(plus_coevents)
+    assert all(tuple(rec) == coevent_fields(events) for rec in records)
+    assert coevent_fields(events)[-2:] == ("never_moves", "positive")
+    assert sum(rec["positive"] for rec in records) == 1
 
 
 # -- circulation ---------------------------------------------------------------------

@@ -180,18 +180,31 @@ def _exit_output(capsys, parse, argv) -> tuple[int, str, str]:
 
 
 @pytest.mark.parametrize("command", sorted(REPRESENTATIVE_ARGVS))
-def test_command_parser_agrees_with_the_full_tree(capsys, command):
+def test_command_parser_parses_as_the_tree_does(capsys, command):
     assert set(REPRESENTATIVE_ARGVS) == set(qhopper.cli._COMMANDS)
-    full = qhopper.cli._build_parser().parse_args
     alone = qhopper.cli._parse_args
-    helps = [_exit_output(capsys, parse, [command, "--help"]) for parse in (full, alone)]
-    assert helps[0] == helps[1]
-    assert helps[0][0] == 0 and helps[0][1].startswith(f"usage: qhopper {command} ")
+    tree = qhopper.cli._build_parser().parse_args
     argv = [command, *REPRESENTATIVE_ARGVS[command]]
-    assert alone(argv) == full(argv)
-    bad = [_exit_output(capsys, parse, [command, "--format", "xml"]) for parse in (full, alone)]
+    args = alone(argv)
+    assert args == tree(argv)
+    assert args.command == command and args.func is qhopper.cli._COMMANDS[command][2]
+    helps = [_exit_output(capsys, parse, [command, "--help"]) for parse in (alone, tree)]
+    assert helps[0] == helps[1]
+    code, usage, _ = helps[0]
+    assert code == 0 and usage.startswith(f"usage: qhopper {command} [-h]")
+    for option in REPRESENTATIVE_ARGVS[command]:
+        assert not option.startswith("--") or option in usage
+    bad = [_exit_output(capsys, parse, [command, "--format", "xml"]) for parse in (alone, tree)]
     assert bad[0] == bad[1]
     assert bad[0][0] == 1 and "invalid choice: 'xml'" in bad[0][2]
+
+
+def test_unrecognised_option_is_reported_with_the_top_level_usage(capsys):
+    assert main(["preclusion", "--bogus", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: qhopper [-h]")
+    assert err.endswith("qhopper: error: unrecognized arguments: --bogus 1\n")
 
 
 @pytest.mark.parametrize("argv", [[], ["nosuch"], ["-x"]])
@@ -382,8 +395,15 @@ def test_emit_renders_integers_of_any_length(capsys, fmt, records):
     big = 7**6000  # 5 071 digits
     data = {"count": big}
     qhopper.cli._emit(argparse.Namespace(format=fmt, out=None), data,
-                      [data] if records else None, ("count",))
+                      (("count",), [data]) if records else None)
     assert str(Decimal(big)) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("records", [[], [{"b": [1, 2], "a": 3}]], ids=["empty", "one"])
+def test_emit_csv_prints_the_table_header_then_rows_in_its_order(capsys, records):
+    table = (("a", "b"), records)
+    qhopper.cli._emit(argparse.Namespace(format="csv", out=None), {"count": 9}, table)
+    assert capsys.readouterr().out == "a,b\n" + "".join("3,1 2\n" for _ in records)
 
 
 def test_huge_refusal_states_the_size_by_bit_length(capsys):
