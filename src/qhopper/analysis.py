@@ -11,9 +11,10 @@ whole-ensemble figures (`ensemble_*`, the symmetry and discrimination
 reports) read a `PrimitiveProfile` instead: every figure depends only on
 how many histories a support takes from each amplitude class, so it is a
 binomial sum over the minimal class vectors and no support is expanded.
-Supports are listed only where they are printed (positive-only
-affirmers, common supports), each under the `max_supports` guard.  The
-per-coevent layer is the oracle the tests hold the closed forms to.
+Supports are listed, as sorted index tuples, only where they are printed
+(positive-only affirmers, common supports, per-coevent records), each
+under the `max_supports` guard.  The per-coevent layer is the oracle the
+tests hold the closed forms to.
 
 Coevents are compared across states and final sites by global history
 indices, final * n**T + i, which name the same site tuple whatever the
@@ -293,9 +294,10 @@ def ensemble_average_circulation(profile: PrimitiveProfile) -> Fraction:
 
 
 def ensemble_positive_only_circulations(profile: PrimitiveProfile) -> list[int]:
-    """`positive_only_circulations` of the profile's ensemble; expands only the affirmers."""
+    """`positive_only_circulations` of the profile's ensemble; lists only the affirmers."""
     event = circulates_positive_only_event(profile.space)
-    return sorted(net_circulation(phi) for phi in profile.expand(event.members))
+    table = profile.space.circulations
+    return sorted(sum(map(table.__getitem__, row)) for row in profile.supports(event.members))
 
 
 def ensemble_restlessness(profile: PrimitiveProfile) -> dict[str, int]:
@@ -533,14 +535,31 @@ def coevent_fields(events: dict[str, Event]) -> tuple[str, ...]:
 
 
 def coevent_records(
-    coevents: Sequence[MultiplicativeCoevent],
+    supports: Sequence[tuple[int, ...]],
+    space: HistorySpace,
     events: dict[str, Event],
 ) -> list[dict]:
-    """Flat per-coevent records for tabular output."""
+    """Flat per-coevent records for tabular output, one per support (a sorted
+    index tuple of `space`, as `PrimitiveProfile.supports` lists them).
+
+    Circulation and rest profile are lookups in the space's tables, and
+    each verdict is one bitset test: the coevent affirms an event iff its
+    support lies inside it.
+    """
+    if any(ev.space is not space for ev in events.values()):
+        raise SpaceMismatchError("records and events live over different spaces")
     fields = coevent_fields(events)
+    circulations, rests = space.circulations, space.rest_counts
+    outside = [space.universe_mask ^ ev.members for ev in events.values()]
     records = []
-    for cid, phi in enumerate(coevents):
-        verdicts = [int(phi.evaluate(ev)) for ev in events.values()]
-        values = (cid, list(phi.indices()), net_circulation(phi), list(rest_profile(phi)))
-        records.append(dict(zip(fields, (*values, *verdicts))))
+    for cid, row in enumerate(supports):
+        mask = sum(1 << i for i in row)
+        values = (
+            cid,
+            row,
+            sum(map(circulations.__getitem__, row)),
+            sorted(map(rests.__getitem__, row)),
+            *(0 if mask & out else 1 for out in outside),
+        )
+        records.append(dict(zip(fields, values)))
     return records

@@ -16,7 +16,10 @@ from collections.abc import Sequence
 from importlib import resources
 
 from . import analysis
-from .coevents import enumerate_primitive, primitive_profile
+from .coevents import (  # noqa: F401  enumerate_primitive stays importable from here
+    enumerate_primitive,
+    primitive_profile,
+)
 from .cyclotomic import CycInt, root
 from .errors import LIMITS, HopperError, InfeasibleSizeError, check_size
 from .histories import (
@@ -184,7 +187,7 @@ def _is_flat(v) -> bool:
 
 def _inline(v) -> str:
     if isinstance(v, list):
-        return "[" + ", ".join(str(x) for x in v) + "]"
+        return "[" + ", ".join(map(str, v)) + "]"
     return str(v)
 
 
@@ -216,12 +219,10 @@ def _emit(
         if table is not None:
             fields, records = table
             writer.writerow(fields)
-            for rec in json_ready(records):
+            for rec in records:
+                cells = (json_ready(rec[f]) for f in fields)
                 writer.writerow(
-                    [
-                        " ".join(str(x) for x in v) if isinstance(v, (list, tuple)) else v
-                        for v in (rec[f] for f in fields)
-                    ]
+                    [" ".join(map(str, v)) if isinstance(v, list) else v for v in cells]
                 )
         else:
             writer.writerow(["key", "value"])
@@ -232,8 +233,11 @@ def _emit(
         text = "\n".join(_text_lines(json_ready(data))) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -343,7 +347,7 @@ def cmd_primitives(args) -> int:
     }
     table = None
     if args.emit_supports:
-        supports = [list(phi.indices()) for phi in enumerate_primitive(profile)]
+        supports = profile.supports()
         data["supports"] = supports
         if args.format == "csv":  # only csv prints records
             fields = ("coevent_id", "support")
@@ -393,7 +397,7 @@ def cmd_classify(args) -> int:
     table = (
         (
             analysis.coevent_fields(events),
-            analysis.coevent_records(enumerate_primitive(profile), events),
+            analysis.coevent_records(profile.supports(), space, events),
         )
         if args.format == "csv"
         else None

@@ -8,7 +8,10 @@ deletions, and it depends only on how many histories the support takes
 from each amplitude class.  A `PrimitiveProfile` therefore holds the
 inclusion-minimal preclusive count vectors: whole-ensemble figures are
 binomial sums over them, and the fast enumerator expands them into
-explicit supports only where supports are listed.  The brute-force
+explicit supports only where supports are listed: each support is a
+sorted tuple of history indices, the combinations of w_c members of
+each class c merged, and one sort puts them in canonical index order.
+The brute-force
 enumerator instead judges every subset of the space from exact
 amplitude sums: a table of each sector's zero-sum subsets, closed
 downward, gives the subsets contained in a precluded event, and the
@@ -160,30 +163,27 @@ def _support_count(
     return sum(math.prod(map(math.comb, counts, vec)) for vec in minimal)
 
 
-def _support_masks(size: int, member_lists, vectors) -> list[int]:
-    """Bitsets of the supports taking vec[j] members of member_lists[j], for
-    every vector; in canonical index order if the supports form an antichain.
+def _support_rows(member_lists, vectors) -> list[tuple[int, ...]]:
+    """Sorted index tuples of the supports taking vec[j] members of
+    member_lists[j], for every vector; in canonical index order if the
+    supports form an antichain.
 
-    A combination is coded as rev << size | mask, where rev holds history
-    i at bit size-1-i; codes of disjoint lists add without carries.  In
-    an antichain no support's index tuple is a prefix of another's, so
-    the lowest history where two supports differ decides their canonical
-    order, and the one holding it, whose rev is larger, comes first.
+    Each member list is increasing, so a one-list vector's combinations
+    are already sorted tuples, and a mixed vector's are merged.  In an
+    antichain no support's tuple is a prefix of another's, so sorting
+    the tuples orders supports by the lowest history where they differ,
+    the one holding it first: canonical index order.
     """
-
-    @functools.cache
-    def codes(j: int, k: int) -> list[int]:
-        return [
-            sum(1 << (2 * size - 1 - i) | 1 << i for i in combo)
-            for combo in itertools.combinations(member_lists[j], k)
-        ]
-
-    supports: list[int] = []
+    chain = itertools.chain.from_iterable
+    rows: list[tuple[int, ...]] = []
     for vec in vectors:
-        per_list = [codes(j, k) for j, k in enumerate(vec) if k]
-        supports.extend(map(sum, itertools.product(*per_list)))
-    low = (1 << size) - 1
-    return [code & low for code in sorted(supports, reverse=True)]
+        parts = [itertools.combinations(member_lists[j], k) for j, k in enumerate(vec) if k]
+        if len(parts) == 1:
+            rows.extend(parts[0])
+        else:
+            rows.extend(tuple(sorted(chain(combo))) for combo in itertools.product(*parts))
+    rows.sort()
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +193,9 @@ class PrimitiveProfile:
     A support is primitive exactly when its per-class counts form a
     minimal preclusive vector w, and every choice of w_c members of each
     class c gives one.  So each whole-ensemble figure is a sum over the
-    minimal vectors of products of binomials, and supports are expanded
-    only where they are listed (`expand`, `shared_supports`).
+    minimal vectors of products of binomials, and supports are expanded,
+    as sorted index tuples, only where they are listed (`supports`,
+    `shared_supports`; `expand` wraps each as a coevent).
     """
 
     classes: AmplitudeClasses
@@ -263,22 +264,30 @@ class PrimitiveProfile:
         space = self.space
         return [Event(space, c.members).indices() for c in self.classes.classes]
 
-    def expand(
+    def supports(
         self, within: int | None = None, *, max_supports: int = LIMITS.max_supports.default
-    ) -> list[MultiplicativeCoevent]:
-        """The primitive coevents, in canonical index order; only those inside
-        the event bitset `within` when it is given."""
-        space = self.space
+    ) -> list[tuple[int, ...]]:
+        """The primitive supports as sorted index tuples, in canonical index
+        order; only those inside the event bitset `within` when it is given."""
         if within is None:
-            within = space.universe_mask
+            within = self.space.universe_mask
         check_size("expansion of {} primitive supports", self.count_within(within),
                    max_supports, LIMITS.max_supports)
-        # primitive supports form an antichain
         member_lists = [
             tuple(i for i in ids if within >> i & 1) for ids in self._member_lists
         ]
-        masks = _support_masks(space.size, member_lists, self.minimal)
-        return [MultiplicativeCoevent(Event(space, m)) for m in masks]
+        # primitive supports form an antichain
+        return _support_rows(member_lists, self.minimal)
+
+    def expand(
+        self, within: int | None = None, *, max_supports: int = LIMITS.max_supports.default
+    ) -> list[MultiplicativeCoevent]:
+        """The primitive coevents of `supports`, in the same order."""
+        space = self.space
+        return [
+            MultiplicativeCoevent(Event(space, sum(1 << i for i in row)))
+            for row in self.supports(within, max_supports=max_supports)
+        ]
 
     def _joint_tables(
         self, other: PrimitiveProfile, index_map: list[int] | None, max_vectors: int
@@ -361,8 +370,7 @@ class PrimitiveProfile:
                    _support_count(tuple(map(len, members)), tables),
                    max_supports, LIMITS.max_supports)
         # shared supports are primitive here, so they form an antichain
-        space = self.space
-        return [Event(space, m).indices() for m in _support_masks(space.size, members, tables)]
+        return _support_rows(members, tables)
 
 
 def primitive_profile(

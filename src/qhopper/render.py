@@ -1,11 +1,16 @@
-"""Stable text labels and JSON-friendly conversion for exact values."""
+"""Stable text labels, JSON-friendly conversion and JSON rendering for exact values.
+
+`json_ready` turns exact values into plain JSON types; `dumps_canonical`
+writes them as two-space-indented JSON, joining a flat list of plain
+ints, such as a support's index tuple, in one step.
+"""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .cyclotomic import CycInt
 from .histories import Sites
@@ -95,6 +100,44 @@ def _key(k) -> str:
     raise TypeError(f"cannot use {type(k).__name__} as a JSON key")
 
 
+def _encode(obj, pad: str) -> str:
+    """One `json_ready` value as JSON, nested lines indented past `pad`;
+    what json.dumps(obj, indent=2, ensure_ascii=False) writes."""
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if {*map(type, obj)} == {int}:  # json_ready left only small ints
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        else:
+            body = (",\n" + inner).join([_encode(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            [f"{encode_basestring(k)}: {_encode(v, inner)}" for k, v in obj.items()]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    return int.__repr__(obj)  # an int, or an int subclass such as an IntEnum
+
+
 def dumps_canonical(obj) -> str:
-    """Byte-stable JSON rendering (UTF-8, two-space indent, trailing newline)."""
-    return json.dumps(json_ready(obj), indent=2, ensure_ascii=False) + "\n"
+    """Byte-stable JSON rendering (UTF-8, two-space indent, trailing newline).
+
+    The same bytes as json.dumps(json_ready(obj), indent=2,
+    ensure_ascii=False) + "\n", written directly: json.dumps with an
+    indent always takes the pure-Python encoder, while strings here go
+    through the C-accelerated `encode_basestring` and flat int lists are
+    joined in one step.
+    """
+    return _encode(json_ready(obj), "") + "\n"

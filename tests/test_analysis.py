@@ -34,6 +34,7 @@ from qhopper.analysis import (
     rests_exactly_once_event,
     terminates_at_event,
 )
+from qhopper.errors import SpaceMismatchError
 from qhopper.model import STATE_LABELS
 
 
@@ -44,16 +45,27 @@ def positive_only_coevent(space, coevents):
     return hits[0]
 
 
-def test_coevent_records_carry_exactly_the_coevent_fields(plus_space, plus_coevents):
+def test_coevent_records_carry_exactly_the_coevent_fields(plus_space, ground_space, plus_coevents):
     events = {
         "never_moves": never_moves_event(plus_space),
         "positive": circulates_positive_only_event(plus_space),
     }
-    records = coevent_records(plus_coevents, events)
+    supports = [phi.indices() for phi in plus_coevents]
+    records = coevent_records(supports, plus_space, events)
     assert len(records) == len(plus_coevents)
     assert all(tuple(rec) == coevent_fields(events) for rec in records)
     assert coevent_fields(events)[-2:] == ("never_moves", "positive")
     assert sum(rec["positive"] for rec in records) == 1
+    # each record holds what the per-coevent functions say of its coevent
+    for cid, (rec, phi) in enumerate(zip(records, plus_coevents)):
+        assert rec["coevent_id"] == cid
+        assert tuple(rec["support"]) == phi.indices()
+        assert rec["circulation"] == net_circulation(phi)
+        assert tuple(rec["rest_profile"]) == rest_profile(phi)
+        for name, event in events.items():
+            assert rec[name] == int(phi.evaluate(event))
+    with pytest.raises(SpaceMismatchError):
+        coevent_records(supports, plus_space, {"other": never_moves_event(ground_space)})
 
 
 # -- circulation ---------------------------------------------------------------------

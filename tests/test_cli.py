@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import importlib
 import json
+import os
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -438,18 +440,52 @@ def test_classify_builds_records_only_for_csv(monkeypatch, capsys, fmt, built):
 
 
 def test_recorded_paper_outputs_replay_byte_identical(capsys):
-    # the benchmark's recorded stdout digests of every analysis command
-    commands = ("classify", "compare", "primitives", "report")
+    # the benchmark's recorded exit code and stdout digest of every argv the
+    # paper workload can draw, every command in every format
     recorded = json.loads(RECORDED.read_text(encoding="utf-8"))["paper"]
-    replayed = {k: v for k, v in recorded.items() if k.split()[0] in commands}
-    assert {k.split()[0] for k in replayed} == set(commands)
+    assert len(recorded) == 383
+    assert {k.split()[0] for k in recorded} == {
+        "classify", "compare", "histories", "preclusion", "primitives", "report",
+    }
     mismatches = []
-    for key, want in replayed.items():
+    for key, want in recorded.items():
         rc = main(key.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         if (rc, digest) != (want["rc"], want["sha256"]):
             mismatches.append(key)
     assert mismatches == []
+
+
+def test_recorded_frontier_outputs_replay_byte_identical(capsys):
+    # the benchmark's fixed frontier points: preclusion's stdout digest and
+    # the primitive count of the same space
+    recorded = json.loads(RECORDED.read_text(encoding="utf-8"))["frontier"]
+    assert len(recorded) == 6
+    mismatches = []
+    for key, want in recorded.items():
+        argv = key.split()
+        rc = main(argv)
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        opt = dict(zip(argv[1::2], argv[2::2]))
+        spec = LatticeSpec(int(opt["--sites"]), int(opt["--steps"]))
+        space = enumerate_histories(spec, initial_state(spec, opt["--state"]), int(opt["--final"]))
+        got = (rc, digest, str(count_primitive(space)))
+        if got != (0, want["sha256"], want["primitive"]):
+            mismatches.append(key)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/x.json", errno.ENOENT), (".", errno.EISDIR)],
+    ids=["missing-directory", "a-directory"],
+)
+def test_unwritable_out_exits_one_with_one_line(capsys, tmp_path, where, reason):
+    path = tmp_path / where
+    assert main(["primitives", "--final", "0", "--out", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qhopper: error: cannot write {path}: {os.strerror(reason)}\n"
 
 
 @pytest.mark.parametrize(

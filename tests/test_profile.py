@@ -19,6 +19,7 @@ from qhopper import (
     discrimination_report,
     enumerate_histories,
     enumerate_primitive,
+    enumerate_primitive_bruteforce,
     event_by_name,
     event_verdicts,
     initial_state,
@@ -112,6 +113,93 @@ def rotation_map(spec: LatticeSpec, final: int, shift: int) -> list[int]:
     return [perm[final * per_final + i] - target * per_final for i in range(per_final)]
 
 
+def bruteforce_rows(space) -> list[tuple[int, ...]]:
+    """The brute force's supports as index tuples, sorted: canonical index order."""
+    brute = enumerate_primitive_bruteforce(space, max_subsets=1 << space.size)
+    return sorted(phi.indices() for phi in brute)
+
+
+def rows_mapped_into(rows, index_map, target_rows) -> list[tuple[int, ...]]:
+    """The rows, in their order, whose image under `index_map` is a target row."""
+    targets = set(target_rows)
+    return [row for row in rows if tuple(sorted(index_map[i] for i in row)) in targets]
+
+
+def mixes_classes(profile) -> bool:
+    """True iff some minimal vector takes members from two or more classes."""
+    return any(sum(1 for k in vec if k) > 1 for vec in profile.minimal)
+
+
+def check_rows_against_bruteforce(space):
+    """Rows, rows inside every named event, and the coevents `expand` wraps
+    them in, all against the brute force's supports."""
+    profile = primitive_profile(space)
+    rows = bruteforce_rows(space)
+    assert profile.supports() == rows
+    for name in event_names(space.spec.n):
+        members = event_by_name(space, name).members
+        inside = [row for row in rows if all(members >> i & 1 for i in row)]
+        assert profile.supports(members) == inside
+        assert [phi.indices() for phi in profile.expand(members)] == inside
+    return profile, rows
+
+
+def test_support_rows_equal_the_bruteforce_on_every_space_under_its_guard():
+    # every fixed-final space of at most 20 histories: 2^20 subsets, the
+    # brute force's default guard
+    spaces = [sp for sp in space_family(max_histories=20) if sp.final is not None]
+    for n, steps in ((4, 2), (2, 4)):
+        spec = LatticeSpec(n, steps)
+        spaces += [
+            enumerate_histories(spec, initial_state(spec, label), final)
+            for label in STATE_LABELS
+            for final in range(n)
+        ]
+    assert {(sp.spec.n, sp.spec.steps) for sp in spaces} == {
+        (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2)
+    }
+    for space in spaces:
+        check_rows_against_bruteforce(space)
+
+
+# the standing wave's minimal vectors take members from several classes,
+# so its rows are merged from several classes' combinations
+STANDING_MIXED = ((3, 2, 1), (3, 2, 2), (3, 3, 0), (3, 3, 1), (3, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "n, steps, final", STANDING_MIXED, ids=[f"n{n}-T{t}-f{f}" for n, t, f in STANDING_MIXED]
+)
+def test_standing_rows_merged_across_classes_equal_the_bruteforce(n, steps, final):
+    spec = LatticeSpec(n, steps)
+    space = enumerate_histories(spec, initial_state(spec, "standing"), final)
+    profile, rows = check_rows_against_bruteforce(space)
+    assert mixes_classes(profile)
+    for label in ("ground", "plus", "minus"):
+        other = primitive_profile(enumerate_histories(spec, initial_state(spec, label), final))
+        identity = list(range(space.size))
+        assert profile.shared_supports(other) == rows_mapped_into(
+            rows, identity, other.supports()
+        )
+
+
+@pytest.mark.parametrize("lattice", ((3, 2), (3, 3), (4, 2)), ids=["n3-T2", "n3-T3", "n4-T2"])
+@pytest.mark.parametrize("label", ("ground", "plus", "minus"))
+def test_shared_supports_under_rotation_are_the_rows_mapped_onto_rows(lattice, label):
+    # these ensembles are rotation invariant, so every row maps onto a row of
+    # the shifted final site, and the listing keeps this space's order
+    spec = LatticeSpec(*lattice)
+    state = initial_state(spec, label)
+    profiles = [primitive_profile(enumerate_histories(spec, state, f)) for f in range(spec.n)]
+    for final, profile in enumerate(profiles):
+        for shift in range(1, spec.n):
+            target = profiles[(final + shift) % spec.n]
+            index_map = rotation_map(spec, final, shift)
+            shared = profile.shared_supports(target, index_map)
+            assert shared == rows_mapped_into(profile.supports(), index_map, target.supports())
+            assert shared == profile.supports()
+
+
 def test_closed_forms_match_expansion_on_every_family_space():
     spaces = [sp for sp in space_family(max_histories=27) if sp.final is not None]
     assert {(sp.spec.n, sp.spec.steps) for sp in spaces} >= {(2, 3), (3, 3)}
@@ -149,9 +237,15 @@ def test_closed_forms_match_expansion_on_custom_states(lattice, terms, final, sh
     assert profile.shared_supports(primitive_profile(plus)) == explicit
 
     target = enumerate_histories(spec, state, (final + shift) % n)
+    index_map = rotation_map(spec, final, shift)
     assert profile.shared(
-        primitive_profile(target), rotation_map(spec, final, shift)
+        primitive_profile(target), index_map
     ) == explicit_shared(ensemble, enumerate_primitive(target), shift)
+
+    assert profile.supports() == bruteforce_rows(space)
+    assert profile.shared_supports(primitive_profile(target), index_map) == rows_mapped_into(
+        profile.supports(), index_map, bruteforce_rows(target)
+    )
 
 
 @pytest.mark.parametrize(

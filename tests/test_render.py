@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhopper.cyclotomic import CycInt
-from qhopper.render import json_ready
+from qhopper.render import dumps_canonical, json_ready
 
 LIMIT = 1 << 53
 
@@ -39,6 +39,19 @@ def exact_json(obj) -> bool:
 
 class Level(enum.IntEnum):
     HIGH = LIMIT + 1
+
+
+class Small(enum.IntEnum):
+    THREE = 3  # stays an IntEnum through json_ready; JSON writes it as 3
+
+
+class Tagged(int):
+    """An int subclass printing otherwise; JSON writes the plain number."""
+
+    def __repr__(self) -> str:
+        return "tagged"
+
+    __str__ = __repr__
 
 
 near_limit = st.one_of(
@@ -104,6 +117,50 @@ def test_an_int_subclass_past_the_limit_becomes_a_decimal_string():
     assert same(json_ready([Level.HIGH]), [str(LIMIT + 1)])
 
 
+# strings a JSON writer must escape or pass through: quotes, backslashes,
+# control characters, non-ASCII labels
+labels = st.one_of(
+    st.sampled_from(["", "ω̄", "ζ8^3", 'a"b', "back\\slash", "\x00\x1f\x7f", "tab\tnl\n", "\u2028é"]),
+    st.text(max_size=6),
+)
+int_lists = st.lists(
+    st.one_of(
+        st.integers(-3, 3), near_limit, st.booleans(), st.just(Small.THREE), st.just(Tagged(5))
+    ),
+    max_size=6,
+)
+dump_leaves = st.one_of(
+    near_limit,
+    st.sampled_from([LIMIT, -LIMIT, LIMIT + 1, -LIMIT - 1]),
+    st.booleans(),
+    st.none(),
+    labels,
+    st.fractions(max_denominator=LIMIT * 4),
+    cycints,
+    st.sampled_from([Level.HIGH, Small.THREE, Tagged(5)]),
+    st.sampled_from([[], (), {}]),
+    int_lists,
+    int_lists.map(tuple),
+)
+dump_keys = st.one_of(labels, near_limit, st.tuples(st.integers(), st.integers()))
+dump_values = st.recursive(
+    dump_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(dump_keys, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dump_values)
+def test_dumps_canonical_writes_what_json_dumps_writes(obj):
+    expected = json.dumps(json_ready(obj), indent=2, ensure_ascii=False) + "\n"
+    assert dumps_canonical(obj) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(-LIMIT, LIMIT), max_size=6),
@@ -117,3 +174,5 @@ def test_a_float_anywhere_is_refused(ints, at, x, depth):
         obj = (obj,) if level % 2 else {"k": obj}
     with pytest.raises(TypeError, match="floating-point"):
         json_ready(obj)
+    with pytest.raises(TypeError, match="floating-point"):
+        dumps_canonical(obj)
