@@ -513,7 +513,8 @@ def discrimination_report(
             for label, profile in profiles.items()
         }
         witness_counts[name] = per_state
-        affirmers = [label for label, k in per_state.items() if k > 0]
+        # over the labels as given: a state listed twice never separates from itself
+        affirmers = [label for label in state_labels if per_state[label] > 0]
         separators[name] = affirmers[0] if len(affirmers) == 1 else None
     return DiscriminationReport(
         spec.n,

@@ -17,18 +17,20 @@ from importlib import resources
 
 from . import analysis
 from .coevents import (  # noqa: F401  enumerate_primitive stays importable from here
+    PrimitiveProfile,
     enumerate_primitive,
     primitive_profile,
 )
 from .cyclotomic import CycInt, root
 from .errors import LIMITS, HopperError, InfeasibleSizeError, check_size
 from .histories import (
+    HistorySpace,
     amplitude_classes,
     check_history_guard,
     enumerate_histories,
     half_hop_count,
 )
-from .measure import count_precluded, sector_tables
+from .measure import count_precluded, preclusive_coevent_count_exponent, sector_tables
 from .model import (
     STATE_LABELS,
     LatticeSpec,
@@ -145,15 +147,6 @@ def _vector_entries(values, vec) -> list[dict]:
     return [{"class": value_label(v), "k": k} for v, k in zip(values, vec) if k > 0]
 
 
-def _average_circulation(profile):
-    """The ensemble's average net circulation; None (null) for an empty ensemble."""
-    return analysis.ensemble_average_circulation(profile) if profile.count else None
-
-
-def _complement_verdicts(profile, event) -> dict[str, int]:
-    return analysis.ensemble_event_tally(profile, event)._asdict()
-
-
 # -- output rendering --------------------------------------------------------------
 
 
@@ -242,109 +235,150 @@ def _emit(
         sys.stdout.write(text)
 
 
-# -- commands -----------------------------------------------------------------------
+# -- figures: what each command prints, and what `report` reads ---------------------
 
 
-def cmd_model(args) -> int:
-    spec = _spec_from(args)
-    check_size("model of {} sites", spec.n, None, LIMITS.model_sites)
-    u = transfer_matrix(spec)
-    unitary = check_unitarity(spec)
-    data = {
+def _model_figures(spec: LatticeSpec) -> dict:
+    return {
         "n": spec.n,
         "phase_order": spec.phase_order,
-        "hop_exponents": {
-            str(d): (d * d) % spec.phase_order for d in range(spec.n)
-        },
-        "matrix": [[value_label(x) for x in row] for row in u],
-        "unitary": unitary,
+        "hop_exponents": {str(d): (d * d) % spec.phase_order for d in range(spec.n)},
+        "matrix": [[value_label(x) for x in row] for row in transfer_matrix(spec)],
+        "unitary": check_unitarity(spec),
     }
-    _emit(args, data)
-    return EXIT_OK if unitary else EXIT_INTERNAL
 
 
-def cmd_histories(args) -> int:
-    spec = _spec_from(args)
-    state = _parse_state(spec, args.state)
-    final = _parse_final(args.final, spec)
-    space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
-    classes = amplitude_classes(space)
-    half_hops = spec.n % 2 == 0
-    fields = ("index", "history", "amplitude", "circulation", "rests") + (
-        ("half_hops",) if half_hops else ()
-    )
+def _head(space: HistorySpace, state: str) -> dict:
+    final = "all" if space.final is None else space.final
+    return {"n": space.spec.n, "steps": space.spec.steps, "state": state, "final": final}
+
+
+def _history_fields(n: int) -> tuple[str, ...]:
+    half_hops = ("half_hops",) if n % 2 == 0 else ()
+    return ("index", "history", "amplitude", "circulation", "rests", *half_hops)
+
+
+def _histories_figures(space: HistorySpace, state: str) -> dict:
+    n = space.spec.n
+    fields = _history_fields(n)
     records = []
     for i, h in enumerate(space.histories):
-        row = [
-            i,
-            history_str(h),
-            value_label(space.amps[i]),
-            space.circulations[i],
-            space.rest_counts[i],
-        ]
-        if half_hops:
-            row.append(half_hop_count(h, spec.n))
+        row = [i, history_str(h), value_label(space.amps[i]), space.circulations[i],
+               space.rest_counts[i]]
+        if n % 2 == 0:
+            row.append(half_hop_count(h, n))
         records.append(dict(zip(fields, row)))
-    data = {
-        "n": spec.n,
-        "steps": spec.steps,
-        "state": args.state,
-        "final": "all" if final is None else final,
+    return {
+        **_head(space, state),
         "count": space.size,
         "classes": [
             {"final": c.final, "value": value_label(c.value), "count": c.count}
-            for c in classes.classes
+            for c in amplitude_classes(space).classes
         ],
         "histories": records,
     }
-    _emit(args, data, (fields, records))
-    return EXIT_OK
 
 
-def cmd_preclusion(args) -> int:
-    spec = _spec_from(args)
-    state = _parse_state(spec, args.state)
-    final = _parse_final(args.final, spec)
-    space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
+def _preclusion_figures(space: HistorySpace, state: str) -> dict:
     classes = amplitude_classes(space)
-    precluded = count_precluded(classes)
     data = {
-        "n": spec.n,
-        "steps": spec.steps,
-        "state": args.state,
-        "final": "all" if final is None else final,
+        **_head(space, state),
         "subsets_total": f"2^{space.size}",
-        "precluded": precluded,
-        "preclusive_coevents_log2": (1 << space.size) - precluded,
+        "precluded": count_precluded(classes),
+        "preclusive_coevents_log2": preclusive_coevent_count_exponent(space),
     }
     maximal = {
         f: [_vector_entries(table.values, vec) for vec in table.maximal_zero]
         for f, table in sector_tables(classes).items()
     }
-    if final is not None:
-        data["maximal_zero_vectors"] = maximal[final]
+    if space.final is not None:
+        data["maximal_zero_vectors"] = maximal[space.final]
     else:
         data["maximal_zero_vectors_by_final"] = maximal
-    _emit(args, data)
-    return EXIT_OK
+    return data
 
 
-def cmd_primitives(args) -> int:
-    spec = _spec_from(args)
-    state = _parse_state(spec, args.state)
-    final = _parse_final(args.final, spec)
-    if final is None:
-        raise UsageError("primitives needs a fixed final site (--final <int>)")
-    space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
-    profile = primitive_profile(space)
+def _primitives_figures(profile: PrimitiveProfile, state: str) -> dict:
     values = [c.value for c in profile.classes.classes]
-    data = {
-        "state": args.state,
-        "final": final,
+    return {
+        "state": state,
+        "final": profile.space.final,
         "count": profile.count,
         "support_sizes": profile.size_histogram(),
         "minimal_class_vectors": [_vector_entries(values, vec) for vec in profile.minimal],
     }
+
+
+CLASSIFY_EVENTS = ("never_moves", "never_rests", "rests_exactly_once", "circulates_positive_only")
+
+
+def _classify_figures(profile: PrimitiveProfile, state: str) -> dict:
+    space = profile.space
+
+    def tally(event) -> dict[str, int]:
+        return analysis.ensemble_event_tally(profile, event)._asdict()
+
+    pos_net = analysis.ensemble_positive_only_circulations(profile)
+    return {
+        **_head(space, state),
+        "count": profile.count,
+        "restlessness": analysis.ensemble_restlessness(profile),
+        "circulation": {
+            # the one home of the rule: an empty ensemble prints a null average
+            "average": (
+                analysis.ensemble_average_circulation(profile) if profile.count else None
+            ),
+            "positive_only_affirmed": len(pos_net),
+            "positive_only_net": pos_net,
+        },
+        "event_affirmations": {
+            name: profile.count_within(analysis.event_by_name(space, name).members)
+            for name in CLASSIFY_EVENTS
+        },
+        "avoids_site": {
+            s: tally(analysis.avoids_site_event(space, s)) for s in range(space.spec.n)
+        },
+        "avoids_any_site": tally(analysis.avoids_any_site_event(space)),
+    }
+
+
+# -- commands -----------------------------------------------------------------------
+
+
+def _space(args, fixed_for: str | None = None) -> HistorySpace:
+    """The space a command reads.  A bad --state is reported before a bad
+    --final; `fixed_for` names a command that needs a fixed final site."""
+    spec = _spec_from(args)
+    state = _parse_state(spec, args.state)
+    final = _parse_final(args.final, spec)
+    if fixed_for and final is None:
+        raise UsageError(f"{fixed_for} needs a fixed final site (--final <int>)")
+    return enumerate_histories(spec, state, final, max_histories=args.max_histories)
+
+
+def cmd_model(args) -> int:
+    spec = _spec_from(args)
+    check_size("model of {} sites", spec.n, None, LIMITS.model_sites)
+    data = _model_figures(spec)
+    _emit(args, data)
+    return EXIT_OK if data["unitary"] else EXIT_INTERNAL
+
+
+def cmd_histories(args) -> int:
+    space = _space(args)
+    data = _histories_figures(space, args.state)
+    _emit(args, data, (_history_fields(space.spec.n), data["histories"]))
+    return EXIT_OK
+
+
+def cmd_preclusion(args) -> int:
+    _emit(args, _preclusion_figures(_space(args), args.state))
+    return EXIT_OK
+
+
+def cmd_primitives(args) -> int:
+    profile = primitive_profile(_space(args, "primitives"))
+    data = _primitives_figures(profile, args.state)
     table = None
     if args.emit_supports:
         supports = profile.supports()
@@ -357,51 +391,16 @@ def cmd_primitives(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    spec = _spec_from(args)
-    state = _parse_state(spec, args.state)
-    final = _parse_final(args.final, spec)
-    if final is None:
-        raise UsageError("classify needs a fixed final site (--final <int>)")
-    space = enumerate_histories(spec, state, final, max_histories=args.max_histories)
+    space = _space(args, "classify")
     profile = primitive_profile(space)
-    events = {
-        name: analysis.event_by_name(space, name)
-        for name in ("never_moves", "never_rests", "rests_exactly_once",
-                     "circulates_positive_only")
-    }
-    pos_net = analysis.ensemble_positive_only_circulations(profile)
-    data = {
-        "n": spec.n,
-        "steps": spec.steps,
-        "state": args.state,
-        "final": final,
-        "count": profile.count,
-        "restlessness": analysis.ensemble_restlessness(profile),
-        "circulation": {
-            "average": _average_circulation(profile),
-            "positive_only_affirmed": len(pos_net),
-            "positive_only_net": pos_net,
-        },
-        "event_affirmations": {
-            name: profile.count_within(ev.members) for name, ev in events.items()
-        },
-        "avoids_site": {
-            s: _complement_verdicts(profile, analysis.avoids_site_event(space, s))
-            for s in range(spec.n)
-        },
-        "avoids_any_site": _complement_verdicts(
-            profile, analysis.avoids_any_site_event(space)
-        ),
-    }
-    # only csv prints per-coevent records, so only csv expands every support
-    table = (
-        (
+    data = _classify_figures(profile, args.state)
+    table = None
+    if args.format == "csv":  # only csv prints per-coevent records, so only csv expands
+        events = {name: analysis.event_by_name(space, name) for name in CLASSIFY_EVENTS}
+        table = (
             analysis.coevent_fields(events),
             analysis.coevent_records(profile.supports(), space, events),
         )
-        if args.format == "csv"
-        else None
-    )
     _emit(args, data, table)
     return EXIT_OK
 
@@ -439,29 +438,22 @@ def cmd_compare(args) -> int:
 def _build_criteria(
     spec: LatticeSpec, disc: analysis.DiscriminationReport, max_histories: int
 ) -> dict:
-    """The paper's criteria; `disc` holds ground/plus/minus at final site 0."""
+    """The paper's criteria: the figures `model`, `histories`, `preclusion`,
+    `primitives` and `classify` print for ground, plus and minus at final
+    site 0, the overlaps of `disc` (those three states at final site 0) and
+    the symmetry report."""
     n = spec.n
-    spaces, profiles = {}, {}
-    for lb in ("ground", "plus", "minus"):
-        spaces[lb], profiles[lb] = analysis.named_ensemble(spec, lb, 0, max_histories)
-    classes = {lb: p.classes for lb, p in profiles.items()}
+    # plus first, so that a refusal of a plus figure is the one reported
+    profiles = {lb: disc.profiles[lb] for lb in ("plus", "ground", "minus")}
+    hist = {lb: _histories_figures(profiles[lb].space, lb) for lb in ("plus", "ground")}
+    pre = {lb: _preclusion_figures(profiles[lb].space, lb) for lb in ("plus", "ground")}
+    prim = {lb: _primitives_figures(p, lb) for lb, p in profiles.items()}
+    cls = {lb: _classify_figures(p, lb) for lb, p in profiles.items()}
+    circ = {lb: figures["circulation"] for lb, figures in cls.items()}
+    avoids_any = {lb: cls[lb]["avoids_any_site"] for lb in ("ground", "plus")}
 
     def class_counts(lb: str) -> dict[str, int]:
-        return {value_label(c.value): c.count for c in classes[lb].classes}
-
-    precluded = {lb: count_precluded(classes[lb]) for lb in ("plus", "ground")}
-    table_plus = sector_tables(classes["plus"])[0]
-    pos_net = analysis.ensemble_positive_only_circulations(profiles["plus"])
-
-    avoids_max = max(
-        profiles[lb].count_within(analysis.avoids_site_event(spaces[lb], s).members)
-        for lb in ("ground", "plus")
-        for s in range(n)
-    )
-    avoids_any = {
-        lb: _complement_verdicts(profiles[lb], analysis.avoids_any_site_event(spaces[lb]))
-        for lb in ("ground", "plus")
-    }
+        return {c["value"]: c["count"] for c in hist[lb]["classes"]}
 
     t2_overlap = analysis.discrimination_report(
         LatticeSpec(n, 2), ("ground", "plus"), 0, max_histories=max_histories
@@ -471,36 +463,39 @@ def _build_criteria(
     nontrivial = [sym.shifts[s] for s in range(1, n)]
 
     return {
-        "unitarity_2_to_8": all(check_unitarity(LatticeSpec(k, 1)) for k in range(2, 9)),
+        "unitarity_2_to_8": all(
+            _model_figures(LatticeSpec(k, 1))["unitary"] for k in range(2, 9)
+        ),
         "histories_unrestricted": n ** (spec.steps + 1),
-        "histories_fixed_final": spaces["plus"].size,
+        "histories_fixed_final": hist["plus"]["count"],
         "class_counts_plus": class_counts("plus"),
         "class_counts_ground": class_counts("ground"),
-        "subsets_total": f"2^{spaces['plus'].size}",
-        "precluded_plus": precluded["plus"],
-        "precluded_ground": precluded["ground"],
-        "preclusive_coevents_log2": (1 << spaces["plus"].size) - precluded["plus"],
+        "subsets_total": pre["plus"]["subsets_total"],
+        "precluded_plus": pre["plus"]["precluded"],
+        "precluded_ground": pre["ground"]["precluded"],
+        "preclusive_coevents_log2": pre["plus"]["preclusive_coevents_log2"],
         "maximal_zero_vectors_plus": [
-            {value_label(v): k for v, k in zip(table_plus.values, vec) if k}
-            for vec in table_plus.maximal_zero
+            {e["class"]: e["k"] for e in vec} for vec in pre["plus"]["maximal_zero_vectors"]
         ],
-        "primitive_count_plus": profiles["plus"].count,
-        "primitive_count_ground": profiles["ground"].count,
-        "primitive_count_minus": profiles["minus"].count,
-        "support_sizes_plus": profiles["plus"].size_histogram(),
-        "support_sizes_ground": profiles["ground"].size_histogram(),
-        "positive_only_affirmed_plus": len(pos_net),
-        "positive_only_net_circulations": pos_net,
-        "average_circulation_plus": _average_circulation(profiles["plus"]),
-        "average_circulation_ground": _average_circulation(profiles["ground"]),
-        "average_circulation_minus": _average_circulation(profiles["minus"]),
-        "restlessness_ground": analysis.ensemble_restlessness(profiles["ground"]),
-        "avoids_site_affirmed_max": avoids_max,
+        "primitive_count_plus": prim["plus"]["count"],
+        "primitive_count_ground": prim["ground"]["count"],
+        "primitive_count_minus": prim["minus"]["count"],
+        "support_sizes_plus": prim["plus"]["support_sizes"],
+        "support_sizes_ground": prim["ground"]["support_sizes"],
+        "positive_only_affirmed_plus": circ["plus"]["positive_only_affirmed"],
+        "positive_only_net_circulations": circ["plus"]["positive_only_net"],
+        "average_circulation_plus": circ["plus"]["average"],
+        "average_circulation_ground": circ["ground"]["average"],
+        "average_circulation_minus": circ["minus"]["average"],
+        "restlessness_ground": cls["ground"]["restlessness"],
+        "avoids_site_affirmed_max": max(
+            tally["affirmed"]
+            for lb in ("ground", "plus")
+            for tally in cls[lb]["avoids_site"].values()
+        ),
         "avoids_any_site_affirmed_ground": avoids_any["ground"]["affirmed"],
         "avoids_any_site_affirmed_plus": avoids_any["plus"]["affirmed"],
-        "anhomomorphism_witnesses_min": min(
-            v["both_denied"] for v in avoids_any.values()
-        ),
+        "anhomomorphism_witnesses_min": min(v["both_denied"] for v in avoids_any.values()),
         "overlap_ground_plus": disc.overlaps[("ground", "plus")],
         "overlap_plus_minus": disc.overlaps[("plus", "minus")],
         "overlap_ground_plus_two_steps": t2_overlap,
@@ -512,16 +507,14 @@ def _build_criteria(
     }
 
 
-def _standing_section(
-    spec: LatticeSpec, disc: analysis.DiscriminationReport, max_histories: int
-) -> dict:
-    """The standing wave's statistics; `disc` includes it among its states."""
-    _, profile = analysis.named_ensemble(spec, "standing", 0, max_histories)
+def _standing_section(disc: analysis.DiscriminationReport) -> dict:
+    """The standing wave's `classify` figures; `disc` includes it among its states."""
+    figures = _classify_figures(disc.profiles["standing"], "standing")
     return {
         "unverified_by_paper": True,
-        "primitive_count": profile.count,
-        "restlessness": analysis.ensemble_restlessness(profile),
-        "average_circulation": _average_circulation(profile),
+        "primitive_count": figures["count"],
+        "restlessness": figures["restlessness"],
+        "average_circulation": figures["circulation"]["average"],
         "overlaps": {
             "|".join(pair): k
             for pair, k in sorted(disc.overlaps.items())
@@ -565,7 +558,7 @@ def cmd_report(args) -> int:
         "criteria": criteria,
     }
     if standing:
-        data["standing"] = _standing_section(spec, disc, args.max_histories)
+        data["standing"] = _standing_section(disc)
     checked = (spec.n, spec.steps) == (3, 3)
     if checked:
         mismatches = _compare_golden(criteria, _load_golden())

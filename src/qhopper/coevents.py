@@ -390,21 +390,18 @@ def count_primitive(
 
 
 def enumerate_primitive(
-    source: HistorySpace | PrimitiveProfile,
+    space: HistorySpace,
     *,
     max_supports: int = LIMITS.max_supports.default,
     max_vectors: int = LIMITS.max_vectors.default,
 ) -> list[MultiplicativeCoevent]:
     """All primitive coevents of a fixed-final space, in canonical index order.
 
-    `source` is the space, or its profile when one is at hand, which is
-    then not dualised again.  Same-class histories are interchangeable,
-    so each minimal preclusive count vector expands into every way of
-    choosing that many members per class.
+    Same-class histories are interchangeable, so each minimal preclusive
+    count vector expands into every way of choosing that many members
+    per class; `PrimitiveProfile.expand` does it for a profile at hand.
     """
-    if isinstance(source, HistorySpace):
-        source = primitive_profile(source, max_vectors=max_vectors)
-    return source.expand(max_supports=max_supports)
+    return primitive_profile(space, max_vectors=max_vectors).expand(max_supports=max_supports)
 
 
 def enumerate_primitive_bruteforce(

@@ -302,9 +302,8 @@ def maximal_zero_count_vectors(
 
 
 def preclusive_coevent_count_exponent(space: HistorySpace) -> int:
-    """log2 of the number of preclusive coevents: 2**size minus the precluded count."""
-    if space.final is None:
-        raise WrongSpaceError("the exponent is defined on fixed-final spaces")
+    """log2 of the number of preclusive coevents: 2**size minus the precluded
+    count (on an unrestricted space, the product of the sectors' counts)."""
     return (1 << space.size) - count_precluded(amplitude_classes(space))
 
 

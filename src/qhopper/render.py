@@ -7,7 +7,6 @@ ints, such as a support's index tuple, in one step.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -81,10 +80,6 @@ def json_ready(obj):
         return {_key(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return [json_ready(v) for v in sorted(obj)]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return json_ready(asdict(obj))
     if isinstance(obj, float):
         raise TypeError("floating-point values have no place in exact reports")
     raise TypeError(f"cannot serialize {type(obj).__name__}")

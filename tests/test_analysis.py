@@ -266,6 +266,13 @@ def test_discrimination_at_two_steps_finds_common_coevents():
     assert len(rep.common[("ground", "plus")]) == rep.overlaps[("ground", "plus")]
 
 
+def test_no_event_separates_a_state_from_itself(spec3):
+    rep = discrimination_report(spec3, ("plus", "plus"), 0)
+    assert rep.witness_counts["circulates_positive_only"] == {"plus": 1}
+    assert set(rep.separators.values()) == {None}
+    assert rep.overlaps[("plus", "plus")] == rep.counts["plus"] == 828
+
+
 def test_standing_state_reportable(spec3):
     rep = discrimination_report(spec3, ("ground", "standing"), 0)
     assert rep.counts["standing"] > 0

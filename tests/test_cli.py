@@ -151,6 +151,53 @@ def test_report_standing_flagged(capsys):
     assert data["standing"]["primitive_count"] > 0
 
 
+@pytest.mark.parametrize("n, steps", [(2, 4), (3, 2), (3, 4), (4, 2), (5, 2)])
+def test_report_agrees_with_the_commands(capsys, n, steps):
+    # every criterion a command also prints equals that command's field at final 0
+    size = ("--sites", str(n), "--steps", str(steps))
+    code, report = run_json(capsys, "report", *size)
+    assert code == 0
+    got = report["criteria"]
+    fig = {}
+    for command in ("preclusion", "primitives", "classify"):
+        for state in ("ground", "plus", "minus"):
+            code, fig[command, state] = run_json(
+                capsys, command, *size, "--state", state, "--final", "0"
+            )
+            assert code == 0
+    for state in ("ground", "plus"):
+        assert got[f"precluded_{state}"] == fig["preclusion", state]["precluded"]
+        assert got[f"support_sizes_{state}"] == fig["primitives", state]["support_sizes"]
+        assert (got[f"avoids_any_site_affirmed_{state}"]
+                == fig["classify", state]["avoids_any_site"]["affirmed"])
+    plus = fig["preclusion", "plus"]
+    assert got["subsets_total"] == plus["subsets_total"]
+    assert got["preclusive_coevents_log2"] == plus["preclusive_coevents_log2"]
+    for state in ("ground", "plus", "minus"):
+        assert got[f"primitive_count_{state}"] == fig["primitives", state]["count"]
+        assert got[f"primitive_count_{state}"] == fig["classify", state]["count"]
+        assert (got[f"average_circulation_{state}"]
+                == fig["classify", state]["circulation"]["average"])
+    assert got["restlessness_ground"] == fig["classify", "ground"]["restlessness"]
+    circulation = fig["classify", "plus"]["circulation"]
+    assert got["positive_only_affirmed_plus"] == circulation["positive_only_affirmed"]
+    assert got["positive_only_net_circulations"] == circulation["positive_only_net"]
+    tallies = [fig["classify", state] for state in ("ground", "plus")]
+    assert got["avoids_site_affirmed_max"] == max(
+        t["affirmed"] for f in tallies for t in f["avoids_site"].values()
+    )
+    assert got["anhomomorphism_witnesses_min"] == min(
+        f["avoids_any_site"]["both_denied"] for f in tallies
+    )
+
+
+def test_compare_of_a_state_with_itself_separates_nothing(capsys):
+    code, data = run_json(capsys, "compare", "--state", "plus", "--with", "plus")
+    assert code == 0
+    assert data["overlap"] == data["counts"]["plus"] > 0
+    assert set(data["separating_events"].values()) == {None}
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["model", "--sites", "1"]) == 1
     assert main(["primitives", "--final", "all"]) == 1

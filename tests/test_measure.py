@@ -158,6 +158,14 @@ def test_exponent_without_preclusions_is_full():
     assert preclusive_coevent_count_exponent(sp) == (1 << sp.size) - 1
 
 
+@pytest.mark.parametrize("n, steps", [(3, 2), (2, 3)])
+def test_exponent_on_an_unrestricted_space(n, steps):
+    spec = LatticeSpec(n, steps)
+    sp = enumerate_histories(spec, initial_state(spec, "plus"), None)
+    precluded = count_precluded(amplitude_classes(sp))
+    assert preclusive_coevent_count_exponent(sp) == (1 << sp.size) - precluded
+
+
 def test_maximal_zero_vector_is_six_six_six(plus_classes, ground_classes):
     assert maximal_zero_count_vectors(plus_classes) == [(6, 6, 6)]
     assert maximal_zero_count_vectors(ground_classes) == [(6, 6, 6)]

@@ -117,6 +117,14 @@ def test_an_int_subclass_past_the_limit_becomes_a_decimal_string():
     assert same(json_ready([Level.HIGH]), [str(LIMIT + 1)])
 
 
+@pytest.mark.parametrize(
+    "obj", [{1, 2}, frozenset({1}), [object()]], ids=["set", "frozenset", "object"]
+)
+def test_an_unknown_type_is_refused(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        json_ready(obj)
+
+
 # strings a JSON writer must escape or pass through: quotes, backslashes,
 # control characters, non-ASCII labels
 labels = st.one_of(
