@@ -34,7 +34,7 @@ from .measure import count_precluded, preclusive_coevent_count_exponent, sector_
 from .model import (
     STATE_LABELS,
     LatticeSpec,
-    check_unitarity,
+    _is_unitary,
     initial_state,
     transfer_matrix,
 )
@@ -239,12 +239,13 @@ def _emit(
 
 
 def _model_figures(spec: LatticeSpec) -> dict:
+    matrix = transfer_matrix(spec)
     return {
         "n": spec.n,
         "phase_order": spec.phase_order,
         "hop_exponents": {str(d): (d * d) % spec.phase_order for d in range(spec.n)},
-        "matrix": [[value_label(x) for x in row] for row in transfer_matrix(spec)],
-        "unitary": check_unitarity(spec),
+        "matrix": [[value_label(x) for x in row] for row in matrix],
+        "unitary": _is_unitary(spec, matrix),
     }
 
 

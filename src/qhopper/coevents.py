@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LIMITS, SpaceMismatchError, WrongSpaceError, check_size
-from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes
+from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes, bit_indices
 from .measure import sector_tables
 from .subsetwalk import close_downward, minimal_uncovered, zero_sum_subsets
 
@@ -116,26 +116,51 @@ def _dualise_maxima(
     or are raised to M_i + 1 on one class i.  After each M the raised
     vectors are pruned back to the minimal ones; the escaping vectors
     stay minimal, as the previous antichain already was.
+
+    Every vector that joins the antichain gets the next bit, and
+    `below[c][x]` is the bitmask of those whose count in class c is at
+    most x.  The antichain's vectors under some v are then one AND per
+    class, which finds the vectors M dominates and tells whether a
+    raised vector is already covered.
     """
-    minimal = [(0,) * len(counts)]
+    vectors: list[tuple[int, ...]] = []
+    below = [[0] * (c + 1) for c in counts]
+    alive = 0  # bits of the vectors in the antichain now
+
+    def under(v: tuple[int, ...]) -> int:
+        hit = alive
+        for masks, k in zip(below, v):
+            hit &= masks[k]
+            if not hit:
+                break
+        return hit
+
+    def add(v: tuple[int, ...]) -> None:
+        nonlocal alive
+        bit = 1 << len(vectors)
+        vectors.append(v)
+        alive |= bit
+        for masks, k in zip(below, v):
+            for x in range(k, len(masks)):
+                masks[x] |= bit
+
+    add((0,) * len(counts))
     for mx in maxima:
-        kept: list[tuple[int, ...]] = []
+        hit = under(mx)
+        alive ^= hit
         raised: set[tuple[int, ...]] = set()
-        for v in minimal:
-            if any(k > m for k, m in zip(v, mx)):
-                kept.append(v)
-                continue
+        for j in bit_indices(hit):
+            v = vectors[j]
             for i, (m, c) in enumerate(zip(mx, counts)):
                 if m < c:
                     raised.add(v[:i] + (m + 1,) + v[i + 1 :])
-        minimal = kept
         # a vector dominating another has the larger sum, so it comes later
         for w in sorted(raised, key=sum):
-            if not any(all(a <= b for a, b in zip(u, w)) for u in minimal):
-                minimal.append(w)
-        check_size("antichain of {} minimal preclusive vectors", len(minimal),
+            if not under(w):
+                add(w)
+        check_size("antichain of {} minimal preclusive vectors", alive.bit_count(),
                    max_vectors, LIMITS.max_vectors)
-    return sorted(minimal, key=lambda v: (sum(v), v))
+    return sorted((vectors[j] for j in bit_indices(alive)), key=lambda v: (sum(v), v))
 
 
 def minimal_preclusive_vectors(

@@ -11,6 +11,7 @@ refer to.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -122,34 +123,48 @@ def enumerate_histories(
 ) -> HistorySpace:
     """Enumerate the canonical space, filling in all amplitudes.
 
+    Every hop carries a pure root z^(d^2 mod phase_order), so a history's
+    amplitude is its start amplitude turned by one integer exponent
+    E = sum_t (x_{t+1} - x_t)^2 mod phase_order: with s = order /
+    phase_order, its coefficients rotate by s * E.  The n * phase_order
+    turned start amplitudes are built once and shared by the histories;
+    `history_amplitude` forms the same values as CycInt products.
+
     Refuses spaces larger than `max_histories` rather than thrash.
     """
-    n, steps = spec.n, spec.steps
+    n, p = spec.n, spec.phase_order
     if final is not None:
         spec.check_site(final)
-    size = check_history_guard(spec, final, max_histories)
-    order = math.lcm(spec.phase_order, *(a.order for a in state.amps))
-    start_amps = tuple(a.embed(order) for a in state.amps)
+    check_history_guard(spec, final, max_histories)
+    order = math.lcm(p, *(a.order for a in state.amps))
+    s = order // p
+    turned = [[_turn(a.embed(order), s * e) for e in range(p)] for a in state.amps]
     # the phase of a hop depends only on its displacement mod n, for either
-    # phase order: (d + k n)^2 = d^2 mod n, and mod 2n when n is even
-    hop = [hop_amplitude(spec, 0, d).embed(order) for d in range(n)]
+    # phase order: (d + k n)^2 = d^2 mod n, and mod 2n when n is even; a
+    # negative displacement indexes this list from its end, which is mod n
+    square = [d * d % p for d in range(n)]
 
-    free = steps if final is not None else steps + 1
-    histories: list[Sites] = []
-    amps: list[CycInt] = []
-    for idx in range(size):
-        digits = []
-        rem = idx
-        for _ in range(free):
-            digits.append(rem % n)
-            rem //= n
-        sites = tuple(digits) if final is None else tuple(digits) + (final,)
-        a = start_amps[sites[0]]
-        for t in range(steps):
-            a = a * hop[(sites[t + 1] - sites[t]) % n]
-        histories.append(sites)
-        amps.append(a)
-    return HistorySpace(spec, state, final, tuple(histories), tuple(amps), order)
+    # site 0 is the least significant digit of the index, the last digit
+    # of each product tuple
+    free = spec.steps if final is not None else spec.steps + 1
+    tail = () if final is None else (final,)
+    histories = [digits[::-1] + tail for digits in itertools.product(range(n), repeat=free)]
+    # exponents of the histories' first t + 1 sites, in index order, and
+    # their site t; one more site repeats the list once per value of it
+    exps, last = [0] * n, list(range(n))
+    for _ in range(1, free):
+        exps = [e + square[x - y] for x in range(n) for e, y in zip(exps, last)]
+        last = [x for x in range(n) for _ in last]
+    if final is not None:
+        exps = [e + square[final - y] for e, y in zip(exps, last)]
+    amps = tuple(turned[h[0]][e % p] for h, e in zip(histories, exps))
+    return HistorySpace(spec, state, final, tuple(histories), amps, order)
+
+
+def _turn(a: CycInt, k: int) -> CycInt:
+    """a * z^k for 0 <= k < a.order: every coefficient moves up k places."""
+    c = a.coeffs
+    return CycInt(a.order, c[-k:] + c[:-k]) if k else a
 
 
 def history_amplitude(space: HistorySpace, sites: Sites) -> CycInt:
@@ -198,6 +213,14 @@ def half_hop_count(sites: Sites, n: int) -> int:
 # -- events -------------------------------------------------------------------
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Event:
     """A set of histories, stored as a bitset over the space's canonical indices."""
@@ -234,11 +257,7 @@ class Event:
         return tuple(self.iter_indices())
 
     def iter_indices(self) -> Iterator[int]:
-        mask = self.members
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return bit_indices(self.members)
 
     def _check(self, other: Event) -> None:
         if other.space is not self.space:

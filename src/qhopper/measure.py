@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +125,7 @@ def _check_free_box(kernel: _Kernel, counts: tuple[int, ...], max_vectors: int) 
     check_size("free-class box of {} points " + free, box, max_vectors, LIMITS.max_vectors)
 
 
+@functools.lru_cache(maxsize=256)
 def _kernel_walk(
     kernel: _Kernel, counts: tuple[int, ...]
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -142,8 +141,13 @@ def _kernel_walk(
     Every free digit runs from high to low.  A zero-sum vector is fixed
     by its free part, so any vector dominating k has a lexicographically
     larger free part and is reached before k: k is maximal iff no
-    maximum found so far dominates it.  The maxima are returned in
+    maximum found so far dominates it.  `above[c][v]` is the bitmask of
+    the maxima found so far whose count in class c is at least v, so
+    that test is one AND per class.  The maxima are returned in
     ascending lexicographic order.
+
+    Memoised by content: a space rebuilt for another query walks no
+    second time.  The results hold no space.
     """
     pivots, denoms, free = kernel.pivots, kernel.denoms, kernel.free
     rows = range(len(pivots))
@@ -162,6 +166,7 @@ def _kernel_walk(
 
     precluded = 0
     maxima: list[tuple[int, ...]] = []
+    above = [[0] * (c + 1) for c in counts]
     vec = [0] * len(counts)
 
     def rec(i: int, sums: list[int], weight: int) -> None:
@@ -174,19 +179,29 @@ def _kernel_walk(
                 vec[pivots[r]] = q
                 weight *= binoms[pivots[r]][q]
             precluded += weight
-            if not any(all(map(operator.le, vec, m)) for m in maxima):
-                maxima.append(tuple(vec))
+            dominated = -1
+            for masks, k in zip(above, vec):
+                dominated &= masks[k]
+                if not dominated:
+                    break
+            else:
+                return
+            bit = 1 << len(maxima)
+            maxima.append(tuple(vec))
+            for masks, k in zip(above, vec):
+                for v in range(k + 1):
+                    masks[v] |= bit
             return
         col, lo, hi = kernel.coeffs[i], rest_lo[i + 1], rest_hi[i + 1]
         k_lo, k_hi = 0, caps[i]
         for r in rows:
             # some rest in [lo, hi] must give -limit <= sums + a*k + rest <= 0
-            a, below, above = col[r], -limits[r] - sums[r] - hi[r], -sums[r] - lo[r]
+            a, least, most = col[r], -limits[r] - sums[r] - hi[r], -sums[r] - lo[r]
             if a > 0:
-                k_lo, k_hi = max(k_lo, -(-below // a)), min(k_hi, above // a)
+                k_lo, k_hi = max(k_lo, -(-least // a)), min(k_hi, most // a)
             elif a < 0:
-                k_lo, k_hi = max(k_lo, -(-above // a)), min(k_hi, below // a)
-            elif below > 0 or above < 0:
+                k_lo, k_hi = max(k_lo, -(-most // a)), min(k_hi, least // a)
+            elif least > 0 or most < 0:
                 return
         row = binoms[free[i]]
         cur = [s + a * k_hi for s, a in zip(sums, col)]
@@ -199,17 +214,14 @@ def _kernel_walk(
     return precluded, tuple(sorted(maxima))
 
 
-_tables_cache: "weakref.WeakKeyDictionary[AmplitudeClasses, dict[int, SectorTable]]"
-_tables_cache = weakref.WeakKeyDictionary()
-
-
 def sector_tables(
     classes: AmplitudeClasses, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> dict[int, SectorTable]:
-    """Zero-sum count-vector tables per final sector (cached per classes object).
+    """Zero-sum count-vector tables per final sector.
 
-    The free-box guard is checked on every call, before the cache lookup,
-    so whether a call is refused never depends on earlier calls.
+    Built on every call from the memoised kernel walks.  The free-box
+    guard is checked for every sector before any walk, so whether a
+    call is refused never depends on earlier calls.
     """
     sectors = []
     for final, cids in classes.sectors.items():
@@ -218,15 +230,10 @@ def sector_tables(
         kernel = _sector_kernel(values, counts)
         _check_free_box(kernel, counts, max_vectors)
         sectors.append((final, cids, values, counts, kernel))
-    cached = _tables_cache.get(classes)
-    if cached is not None:
-        return cached
-    tables = {
+    return {
         final: SectorTable(final, tuple(cids), values, counts, *_kernel_walk(kernel, counts))
         for final, cids, values, counts, kernel in sectors
     }
-    _tables_cache[classes] = tables
-    return tables
 
 
 # -- measure and preclusion ----------------------------------------------------

@@ -85,7 +85,11 @@ def check_unitarity(spec: LatticeSpec) -> bool:
     Each entry is accumulated as a plain coefficient list over the phase
     ring and decided with one zero test.
     """
-    u = transfer_matrix(spec)
+    return _is_unitary(spec, transfer_matrix(spec))
+
+
+def _is_unitary(spec: LatticeSpec, u) -> bool:
+    """True iff the matrix u of `spec`'s phase ring has u * u^dagger = n * I."""
     n, m = spec.n, spec.phase_order
     terms = [[[(k, a) for k, a in enumerate(x.coeffs) if a] for x in row] for row in u]
     conj = [[[(-k % m, a) for k, a in entry] for entry in row] for row in terms]

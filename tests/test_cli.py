@@ -327,7 +327,7 @@ def test_model_refuses_large_lattice_before_building(monkeypatch, capsys):
         raise AssertionError(f"matrix built for {spec.n} sites")
 
     monkeypatch.setattr(qhopper.cli, "transfer_matrix", build)
-    monkeypatch.setattr(qhopper.cli, "check_unitarity", build)
+    monkeypatch.setattr(qhopper.cli, "_is_unitary", build)
     start = time.perf_counter()
     assert main(["model", "--sites", "200"]) == 2
     assert time.perf_counter() - start < 1.0

@@ -4,10 +4,13 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhopper.histories
 from conftest import space_family
 from qhopper import (
+    CycInt,
     Event,
     InfeasibleSizeError,
     LatticeSpec,
@@ -25,7 +28,7 @@ from qhopper import (
     sector_tables,
     visited,
 )
-from qhopper.model import hop_amplitude
+from qhopper.model import STATE_LABELS, hop_amplitude
 
 
 def space(n, steps, label, final):
@@ -73,6 +76,59 @@ def test_one_hop_phase_per_displacement(monkeypatch):
             for x, x2 in zip(sites, sites[1:]):
                 expect = expect * hop_amplitude(sp.spec, x, x2).embed(sp.order)
             assert amp == expect
+
+
+def _assert_matches_oracle(sp):
+    """Every amplitude equals `history_amplitude`'s CycInt product, with the
+    same coefficients, and every history sits at its `history_index`."""
+    n = sp.spec.n
+    assert sp.size == n ** (sp.spec.steps + (sp.final is None))
+    for i, (sites, amp) in enumerate(zip(sp.histories, sp.amps)):
+        expect = history_amplitude(sp, sites)
+        assert (amp.order, amp.coeffs) == (expect.order, expect.coeffs)
+        if sp.final is None:
+            assert history_index(sites, n) == i
+        else:
+            assert sites[-1] == sp.final
+            assert history_index(sites[:-1], n) == i
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("steps", range(1, 4))
+def test_enumeration_equals_the_amplitude_oracle(n, steps):
+    spec = LatticeSpec(n, steps)
+    for label in STATE_LABELS:
+        state = initial_state(spec, label)
+        for final in (None, *range(n)):
+            _assert_matches_oracle(enumerate_histories(spec, state, final))
+
+
+@st.composite
+def custom_spaces(draw):
+    """A custom state on 2 to 5 sites: zero terms, and terms of orders
+    that differ from the phase order (an order-n root sits inside the
+    phase order 2n when n is even; orders 4 and 5 widen the lcm)."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    steps = draw(st.integers(min_value=1, max_value=3))
+    spec = LatticeSpec(n, steps)
+
+    def term(order):
+        coeffs = st.lists(st.integers(min_value=-2, max_value=2), min_size=order,
+                          max_size=order)
+        return coeffs.map(lambda cs: CycInt(order, cs))
+
+    orders = st.sampled_from(sorted({1, n, spec.phase_order, 4, 5}))
+    amps = draw(st.lists(
+        st.one_of(st.just(CycInt.zero(1)), orders.flatmap(term)), min_size=n, max_size=n,
+    ).filter(lambda xs: not all(x.is_zero() for x in xs)))
+    final = draw(st.sampled_from((None, *range(n))))
+    return enumerate_histories(spec, initial_state(spec, "custom", tuple(amps)), final)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(custom_spaces())
+def test_enumeration_of_custom_states_equals_the_amplitude_oracle(sp):
+    _assert_matches_oracle(sp)
 
 
 def test_resting_history_amplitude(plus_space):

@@ -154,6 +154,23 @@ def test_tables_and_minimal_vectors_match_box_references_on_real_spaces():
     assert checked >= 50
 
 
+def test_bitmasks_wider_than_a_machine_word():
+    # five classes of value 1 and one of -1: the zero-sum vectors take as
+    # many from the five as from the sixth, so with 7 in the sixth the
+    # maxima are the 155 ways to take 7 from five classes of 3, and the
+    # minimal preclusive vectors the 155 ways to take 8
+    values = (CycInt.one(3),) * 5 + (-CycInt.one(3),)
+    counts = (3, 3, 3, 3, 3, 7)
+    precluded, maxima = _kernel_walk(_sector_kernel(values, counts), counts)
+    zeros = oracles.box_zero_vectors(values, counts, 3)
+    assert precluded == _box_count(counts, zeros)
+    assert list(maxima) == _box_maxima(zeros)
+    assert len(maxima) == 155
+    minimal = _dualise_maxima(maxima, counts, LIMITS.max_vectors.default)
+    assert minimal == oracles.box_minimal_preclusive(counts, zeros)
+    assert len(minimal) == 155
+
+
 # -- guards --------------------------------------------------------------------
 
 
@@ -185,6 +202,24 @@ def test_free_box_guard_does_not_depend_on_cache_state(spec3):
         for call in _guarded_calls(space, classes, 7):
             call()
         assert sector_tables(classes, max_vectors=7)[0].precluded == PLUS_PRECLUDED
+
+
+def test_rebuilt_space_walks_once_and_is_still_guarded(spec3):
+    # the walk is memoised by content: a second build of the same point
+    # reuses it, and the free-box guard still refuses before the lookup
+    state = initial_state(spec3, "plus")
+    first = enumerate_histories(spec3, state, 0)
+    second = enumerate_histories(spec3, state, 0)
+    assert second is not first
+    _kernel_walk.cache_clear()
+    assert count_precluded(amplitude_classes(first)) == PLUS_PRECLUDED
+    assert count_primitive(second) == 828
+    assert _kernel_walk.cache_info().misses == 1
+    classes = amplitude_classes(second)
+    for call in _guarded_calls(second, classes, 6):
+        with pytest.raises(InfeasibleSizeError, match="free-class box of 7 points"):
+            call()
+    assert _kernel_walk.cache_info().misses == 1
 
 
 def test_dualisation_antichain_is_bounded_by_max_vectors():
