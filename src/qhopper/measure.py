@@ -326,9 +326,11 @@ def count_precluded_bruteforce(
     The zero-sum verdict of every per-class count vector k is evaluated
     once, directly as A k = 0 over the whole count-vector lattice, where
     row block f of A holds the canonical coordinates of sector f's class
-    values.  The split-half walk then reads one verdict per subset.
-    Independent of :func:`count_precluded`, which never enumerates
-    subsets, and of the kernel walk behind it.
+    values.  The split-half walk then adds up the verdict of every
+    subset, reading it once per distinct pair of half sums weighted by
+    how many subsets share that pair.  Independent of
+    :func:`count_precluded`, which never enumerates subsets, and of the
+    kernel walk behind it.  `threads` is accepted and changes nothing.
     """
     check_size("brute force over {} subsets", 1 << space.size, max_subsets,
                LIMITS.subset_ceiling)
@@ -361,4 +363,4 @@ def count_precluded_bruteforce(
         table[lo : lo + idx.size] = ~(digits @ matrix).any(axis=1)
 
     bit_weight = [weights[classes.class_of[b]] for b in range(space.size)]
-    return walk_count_table(space.size, bit_weight, table, threads=threads)
+    return walk_count_table(space.size, bit_weight, table)

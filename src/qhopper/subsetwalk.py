@@ -6,15 +6,16 @@ elements and h its high N-L ones, so any additive per-subset statistic
 is the statistic of l plus that of h.  Both halves' statistics are
 tabulated once, 2**L and 2**(N-L) entries, each table built by doubling
 one element at a time (meet in the middle: Horowitz & Sahni, J. ACM 21,
-1974).  Then, for each high subset h, the 2**L subsets sharing it get
-their verdicts in one vectorised step.  Every subset is still judged on
-its own.  The count walk keeps memory at O(2**L + 2**(N-L)); the
-zero-sum walk returns its verdicts as one table of 2**N bools.
+1974).  The count walk then reduces each half to its distinct sums and
+their multiplicities, and judges each distinct pair of sums once,
+weighted by the product of the two multiplicities; subsets with equal
+sums share one verdict.  It keeps memory at O(2**L + 2**(N-L)).  The
+zero-sum walk gives the 2**L subsets sharing each high subset their
+verdicts in one vectorised step and returns them as one table of 2**N
+bools.
 
-`chunk` is the number of subsets per vectorised step: L is
-min(N, floor(log2(chunk))).  The count walk's `threads` splits the high
-subsets into that many contiguous runs on a thread pool; results are
-identical for any value of either.
+`chunk` sets the split: L is min(N, floor(log2(chunk))).  Results are
+identical for any value of it.
 
 `close_downward` and `minimal_uncovered` work on a table of 2**N bools
 with one reshape per bit: bit b of a mask is axis 1 of the
@@ -26,8 +27,7 @@ that lack bit b.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -51,8 +51,6 @@ _WORD_SWEEPS = tuple(
     for b in range(_WORD_BITS)
 )
 
-_T = TypeVar("_T")
-
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
     """Sum of the rows over every subset of them, indexed by bitmask."""
@@ -68,47 +66,31 @@ def _halves(rows: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
     return _subset_sums(rows[:low_bits]), _subset_sums(rows[low_bits:])
 
 
-def _run_high(fn: Callable[[int, int], _T], num_high: int, threads: int) -> list[_T]:
-    """fn(lo, hi) over `threads` contiguous runs of the high subsets, in order."""
-    step = -(-num_high // max(threads, 1))
-    ranges = [(lo, min(lo + step, num_high)) for lo in range(0, num_high, step)]
-    if len(ranges) == 1:
-        return [fn(*ranges[0])]
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
-
-
 def walk_count_table(
     num_bits: int,
     bit_weight: Sequence[int],
     table: np.ndarray,
     *,
-    threads: int = 1,
     chunk: int = DEFAULT_CHUNK,
 ) -> int:
     """Count subsets S of {0..num_bits-1} for which table[sum of weights of S] holds.
 
     `bit_weight[b]` is the (nonnegative) contribution of element b to the
-    table index; the empty subset indexes slot 0.  Reads the table once
-    for every one of the 2**num_bits subsets.
+    table index; the empty subset indexes slot 0.  Subsets with equal
+    index sums share one table read, so the table is read at most once
+    per pair of distinct half sums, never more than once per subset.
     """
     weights = np.asarray(list(bit_weight), dtype=np.int64).reshape(num_bits)
     flat = np.asarray(table, dtype=bool).ravel()
     if int(weights.min(initial=0)) < 0 or sum(map(int, weights)) >= flat.size:
         raise ValueError("bit weights must be nonnegative and index inside the table")
     low, high = _halves(weights, chunk)
-
-    def do_run(lo: int, hi: int) -> int:
-        index = np.empty_like(low)
-        verdict = np.empty(low.shape, dtype=bool)
-        hits = 0
-        for offset in high[lo:hi]:
-            np.add(low, offset, out=index)
-            np.take(flat, index, out=verdict)
-            hits += int(np.count_nonzero(verdict))
-        return hits
-
-    return sum(_run_high(do_run, len(high), threads))
+    low_sums, low_counts = np.unique(low, return_counts=True)
+    high_sums, high_counts = np.unique(high, return_counts=True)
+    return sum(
+        int(c) * int(low_counts[flat[low_sums + h]].sum())
+        for h, c in zip(high_sums, high_counts)
+    )
 
 
 def zero_sum_subsets(

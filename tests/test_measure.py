@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 
@@ -10,6 +11,7 @@ from qhopper import (
     CycInt,
     Event,
     HistorySpace,
+    InfeasibleSizeError,
     InitialState,
     LatticeSpec,
     WrongSpaceError,
@@ -259,6 +261,41 @@ def test_bruteforce_matches_count_on_standing_final_one():
     spec = LatticeSpec(3, 3)
     sp = enumerate_histories(spec, initial_state(spec, "standing"), 1)
     assert count_precluded_bruteforce(sp) == count_precluded(amplitude_classes(sp))
+
+
+def test_bruteforce_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the brute force started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    spec = LatticeSpec(3, 3)
+    sp = enumerate_histories(spec, initial_state(spec, "plus"), 0)
+    assert count_precluded_bruteforce(sp, threads=2) == 2017807
+
+
+def test_bruteforce_matches_count_on_every_small_named_space():
+    answered, refused = 0, []
+    for n in range(2, 6):
+        for steps in range(1, 5):
+            spec = LatticeSpec(n, steps)
+            for label in ("ground", "plus", "minus", "standing"):
+                for final in [*range(n), None]:
+                    sp = enumerate_histories(spec, initial_state(spec, label), final)
+                    if sp.size > 27:
+                        continue
+                    try:
+                        got = count_precluded_bruteforce(sp)
+                    except InfeasibleSizeError as exc:
+                        assert "count-vector lattice" in str(exc)
+                        refused.append((n, steps, label, final))
+                        continue
+                    assert got == count_precluded(amplitude_classes(sp)), (
+                        n, steps, label, final)
+                    answered += 1
+    assert answered == 163
+    assert refused == [(3, 2, "standing", None)] + [
+        (5, 1, label, None) for label in ("ground", "plus", "minus", "standing")
+    ]
 
 
 def test_bruteforce_respects_cap(plus_space):

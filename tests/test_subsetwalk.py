@@ -14,20 +14,25 @@ from qhopper.subsetwalk import (
 )
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_walk_count_matches_direct_enumeration(threads):
+@pytest.mark.parametrize("chunk", [97, 1 << 16])
+def test_walk_count_matches_direct_enumeration(chunk):
     rng = random.Random(3)
+    inputs = []
     for _ in range(20):
         num_bits = rng.randint(0, 12)
         radix = rng.randint(2, 5)
-        weights = [rng.randrange(radix) for _ in range(num_bits)]
+        inputs.append([rng.randrange(radix) for _ in range(num_bits)])
+    inputs.append([3] * 11)  # every subset of a size shares its sum
+    inputs.append([1 << b for b in range(11)])  # no two subsets share a sum
+    for weights in inputs:
+        num_bits = len(weights)
         size = max(sum(weights), 1) + 1
         table = np.array([rng.random() < 0.3 for _ in range(size)], dtype=bool)
         expected = 0
         for mask in range(1 << num_bits):
             idx = sum(w for b, w in enumerate(weights) if (mask >> b) & 1)
             expected += bool(table[idx])
-        got = walk_count_table(num_bits, weights, table, threads=threads, chunk=97)
+        got = walk_count_table(num_bits, weights, table, chunk=chunk)
         assert got == expected
 
 
@@ -72,10 +77,7 @@ def test_split_walks_match_direct_enumeration(chunk):
             hits += bool(table[sum(weights[b] for b in members)])
             if all(sum(rows[b][j] for b in members) == 0 for j in range(2)):
                 zero[mask] = True
-        for threads in (1, 2):
-            assert walk_count_table(
-                num_bits, weights, table, threads=threads, chunk=chunk
-            ) == hits
+        assert walk_count_table(num_bits, weights, table, chunk=chunk) == hits
         assert np.array_equal(zero_sum_subsets(rows, chunk=chunk), zero)
 
 
