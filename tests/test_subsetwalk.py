@@ -14,7 +14,7 @@ from qhopper.subsetwalk import (
 )
 
 
-@pytest.mark.parametrize("chunk", [97, 1 << 16])
+@pytest.mark.parametrize("chunk", [1, 3, 97, 1 << 16])
 def test_walk_count_matches_direct_enumeration(chunk):
     rng = random.Random(3)
     inputs = []
