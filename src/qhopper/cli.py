@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from collections.abc import Sequence
@@ -38,7 +39,7 @@ from .model import (
     initial_state,
     transfer_matrix,
 )
-from .render import dumps_canonical, history_str, json_ready, value_label
+from .render import JSON_INT_LIMIT, dumps_canonical, history_str, json_ready, value_label
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,6 +198,24 @@ def _flatten(d: dict, prefix: str = "") -> list[tuple[str, str]]:
     return rows
 
 
+def _csv_column(cells: list) -> list:
+    """One csv column: the cells as `json_ready` renders them, sequences
+    joined by spaces.  Strings and ints up to JSON_INT_LIMIT, alone or in
+    sequences, render as they are, so a column's types are checked once
+    instead of walking every cell."""
+    flat = cells
+    if {*map(type, cells)} <= {list, tuple}:
+        flat = list(itertools.chain.from_iterable(cells))
+    kinds = {*map(type, flat)}
+    if not kinds <= {str} and not (
+        kinds <= {int}
+        and -JSON_INT_LIMIT <= min(flat, default=0)
+        and max(flat, default=0) <= JSON_INT_LIMIT
+    ):
+        cells = json_ready(cells)
+    return [" ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in cells]
+
+
 def _emit(
     args, data: dict, table: tuple[Sequence[str], list[dict]] | None = None
 ) -> None:
@@ -212,11 +231,7 @@ def _emit(
         if table is not None:
             fields, records = table
             writer.writerow(fields)
-            for rec in records:
-                cells = (json_ready(rec[f]) for f in fields)
-                writer.writerow(
-                    [" ".join(map(str, v)) if isinstance(v, list) else v for v in cells]
-                )
+            writer.writerows(zip(*(_csv_column([rec[f] for rec in records]) for f in fields)))
         else:
             writer.writerow(["key", "value"])
             for key, value in _flatten(json_ready(data)):

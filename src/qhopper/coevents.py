@@ -24,12 +24,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import LIMITS, SpaceMismatchError, WrongSpaceError, check_size
 from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes, bit_indices
 from .measure import sector_tables
-from .subsetwalk import close_downward, minimal_uncovered, zero_sum_subsets
+from .subsetwalk import close_downward, minimal_uncovered, outer_and, zero_sum_subsets
 
 __all__ = [
     "MultiplicativeCoevent",
@@ -451,8 +449,8 @@ def enumerate_primitive_bruteforce(
     for lo in range(0, space.size, run):
         rows = [a.canonical() for a in space.amps[lo : lo + run]]
         part = close_downward(zero_sum_subsets(rows), run)
-        covered = part if covered is None else np.logical_and.outer(part, covered).ravel()
-    masks = [int(m) for m in np.flatnonzero(minimal_uncovered(covered, space.size))]
+        covered = part if covered is None else outer_and(part, run, covered, lo)
+    masks = list(bit_indices(minimal_uncovered(covered, space.size)))
     masks.sort(key=lambda m: (m.bit_count(), Event(space, m).indices()))
     return [MultiplicativeCoevent(Event(space, m)) for m in masks]
 

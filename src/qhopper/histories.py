@@ -10,9 +10,12 @@ refer to.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -213,12 +216,46 @@ def half_hop_count(sites: Sites, n: int) -> int:
 # -- events -------------------------------------------------------------------
 
 
+# one regex match per run of nonzero bytes; the set bits of each byte value
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+_SCAN_BYTES = 256  # all-zero stretches are skipped this many bytes at a time
+
+
 def bit_indices(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Positions of the set bits of `mask`, lowest first.
+
+    Reads the mask's bytes once, so the time is linear in its length;
+    clearing the lowest bit of an int instead copies the int per bit.
+    """
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    for start in range(0, len(data), _SCAN_BYTES):
+        block = data[start : start + _SCAN_BYTES]
+        if block.count(0) == len(block):
+            continue
+        for run in _NONZERO_RUN.finditer(block):
+            base = 8 * (start + run.start())
+            for byte in run.group():
+                for b in _BYTE_BITS[byte]:
+                    yield base + b
+                base += 8
+
+
+def mask_of(indices) -> int:
+    """The bitset with exactly the given nonnegative positions set.
+
+    Writes one binary digit per position and parses them once, so the
+    time is linear; `mask |= 1 << i` instead copies the growing int per
+    index.
+    """
+    indices = list(indices)
+    if not indices:
+        return 0
+    low, high = min(indices), max(indices)
+    digits = bytearray(b"0") * (high - low + 1)  # the most significant first
+    for i in indices:
+        digits[high - i] = 49  # ord("1")
+    return int(digits, 2) << low
 
 
 @dataclass(frozen=True)
@@ -234,12 +271,11 @@ class Event:
 
     @classmethod
     def from_indices(cls, space: HistorySpace, indices) -> Event:
-        mask = 0
+        indices = list(indices)
         for i in indices:
             if not 0 <= i < space.size:
                 raise ValueError(f"history index {i} outside 0..{space.size - 1}")
-            mask |= 1 << i
-        return cls(space, mask)
+        return cls(space, mask_of(indices))
 
     @classmethod
     def empty(cls, space: HistorySpace) -> Event:
@@ -328,26 +364,40 @@ def amplitude_classes(space: HistorySpace) -> AmplitudeClasses:
     return space._classes
 
 
+def _amplitude_keys(space: HistorySpace):
+    """Per history, its amplitude object, with its final site on an
+    unrestricted space; equal keys mean equal (final site, amplitude)."""
+    if space.final is not None:
+        return map(id, space.amps)
+    return zip(map(operator.itemgetter(-1), space.histories), map(id, space.amps))
+
+
 def _group_by_amplitude(space: HistorySpace) -> AmplitudeClasses:
-    buckets: dict[tuple, list[int]] = {}
-    for i, (sites, amp) in enumerate(zip(space.histories, space.amps)):
-        key = (sites[-1], amp.canonical())
-        buckets.setdefault(key, []).append(i)
-    ordered = sorted(buckets.values(), key=lambda ids: ids[0])
+    # enumerated histories share a few amplitude objects, so bucket them by
+    # object and take each object's canonical value once, not per history
+    by_key = collections.defaultdict(list)
+    for i, key in enumerate(_amplitude_keys(space)):
+        by_key[key].append(i)
+    value_of = {
+        key: (space.histories[ids[0]][-1], space.amps[ids[0]].canonical())
+        for key, ids in by_key.items()
+    }
+    buckets = collections.defaultdict(list)
+    for key, ids in by_key.items():
+        buckets[value_of[key]].extend(ids)
+    for ids in buckets.values():
+        ids.sort()
+    ordered = sorted(buckets.items(), key=lambda item: item[1][0])
+    class_id = {value: cid for cid, (value, _) in enumerate(ordered)}
     classes = []
-    class_of = [0] * space.size
     sectors: dict[int, list[int]] = {}
-    for cid, ids in enumerate(ordered):
-        mask = 0
-        for i in ids:
-            mask |= 1 << i
-            class_of[i] = cid
-        final = space.histories[ids[0]][-1]
-        classes.append(AmplitudeClass(space.amps[ids[0]], mask, len(ids), final))
+    for cid, ((final, _), ids) in enumerate(ordered):
+        classes.append(AmplitudeClass(space.amps[ids[0]], mask_of(ids), len(ids), final))
         sectors.setdefault(final, []).append(cid)
+    class_of_key = {key: class_id[value] for key, value in value_of.items()}
     return AmplitudeClasses(
         space,
         tuple(classes),
         {f: tuple(cids) for f, cids in sorted(sectors.items())},
-        tuple(class_of),
+        tuple(map(class_of_key.__getitem__, _amplitude_keys(space))),
     )

@@ -20,13 +20,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterator
 
 from .cyclotomic import CycInt
 from .errors import LIMITS, WrongSpaceError, check_size
 from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes
-from .subsetwalk import walk_count_table
+from .subsetwalk import pack_rows, walk_count_table
 
 __all__ = [
     "SectorTable",
@@ -41,7 +40,7 @@ __all__ = [
     "maximal_zero_count_vectors",
 ]
 
-LATTICE_BLOCK = 1 << 16  # count vectors per vectorised verdict block
+LATTICE_BLOCK = 1 << 16  # count vectors whose sums are listed at once
 
 
 # -- per-sector count-vector tables -------------------------------------------
@@ -346,21 +345,45 @@ def count_precluded_bruteforce(
         weights[i] = w
         w *= radix[i]
 
+    # class i's column of A: its canonical coordinates in its sector's block
     coords = [c.value.canonical() for c in classes.classes]
-    rows = [
-        [coords[c][j] if c in cids else 0 for c in range(len(coords))]
-        for cids in classes.sectors.values()
-        for j in range(len(coords[0]))
-    ]
-    largest = max(sum(abs(a) * k for a, k in zip(row, classes.counts)) for row in rows)
-    if largest > np.iinfo(np.int64).max:
-        raise OverflowError(f"partial sums up to {largest} overflow int64")
-    matrix = np.asarray(rows, dtype=np.int64).T
-    table = np.empty(lattice, dtype=bool)
-    for lo in range(0, lattice, LATTICE_BLOCK):
-        idx = np.arange(lo, min(lo + LATTICE_BLOCK, lattice), dtype=np.int64)
-        digits = idx[:, None] // np.asarray(weights) % np.asarray(radix)
-        table[lo : lo + idx.size] = ~(digits @ matrix).any(axis=1)
+    dim = len(coords[0])
+    width = dim * len(classes.sectors)
+    column = [()] * len(coords)
+    for pos, cids in enumerate(classes.sectors.values()):
+        for c in cids:
+            column[c] = (0,) * (dim * pos) + tuple(coords[c]) + (0,) * (width - dim * (pos + 1))
+    # packed per history, so the base bounds every lattice point's sum
+    packed = dict(zip(classes.class_of, pack_rows([column[c] for c in classes.class_of])))
+    values = [packed[c] for c in range(len(coords))]
+    cut = len(radix)
+    while cut and math.prod(radix[cut - 1 :]) <= LATTICE_BLOCK:
+        cut -= 1
+    inner = _lattice_sums(values[cut:], radix[cut:])
+    table = bytearray(lattice)
+    for q, outer in enumerate(_lattice_sums(values[:cut], radix[:cut])):
+        for i in _positions(inner, -outer):
+            table[q * len(inner) + i] = 1
 
     bit_weight = [weights[classes.class_of[b]] for b in range(space.size)]
     return walk_count_table(space.size, bit_weight, table)
+
+
+def _positions(items: list[int], x: int) -> Iterator[int]:
+    """Indices of x in the list, each found by `list.index`, which scans in C."""
+    i = -1
+    while True:
+        try:
+            i = items.index(x, i + 1)
+        except ValueError:
+            return
+        yield i
+
+
+def _lattice_sums(values: list[int], radix: list[int]) -> list[int]:
+    """Σ_i k_i·values[i] at every point 0 <= k < radix, in row-major order."""
+    sums = [0]
+    for v, r in zip(values, radix):
+        steps = [k * v for k in range(r)]
+        sums = [s + d for s in sums for d in steps]
+    return sums

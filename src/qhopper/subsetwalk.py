@@ -1,164 +1,220 @@
-"""Split-half walks over all subsets of a small ground set, and bool tables
+"""Split-half walks over all subsets of a small ground set, and bitsets
 indexed by subset mask.
 
 A subset of {0..N-1} is the bitmask h << L | l, where l holds its low L
 elements and h its high N-L ones, so any additive per-subset statistic
-is the statistic of l plus that of h.  Both halves' statistics are
-tabulated once, 2**L and 2**(N-L) entries, each table built by doubling
-one element at a time (meet in the middle: Horowitz & Sahni, J. ACM 21,
-1974).  The count walk then reduces each half to its distinct sums and
-their multiplicities, and judges each distinct pair of sums once,
-weighted by the product of the two multiplicities; subsets with equal
-sums share one verdict.  It keeps memory at O(2**L + 2**(N-L)).  The
-zero-sum walk gives the 2**L subsets sharing each high subset their
-verdicts in one vectorised step and returns them as one table of 2**N
-bools.
+is the statistic of l plus that of h (meet in the middle: Horowitz &
+Sahni, J. ACM 21, 1974).  The count walk tabulates each half's distinct
+sums, with how many of the half's subsets reach each, by doubling one
+element at a time, and judges each distinct pair of sums at most once,
+weighted by the product of the two multiplicities; its memory is the
+number of distinct half sums, at most 2**L + 2**(N-L).  The zero-sum
+walk lists every subset sum of each half and groups the low subsets by
+their sum, so the 2**L subsets sharing each high subset get their
+verdicts as one bitset.
 
-`chunk` sets the split: L is min(N, floor(log2(chunk))).  Results are
-identical for any value of it.
+`chunk` caps the low half at floor(log2(chunk)) elements.  The count
+walk takes L = min(N, floor(log2(chunk))).  The zero-sum walk, which
+lists every subset sum of both halves, 2**L + 2**(N-L) of them, splits
+evenly: L = min(ceil(N/2), floor(log2(chunk))).  Results are identical
+for any value of it.
 
-`close_downward` and `minimal_uncovered` work on a table of 2**N bools
-with one reshape per bit: bit b of a mask is axis 1 of the
-(-1, 2, 2**b) view.  Bits 0 to 2 are swept inside 64-bit words instead:
-read as little-endian words, word w holds masks 8w..8w+7 as its bytes
-0..7, the 8 masks that share their high bits.  A shift by 8 * 2**b bits
-moves each byte onto its bit-b partner, and a byte mask keeps the masks
-that lack bit b.
+A table over N elements is one Python int of 2**N bits: bit m is the
+verdict of the subset with bitmask m.  Integer vectors are summed
+packed (`pack_rows`), so every sum is exact and nothing can overflow.
+
+`close_downward` and `minimal_uncovered` sweep once per bit b.  The
+table is cut into blocks of 2**K masks, K = min(N, _BLOCK_BITS); for
+b < K a mask and its bit-b partner lie in the same block, and the sweep
+is one shift of the block and one AND with the positions lacking bit b.
+For b >= K the partners are whole blocks, paired by block index.
+Blocks stay small enough for the cache however large the table is.
 """
 from __future__ import annotations
 
+import operator
+import re
 from typing import Sequence
 
-import numpy as np
+from .histories import mask_of
 
 __all__ = [
+    "pack_rows",
     "walk_count_table",
     "zero_sum_subsets",
+    "outer_and",
     "close_downward",
     "minimal_uncovered",
 ]
 
 DEFAULT_CHUNK = 1 << 16
 
-# bits of a mask swept inside a 64-bit word, and the words per block (a block's
-# temporaries stay small however large the table is)
-_WORD_BITS = 3
-_BLOCK_WORDS = 1 << 16
-# per bit b below _WORD_BITS: the shift from a byte to its bit-b partner, and
-# the bytes of a word whose mask lacks bit b
-_WORD_SWEEPS = tuple(
-    (np.uint64(8 << b), np.uint64(sum(0xFF << 8 * j for j in range(8) if not j >> b & 1)))
-    for b in range(_WORD_BITS)
-)
+_BLOCK_BITS = 16  # masks per swept block: 2**16 bits, 8 KiB (at least 3)
+_NONZERO = re.compile(rb"[^\x00]")
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """Sum of the rows over every subset of them, indexed by bitmask."""
-    sums = np.zeros((1,) + rows.shape[1:], dtype=np.int64)
-    for row in rows:
-        sums = np.concatenate([sums, sums + row])
+def pack_rows(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Each integer row as one int, in balanced base B = 2 * bound + 1.
+
+    `bound` is the largest sum of one coordinate's absolute values over
+    all rows.  Every coordinate of every subset sum of the rows then
+    lies strictly between -B/2 and B/2, so those digits are recovered
+    uniquely and a subset's packed sum is 0 exactly when its vector sum
+    is 0.
+    """
+    if not rows:
+        return []
+    bound = max((sum(map(abs, column)) for column in zip(*rows)), default=0)
+    base = 2 * bound + 1
+    return [sum(x * base**j for j, x in enumerate(r)) for r in rows]
+
+
+def _low_bits(num_bits: int, chunk: int) -> int:
+    return min(num_bits, max(chunk, 1).bit_length() - 1)
+
+
+def _subset_sums(values: Sequence[int]) -> list[int]:
+    """Sum of the values over every subset of them, indexed by bitmask."""
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
     return sums
 
 
-def _halves(rows: np.ndarray, chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """The subset sums of the low L rows, then those of the rest."""
-    low_bits = min(len(rows), max(chunk, 1).bit_length() - 1)
-    return _subset_sums(rows[:low_bits]), _subset_sums(rows[low_bits:])
+def _sum_counts(values: Sequence[int]) -> dict[int, int]:
+    """Each distinct subset sum of the values, with how many subsets reach it."""
+    counts = {0: 1}
+    for v in values:
+        grown = dict(counts)
+        for s, c in counts.items():
+            grown[s + v] = grown.get(s + v, 0) + c
+        counts = grown
+    return counts
+
+
+def _join(chunks: list[int], width: int) -> int:
+    """One int holding chunks[i] at bits i*width up to (i+1)*width."""
+    if len(chunks) == 1:
+        return chunks[0]
+    if width % 8:
+        return int("".join(format(c, f"0{width}b") for c in reversed(chunks)), 2)
+    size = width // 8
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in chunks), "little")
 
 
 def walk_count_table(
     num_bits: int,
     bit_weight: Sequence[int],
-    table: np.ndarray,
+    table,
     *,
     chunk: int = DEFAULT_CHUNK,
 ) -> int:
     """Count subsets S of {0..num_bits-1} for which table[sum of weights of S] holds.
 
     `bit_weight[b]` is the (nonnegative) contribution of element b to the
-    table index; the empty subset indexes slot 0.  Subsets with equal
-    index sums share one table read, so the table is read at most once
-    per pair of distinct half sums, never more than once per subset.
+    table index; the empty subset indexes slot 0.  `table` is a sequence
+    of truth values that `bytes()` accepts, such as `bytes` itself.
+    Subsets with equal index sums share one verdict: each distinct sum
+    of the half with fewer of them is joined with the other half's
+    distinct sums or with the table's true entries, whichever are fewer.
     """
-    weights = np.asarray(list(bit_weight), dtype=np.int64).reshape(num_bits)
-    flat = np.asarray(table, dtype=bool).ravel()
-    if int(weights.min(initial=0)) < 0 or sum(map(int, weights)) >= flat.size:
+    weights = list(bit_weight)
+    data = bytes(table)
+    if len(weights) != num_bits or min(weights, default=0) < 0 or sum(weights) >= len(data):
         raise ValueError("bit weights must be nonnegative and index inside the table")
-    low, high = _halves(weights, chunk)
-    low_sums, low_counts = np.unique(low, return_counts=True)
-    high_sums, high_counts = np.unique(high, return_counts=True)
-    return sum(
-        int(c) * int(low_counts[flat[low_sums + h]].sum())
-        for h, c in zip(high_sums, high_counts)
-    )
+    low_bits = _low_bits(num_bits, chunk)
+    low, high = _sum_counts(weights[:low_bits]), _sum_counts(weights[low_bits:])
+    if len(high) > len(low):  # the pairs are symmetric: loop over the fewer sums
+        low, high = high, low
+    hits = [m.start() for m in _NONZERO.finditer(data)]
+    if len(low) <= len(hits):
+        return sum(c * sum(k for s, k in low.items() if data[s + h]) for h, c in high.items())
+    return sum(c * sum(low.get(t - h, 0) for t in hits) for h, c in high.items())
 
 
-def zero_sum_subsets(
-    rows: Sequence[Sequence[int]], *, chunk: int = DEFAULT_CHUNK
-) -> np.ndarray:
-    """Table of 2**len(rows) bools: does the subset's integer-vector sum vanish?
+def zero_sum_subsets(rows: Sequence[Sequence[int]], *, chunk: int = DEFAULT_CHUNK) -> int:
+    """Bitset over the 2**len(rows) subsets: does the subset's integer-vector sum vanish?
 
-    `rows[b]` is the vector attached to element b, and entry m of the
-    table is the verdict of the subset with bitmask m.  The empty subset
-    always qualifies.
+    `rows[b]` is the vector attached to element b, and bit m of the
+    result is the verdict of the subset with bitmask m.  The empty
+    subset always qualifies.
     """
-    num_bits = len(rows)
-    if num_bits == 0:
-        return np.ones(1, dtype=bool)
-    largest = max((abs(x) for r in rows for x in r), default=0)
-    if largest * num_bits > np.iinfo(np.int64).max:
-        raise OverflowError("subset sums of these rows may overflow int64")
-    mat = np.asarray([list(r) for r in rows], dtype=np.int64)
-    low, high = _halves(mat, chunk)
-    low_columns = low.T.copy()  # one contiguous array per coordinate
-    zero = np.ones((len(high), len(low)), dtype=bool)
-    hit = np.empty(len(low), dtype=bool)
-    for h, offset in enumerate(high):
-        # low sum + offset vanishes iff each coordinate equals -offset
-        for column, x in zip(low_columns, offset):
-            np.equal(column, -x, out=hit)
-            zero[h] &= hit
-    return zero.ravel()
+    packed = pack_rows(rows)
+    low_bits = _low_bits((len(packed) + 1) // 2, chunk)
+    low, high = _subset_sums(packed[:low_bits]), _subset_sums(packed[low_bits:])
+    wanted = set(map(operator.neg, high))
+    groups: dict[int, list[int]] = {}
+    for mask, s in enumerate(low):
+        if s in wanted:
+            groups.setdefault(s, []).append(mask)
+    zero = {s: mask_of(masks) for s, masks in groups.items()}
+    return _join([zero.get(-h, 0) for h in high], 1 << low_bits)
 
 
-def close_downward(table: np.ndarray, num_bits: int) -> np.ndarray:
-    """Mark every subset of a marked mask, in place; returns the table.
+def outer_and(high: int, high_bits: int, low: int, low_bits: int) -> int:
+    """Bitset over high_bits + low_bits elements: entry h << low_bits | l is
+    high[h] and low[l], for bitsets `high` over high_bits elements and
+    `low` over low_bits."""
+    flags = format(high, f"0{1 << high_bits}b")[::-1]
+    return _join([low if f == "1" else 0 for f in flags], 1 << low_bits)
 
-    `table` is a boolean array indexed by bitmask, length 2**num_bits.
-    One sweep per bit b ORs each mask holding b into the mask without it.
+
+def _lacking(b: int, k: int) -> int:
+    """The masks below 2**k that lack bit b, as a bitset."""
+    mask, width = (1 << (1 << b)) - 1, 2 << b
+    while width < 1 << k:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+def _blocks(table: int, num_bits: int) -> tuple[list[int], int]:
+    """The table cut into blocks of 2**k masks, and k."""
+    k = min(num_bits, _BLOCK_BITS)
+    if k == num_bits:
+        return [table], k
+    data = table.to_bytes(1 << (num_bits - 3), "little")
+    size = 1 << (k - 3)
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)], k
+
+
+def close_downward(table: int, num_bits: int) -> int:
+    """The table with every subset of a marked mask marked.
+
+    `table` is a bitset over the 2**num_bits masks.  One sweep per bit b
+    ORs each mask holding b into the mask without it.
     """
-    low = 0
-    if num_bits >= _WORD_BITS:
-        words = table.view("<u8")
-        for lo in range(0, words.size, _BLOCK_WORDS):
-            block = words[lo : lo + _BLOCK_WORDS]
-            for shift, lacks in _WORD_SWEEPS:
-                block |= (block >> shift) & lacks
-        low = _WORD_BITS
-    for b in range(low, num_bits):
-        t3 = table.reshape(-1, 2, 1 << b)
-        t3[:, 0, :] |= t3[:, 1, :]
-    return table
+    blocks, k = _blocks(table, num_bits)
+    sweeps = [(1 << b, _lacking(b, k)) for b in range(k)]
+    for i, t in enumerate(blocks):
+        for shift, lacks in sweeps:
+            t |= (t >> shift) & lacks
+        blocks[i] = t
+    for b in range(num_bits - k):
+        step = 1 << b
+        for i in range(len(blocks)):
+            if not i & step:
+                blocks[i] |= blocks[i | step]
+    return _join(blocks, 1 << k)
 
 
-def minimal_uncovered(covered: np.ndarray, num_bits: int) -> np.ndarray:
+def minimal_uncovered(covered: int, num_bits: int) -> int:
     """Mark masks that are uncovered while all their one-bit deletions are covered.
 
-    `covered` is a boolean array indexed by bitmask, length 2**num_bits.
+    `covered` is a bitset over the 2**num_bits masks.
     """
-    covered = np.asarray(covered, dtype=bool).ravel()
-    ok = ~covered
-    low = 0
-    if num_bits >= _WORD_BITS:
-        ok_words, cov_words = ok.view("<u8"), covered.view("<u8")
-        for lo in range(0, ok_words.size, _BLOCK_WORDS):
-            block = ok_words[lo : lo + _BLOCK_WORDS]
-            cov = cov_words[lo : lo + _BLOCK_WORDS]
-            for shift, lacks in _WORD_SWEEPS:
-                block &= (cov << shift) | lacks
-        low = _WORD_BITS
-    for b in range(low, num_bits):
-        cov3 = covered.reshape(-1, 2, 1 << b)
-        ok3 = ok.reshape(-1, 2, 1 << b)
-        ok3[:, 1, :] &= cov3[:, 0, :]
-    return ok
+    blocks, k = _blocks(covered, num_bits)
+    sweeps = [(1 << b, _lacking(b, k)) for b in range(k)]
+    full = (1 << (1 << k)) - 1
+    ok = []
+    for c in blocks:
+        t = full ^ c
+        for shift, lacks in sweeps:
+            t &= (c << shift) | lacks
+        ok.append(t)
+    for b in range(num_bits - k):
+        step = 1 << b
+        for i in range(len(ok)):
+            if i & step:
+                ok[i] &= blocks[i ^ step]
+    return _join(ok, 1 << k)

@@ -5,8 +5,9 @@ explicitly with plain Python and exact CycInt sums; nothing is shared
 with the library's counting or enumeration code paths.  The ensemble
 observables are computed from each support's site tuples, where the
 library reads index tables and rotates global indices, and the bool
-table sweeps take one reshape per bit, where the library works on
-64-bit words for the low bits.
+table sweeps take one reshape of a bool array per bit, where the
+library shifts int bitsets block by block.  The bitset helpers set and
+clear one bit at a time.
 """
 from __future__ import annotations
 
@@ -211,3 +212,39 @@ def minimal_uncovered_per_bit(covered: np.ndarray, num_bits: int) -> np.ndarray:
         ok3 = ok.reshape(-1, 2, 1 << b)
         ok3[:, 1, :] &= covered.reshape(-1, 2, 1 << b)[:, 0, :]
     return ok
+
+
+# -- bitsets built one bit at a time -------------------------------------------------
+
+
+def bit_indices_per_bit(mask: int) -> list[int]:
+    """Set bits, lowest first, clearing the lowest set bit each time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_per_bit(indices) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def amplitude_classes_per_bit(space: HistorySpace):
+    """(final, canonical value, members, count) per class in order of the
+    smallest member, and each history's class, keyed by every history's own
+    canonical value and built with one OR per member."""
+    buckets: dict[tuple, list[int]] = {}
+    for i, (sites, amp) in enumerate(zip(space.histories, space.amps)):
+        buckets.setdefault((sites[-1], amp.canonical()), []).append(i)
+    ordered = sorted(buckets.items(), key=lambda item: item[1][0])
+    class_of = [0] * space.size
+    for cid, (_, ids) in enumerate(ordered):
+        for i in ids:
+            class_of[i] = cid
+    classes = [(f, value, mask_per_bit(ids), len(ids)) for (f, value), ids in ordered]
+    return classes, tuple(class_of)

@@ -6,6 +6,8 @@ import hashlib
 import importlib
 import json
 import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -443,9 +445,13 @@ def test_preclusion_prints_counts_past_the_int_string_limit(capsys):
 def test_emit_renders_integers_of_any_length(capsys, fmt, records):
     big = 7**6000  # 5 071 digits
     data = {"count": big}
+    table = (("count", "pair"), [{"count": big, "pair": (1, -big)}])
     qhopper.cli._emit(argparse.Namespace(format=fmt, out=None), data,
-                      (("count",), [data]) if records else None)
-    assert str(Decimal(big)) in capsys.readouterr().out
+                      table if records else None)
+    out = capsys.readouterr().out
+    assert str(Decimal(big)) in out
+    if records:
+        assert out.endswith(f",1 {Decimal(-big)}\n")
 
 
 @pytest.mark.parametrize("records", [[], [{"b": [1, 2], "a": 3}]], ids=["empty", "one"])
@@ -626,3 +632,10 @@ def test_empty_ensemble_csv_keeps_the_records_header(capsys, argv, header):
     assert main([*argv, "--sites", "4", "--steps", "2", "--state", "standing",
                  "--final", "1", "--format", "csv"]) == 0
     assert capsys.readouterr().out == header
+
+
+def test_the_package_and_its_cli_load_no_numpy():
+    src = str(Path(qhopper.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qhopper, qhopper.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

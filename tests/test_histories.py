@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import gc
+import random
+import time
 import weakref
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,7 @@ from qhopper import (
     sector_tables,
     visited,
 )
+from qhopper.histories import bit_indices, mask_of
 from qhopper.model import STATE_LABELS, hop_amplitude
 
 
@@ -260,3 +264,40 @@ def test_classified_space_is_freed():
     del sp, coevents
     gc.collect()
     assert ref() is None
+
+
+def test_classes_equal_the_one_bit_loop_on_every_small_space():
+    for sp in space_family(max_histories=81):
+        classes = amplitude_classes(sp)
+        got = [(c.final, c.value.canonical(), c.members, c.count) for c in classes.classes]
+        assert (got, classes.class_of) == oracles.amplitude_classes_per_bit(sp)
+        assert list(classes.sectors) == sorted({c.final for c in classes.classes})
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(custom_spaces())
+def test_classes_of_custom_states_equal_the_one_bit_loop(sp):
+    classes = amplitude_classes(sp)
+    got = [(c.final, c.value.canonical(), c.members, c.count) for c in classes.classes]
+    assert (got, classes.class_of) == oracles.amplitude_classes_per_bit(sp)
+
+
+def test_bit_helpers_equal_the_one_bit_loops():
+    rng = random.Random(13)
+    for size in (0, 1, 7, 8, 9, 64, 300, 5000, 70000):
+        for density in (0.001, 0.1, 0.9):
+            indices = sorted(i for i in range(size) if rng.random() < density)
+            mask = oracles.mask_per_bit(indices)
+            assert mask_of(indices) == mask_of(reversed(indices)) == mask
+            assert list(bit_indices(mask)) == oracles.bit_indices_per_bit(mask) == indices
+    sp = space(3, 3, "plus", 0)
+    assert Event.from_indices(sp, [26, 0, 9, 9]).members == oracles.mask_per_bit([0, 9, 26])
+
+
+def test_thirteen_step_plus_space_groups_within_a_second():
+    sp = space(3, 13, "plus", 0)  # 1 594 323 histories
+    start = time.perf_counter()
+    classes = qhopper.histories._group_by_amplitude(sp)
+    elapsed = time.perf_counter() - start
+    assert sum(classes.counts) == sp.size
+    assert elapsed < 1.0

@@ -5,13 +5,33 @@ import random
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qhopper import subsetwalk
+from qhopper.histories import bit_indices
 from qhopper.subsetwalk import (
     close_downward,
     minimal_uncovered,
+    outer_and,
+    pack_rows,
     walk_count_table,
     zero_sum_subsets,
 )
+
+
+def bitset(flags) -> int:
+    """The bitset whose bit m is flags[m]."""
+    return sum(1 << m for m, f in enumerate(flags) if f)
+
+
+def to_array(table: int, num_bits: int) -> np.ndarray:
+    data = np.frombuffer(table.to_bytes(max(1, (1 << num_bits) // 8), "little"), np.uint8)
+    return np.unpackbits(data, bitorder="little")[: 1 << num_bits].astype(bool)
+
+
+def from_array(flags: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 97, 1 << 16])
@@ -27,7 +47,7 @@ def test_walk_count_matches_direct_enumeration(chunk):
     for weights in inputs:
         num_bits = len(weights)
         size = max(sum(weights), 1) + 1
-        table = np.array([rng.random() < 0.3 for _ in range(size)], dtype=bool)
+        table = bytes([rng.random() < 0.3 for _ in range(size)])
         expected = 0
         for mask in range(1 << num_bits):
             idx = sum(w for b, w in enumerate(weights) if (mask >> b) & 1)
@@ -54,8 +74,8 @@ def test_zero_sum_subsets_matches_direct_enumeration(chunk):
             if all(t == 0 for t in total):
                 expected.append(mask)
         got = zero_sum_subsets(rows, chunk=chunk)
-        assert got.dtype == bool and got.size == 1 << num_bits
-        assert np.flatnonzero(got).tolist() == expected
+        assert 0 < got < 1 << (1 << num_bits)
+        assert list(bit_indices(got)) == expected
 
 
 def _split_sizes(chunk):
@@ -69,97 +89,123 @@ def test_split_walks_match_direct_enumeration(chunk):
     rng = random.Random(chunk)
     for num_bits in _split_sizes(chunk):
         weights = [rng.randrange(3) for _ in range(num_bits)]
-        table = np.array([rng.random() < 0.4 for _ in range(sum(weights) + 1)])
+        table = [rng.random() < 0.4 for _ in range(sum(weights) + 1)]
         rows = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(num_bits)]
-        hits, zero = 0, np.zeros(1 << num_bits, dtype=bool)
+        hits, zero = 0, [False] * (1 << num_bits)
         for mask in range(1 << num_bits):
             members = [b for b in range(num_bits) if (mask >> b) & 1]
             hits += bool(table[sum(weights[b] for b in members)])
             if all(sum(rows[b][j] for b in members) == 0 for j in range(2)):
                 zero[mask] = True
         assert walk_count_table(num_bits, weights, table, chunk=chunk) == hits
-        assert np.array_equal(zero_sum_subsets(rows, chunk=chunk), zero)
+        assert zero_sum_subsets(rows, chunk=chunk) == bitset(zero)
 
 
 def test_zero_sum_subsets_come_out_ascending_without_a_sort():
     # every subset of the all-zero rows qualifies, across many high runs
     rows = [(0, 0)] * 9
     got = zero_sum_subsets(rows, chunk=8)
-    assert got.shape == (1 << 9,) and got.all()
+    assert got == (1 << (1 << 9)) - 1
 
 
 def test_walk_count_refuses_weights_outside_the_table():
     with pytest.raises(ValueError):
-        walk_count_table(2, [1, 1], np.array([True, True]))
+        walk_count_table(2, [1, 1], bytes([True, True]))
     with pytest.raises(ValueError):
-        walk_count_table(1, [-1], np.array([True, True]))
+        walk_count_table(1, [-1], bytes([True, True]))
 
 
 def test_zero_sum_subsets_empty_ground_set():
-    assert zero_sum_subsets([]).tolist() == [True]
+    assert list(bit_indices(zero_sum_subsets([]))) == [0]
 
 
 def test_walk_count_empty_ground_set():
-    assert walk_count_table(0, [], np.array([True])) == 1
-    assert walk_count_table(0, [], np.array([False])) == 0
+    assert walk_count_table(0, [], bytes([True])) == 1
+    assert walk_count_table(0, [], bytes([False])) == 0
 
 
 def test_close_downward_matches_direct_check():
     rng = random.Random(7)
     for _ in range(20):
         num_bits = rng.randint(0, 10)
-        marked = np.array(
-            [rng.random() < 0.05 for _ in range(1 << num_bits)], dtype=bool
-        )
-        got = close_downward(marked.copy(), num_bits)
-        tops = np.flatnonzero(marked).tolist()
+        marked = [rng.random() < 0.05 for _ in range(1 << num_bits)]
+        got = close_downward(bitset(marked), num_bits)
+        tops = [m for m, f in enumerate(marked) if f]
         for mask in range(1 << num_bits):
-            assert bool(got[mask]) == any(mask & ~top == 0 for top in tops)
+            assert bool(got >> mask & 1) == any(mask & ~top == 0 for top in tops)
 
 
-def test_close_downward_works_in_place():
-    table = np.zeros(8, dtype=bool)
-    table[0b101] = True
-    assert close_downward(table, 3) is table
-    assert np.flatnonzero(table).tolist() == [0b000, 0b001, 0b100, 0b101]
+def test_close_downward_returns_the_closed_table():
+    table = 1 << 0b101
+    assert list(bit_indices(close_downward(table, 3))) == [0b000, 0b001, 0b100, 0b101]
 
 
 def test_minimal_uncovered_matches_direct_check():
     rng = random.Random(11)
     for _ in range(20):
         num_bits = rng.randint(1, 10)
-        covered = np.array(
-            [rng.random() < 0.6 for _ in range(1 << num_bits)], dtype=bool
-        )
+        covered = [rng.random() < 0.6 for _ in range(1 << num_bits)]
         covered[0] = True  # empty set is always inside some precluded event
-        got = minimal_uncovered(covered.copy(), num_bits)
+        got = minimal_uncovered(bitset(covered), num_bits)
         for mask in range(1 << num_bits):
             expect = not covered[mask] and all(
                 covered[mask ^ (1 << b)] for b in range(num_bits) if (mask >> b) & 1
             )
-            assert bool(got[mask]) == expect
+            assert bool(got >> mask & 1) == expect
 
 
 def test_minimal_uncovered_finds_min_supersets():
     # covered = all subsets of {0,1,2}; minimal uncovered = sets with one extra bit
     num_bits = 5
-    covered = np.zeros(1 << num_bits, dtype=bool)
-    covered[0b00111] = True
-    close_downward(covered, num_bits)
+    covered = close_downward(1 << 0b00111, num_bits)
     got = minimal_uncovered(covered, num_bits)
-    hits = sorted(int(m) for m in np.nonzero(got)[0])
+    hits = list(bit_indices(got))
     assert hits == [0b01000, 0b10000]
 
 
 @pytest.mark.parametrize("num_bits", range(13))
-def test_word_sweeps_match_the_per_bit_reference(num_bits):
+def test_word_sweeps_match_the_per_bit_reference(num_bits, monkeypatch):
     rng = np.random.default_rng(num_bits)
-    for density in (0.002, 0.05, 0.5):
-        marked = rng.random(1 << num_bits) < density
-        closed = close_downward(marked.copy(), num_bits)
-        assert np.array_equal(closed, oracles.close_downward_per_bit(marked, num_bits))
-        for covered in (marked, closed):
+    # blocks of 2**3 masks take the block-pairing path from 4 bits up
+    for block_bits in (3, subsetwalk._BLOCK_BITS):
+        monkeypatch.setattr(subsetwalk, "_BLOCK_BITS", block_bits)
+        for density in (0.002, 0.05, 0.5):
+            marked = rng.random(1 << num_bits) < density
+            closed = close_downward(from_array(marked), num_bits)
             assert np.array_equal(
-                minimal_uncovered(covered, num_bits),
-                oracles.minimal_uncovered_per_bit(covered, num_bits),
+                to_array(closed, num_bits), oracles.close_downward_per_bit(marked, num_bits)
             )
+            for covered in (marked, to_array(closed, num_bits)):
+                assert np.array_equal(
+                    to_array(minimal_uncovered(from_array(covered), num_bits), num_bits),
+                    oracles.minimal_uncovered_per_bit(covered, num_bits),
+                )
+
+
+@pytest.mark.parametrize("low_bits", [0, 1, 2, 3, 4])
+def test_outer_and_matches_the_per_pair_definition(low_bits):
+    rng = random.Random(low_bits)
+    for high_bits in range(4):
+        high = [rng.random() < 0.5 for _ in range(1 << high_bits)]
+        low = [rng.random() < 0.5 for _ in range(1 << low_bits)]
+        got = outer_and(bitset(high), high_bits, bitset(low), low_bits)
+        assert got == bitset(h and l for h in high for l in low)
+
+
+vectors = st.integers(1, 4).flatmap(
+    lambda dim: st.lists(
+        st.tuples(*[st.integers(-3, 3) | st.integers(-(1 << 70), 1 << 70)] * dim),
+        max_size=8,
+    )
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(vectors, st.data())
+def test_packed_sum_vanishes_exactly_when_the_vector_sum_does(rows, data):
+    rows = rows + [tuple(-x for x in r) for r in rows]  # so that some subsets cancel
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    members = [r for r, c in zip(rows, chosen) if c]
+    packed = [p for p, c in zip(pack_rows(rows), chosen) if c]
+    vector_zero = all(sum(column) == 0 for column in zip(*members))
+    assert (sum(packed) == 0) == vector_zero
