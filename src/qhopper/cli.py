@@ -15,6 +15,7 @@ import json
 import sys
 from collections.abc import Sequence
 from importlib import resources
+from typing import NamedTuple
 
 from . import analysis
 from .coevents import (  # noqa: F401  enumerate_primitive stays importable from here
@@ -64,42 +65,57 @@ class _Parser(argparse.ArgumentParser):
 FORMATS = ("text", "json", "csv")
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sites", type=int, default=3)
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.add_argument("--out", default=None)
+class Option(NamedTuple):
+    """One row of a command's option table: what `_fill` adds to argparse,
+    and what `_scan` accepts without building a parser.  `kind` is `int`,
+    `str`, or None for a flag that stores True."""
+
+    flag: str
+    dest: str
+    kind: type | None
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sites", type=int, default=3, help="number of lattice sites n")
-    p.add_argument("--steps", type=int, default=3, help="number of time steps")
-    p.add_argument(
+_MODEL_OPTIONS = (
+    Option("--sites", "sites", int, 3),
+    Option("--format", "format", str, "text", FORMATS),
+    Option("--out", "out", str),
+)
+
+_COMMON_OPTIONS = (
+    Option("--sites", "sites", int, 3, help="number of lattice sites n"),
+    Option("--steps", "steps", int, 3, help="number of time steps"),
+    Option(
         "--state",
-        default="plus",
+        "state",
+        str,
+        "plus",
         help="ground|plus|minus|standing|custom:<per-site terms>"
         " (term = integer coefficient, or exponent:coefficient over the n-th root)",
-    )
-    p.add_argument("--final", default="0", help="final site, or 'all'")
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    p.add_argument(
-        "--threads", type=int, default=1, help="accepted; changes no output or work"
-    )
-    p.add_argument("--max-histories", type=int, default=LIMITS.max_histories.default)
+    ),
+    Option("--final", "final", str, "0", help="final site, or 'all'"),
+    Option("--format", "format", str, "text", FORMATS),
+    Option("--out", "out", str, help="write output to a file instead of stdout"),
+    Option("--threads", "threads", int, 1, help="accepted; changes no output or work"),
+    Option("--max-histories", "max_histories", int, LIMITS.max_histories.default),
+)
 
-
-def _add_primitives_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument(
+_PRIMITIVES_OPTIONS = _COMMON_OPTIONS + (
+    Option(
         "--emit-supports",
-        action="store_true",
+        "emit_supports",
+        None,
+        False,
         help="include explicit supports (gate for large expansions)",
-    )
+    ),
+)
 
-
-def _add_compare_args(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--with", dest="other", required=True, help="second initial state")
+_COMPARE_OPTIONS = _COMMON_OPTIONS + (
+    Option("--with", "other", str, required=True, help="second initial state"),
+)
 
 
 # -- config helpers --------------------------------------------------------------
@@ -599,21 +615,28 @@ def cmd_report(args) -> int:
 
 # -- parsers ------------------------------------------------------------------------
 
-# name -> (help line, argument filler, handler)
+# name -> (help line, option table, handler)
 _COMMANDS = {
-    "model": ("transfer matrix and unitarity check", _add_model_args, cmd_model),
-    "histories": ("enumerate histories and amplitude classes", _add_common, cmd_histories),
-    "preclusion": ("count precluded events exactly", _add_common, cmd_preclusion),
-    "primitives": ("enumerate primitive coevents", _add_primitives_args, cmd_primitives),
-    "classify": ("circulation, restlessness, event verdicts", _add_common, cmd_classify),
-    "compare": ("overlap of primitive coevents of two states", _add_compare_args, cmd_compare),
-    "report": ("full reproduction bundle with golden check", _add_common, cmd_report),
+    "model": ("transfer matrix and unitarity check", _MODEL_OPTIONS, cmd_model),
+    "histories": ("enumerate histories and amplitude classes", _COMMON_OPTIONS, cmd_histories),
+    "preclusion": ("count precluded events exactly", _COMMON_OPTIONS, cmd_preclusion),
+    "primitives": ("enumerate primitive coevents", _PRIMITIVES_OPTIONS, cmd_primitives),
+    "classify": ("circulation, restlessness, event verdicts", _COMMON_OPTIONS, cmd_classify),
+    "compare": ("overlap of primitive coevents of two states", _COMPARE_OPTIONS, cmd_compare),
+    "report": ("full reproduction bundle with golden check", _COMMON_OPTIONS, cmd_report),
 }
 
 
 def _fill(p: argparse.ArgumentParser, command: str) -> None:
-    _, add_args, handler = _COMMANDS[command]
-    add_args(p)
+    _, options, handler = _COMMANDS[command]
+    for o in options:
+        if o.kind is None:
+            p.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
+        else:
+            p.add_argument(
+                o.flag, dest=o.dest, type=o.kind, default=o.default, choices=o.choices,
+                required=o.required, help=o.help,
+            )
     p.set_defaults(command=command, func=handler)
 
 
@@ -626,10 +649,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scan(argv: list[str]) -> argparse.Namespace | None:
+    """What the tree parses a well-formed `argv` to, read from the option
+    table alone: the command, then exact `--option value` pairs (a value not
+    starting with '-', an int that converts, a choice among the choices) and
+    flags, with every required option present.  None for anything else."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, handler = _COMMANDS[argv[0]]
+    by_flag = {o.flag: o for o in options}
+    values = {o.dest: o.default for o in options}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        o = by_flag.get(token)
+        if o is None:
+            return None
+        given.add(o.dest)
+        if o.kind is None:
+            values[o.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if o.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+    if any(o.required and o.dest not in given for o in options):
+        return None
+    return argparse.Namespace(**values, command=argv[0], func=handler)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the invoked command's parser alone (what its subparser in
-    the tree would do, without building the tree); anything else, and any
-    unrecognised argument, goes through the tree, which reports it."""
+    """Parse `argv` as the full command tree would.
+
+    A well-formed argv is read from the option table by `_scan`, and no
+    parser is built.  Anything else (help, `--option=value`, abbreviations,
+    unknown tokens, missing or bad values) goes to the invoked command's
+    parser alone (what its subparser in the tree would do, without building
+    the tree); anything that parser does not recognise, and a missing or
+    unknown command, goes through the tree, which reports it."""
+    args = _scan(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in _COMMANDS:
         parser = _Parser(prog=f"qhopper {argv[0]}")
         _fill(parser, argv[0])

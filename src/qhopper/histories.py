@@ -220,14 +220,23 @@ def half_hop_count(sites: Sites, n: int) -> int:
 _NONZERO_RUN = re.compile(rb"[^\x00]+")
 _BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 _SCAN_BYTES = 256  # all-zero stretches are skipped this many bytes at a time
+_LOOP_LIMIT = 1 << 64  # masks below this are read bit by bit
 
 
 def bit_indices(mask: int) -> Iterator[int]:
     """Positions of the set bits of `mask`, lowest first.
 
-    Reads the mask's bytes once, so the time is linear in its length;
-    clearing the lowest bit of an int instead copies the int per bit.
+    A mask below 2^64 clears its lowest set bit per position, which is
+    cheapest at that size.  A longer one has its bytes read once, so the
+    time is linear in its length; clearing the lowest bit of a long int
+    copies the int per bit.
     """
+    if 0 <= mask < _LOOP_LIMIT:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     for start in range(0, len(data), _SCAN_BYTES):
         block = data[start : start + _SCAN_BYTES]

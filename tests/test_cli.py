@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhopper
 from qhopper import (
@@ -28,7 +32,8 @@ from qhopper.cli import main
 QHOPPER_MODULES = (
     "analysis", "cli", "coevents", "histories", "measure", "model", "subsetwalk",
 )
-RECORDED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+RECORDED = BENCH / "expected.json"
 
 
 def run_json(capsys, *argv):
@@ -248,6 +253,126 @@ def test_command_parser_parses_as_the_tree_does(capsys, command):
     bad = [_exit_output(capsys, parse, [command, "--format", "xml"]) for parse in (alone, tree)]
     assert bad[0] == bad[1]
     assert bad[0][0] == 1 and "invalid choice: 'xml'" in bad[0][2]
+
+
+def _workload_argvs() -> list[list[str]]:
+    """Every argv the paper and frontier workloads draw (seeded custom states
+    for a few seeds), and the representative argvs."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    argvs = workloads.paper_universe()
+    for seed in (1, 2, 3):
+        argvs += [q["argv"] for w in ("paper", "frontier") for q in workloads.generate(w, seed)]
+    points = workloads.FRONTIER_FIXED + workloads.FRONTIER_REACH
+    argvs += [workloads.frontier_argv(*point) for point in points]
+    argvs += [[command, *argv] for command, argv in REPRESENTATIVE_ARGVS.items()]
+    return argvs
+
+
+def test_workload_argvs_parse_from_the_option_table_without_argparse(monkeypatch):
+    argvs = _workload_argvs()
+    tree = qhopper.cli._build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    mismatches = [argv for argv in argvs if qhopper.cli._parse_args(argv) != tree.parse_args(argv)]
+    assert mismatches == []
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["preclusion", "--format", "xml"], 1),
+        (["preclusion", "--sites", "x"], 1),
+        (["preclusion", "--steps"], 1),
+        (["preclusion", "--sites", "-1"], 1),
+        (["compare", "--state", "plus"], 1),
+        (["preclusion", "-h"], 0),
+        (["preclusion", "--site", "3"], 0),
+        (["preclusion", "--final=1"], 0),
+    ],
+)
+def test_scan_leaves_help_abbreviations_and_errors_to_argparse(capsys, argv, code):
+    assert qhopper.cli._scan(argv) is None
+    assert main(argv) == code
+    capsys.readouterr()
+
+
+def _argparse_parse(argv: list[str]) -> argparse.Namespace:
+    """The parse with argparse alone: the command's own parser, then the tree."""
+    if argv and argv[0] in qhopper.cli._COMMANDS:
+        parser = qhopper.cli._Parser(prog=f"qhopper {argv[0]}")
+        qhopper.cli._fill(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return qhopper.cli._build_parser().parse_args(argv)
+
+
+def _exit_of(parse, argv) -> tuple:
+    """Exit code (None when `parse` returns), stdout, stderr, and what
+    `parse` returned."""
+    out, err = io.StringIO(), io.StringIO()
+    code, args = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+_OPTIONS = sorted({o.flag for _, table, _ in qhopper.cli._COMMANDS.values() for o in table})
+_ODD_TOKENS = ["--site", "--st", "--emit", "--fo", "--w", "--max", "-h", "--help", "--x=y",
+               "--sites=3", "--final=1", "--bogus", "-x", "--"]
+_VALUES = ["3", "-1", "x", "", " 3", "xml", "all", "json", "csv", "plus", "minus", "0", "2"]
+_INTS = ["3", "0", "2", " 3"]
+
+
+def _well_formed(o) -> st.SearchStrategy:
+    """`o` as a well-formed argv would give it."""
+    if o.kind is None:
+        return st.just((o.flag,))
+    values = _INTS if o.kind is int else o.choices or [v for v in _VALUES if v[:1] != "-"]
+    return st.tuples(st.just(o.flag), st.sampled_from(values))
+
+
+_odd_group = st.tuples(
+    st.sampled_from(_OPTIONS + _ODD_TOKENS), st.sampled_from(_VALUES + _ODD_TOKENS)
+) | st.tuples(st.sampled_from(_OPTIONS + _ODD_TOKENS + _VALUES))
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A command (or not) with well-formed options of its own, and in about
+    half the draws one odd group of tokens among them."""
+    command = draw(st.sampled_from([*sorted(qhopper.cli._COMMANDS), "nosuch", "-h"]))
+    table = qhopper.cli._COMMANDS.get(command, ("", (), None))[1]
+    groups = draw(st.lists(st.sampled_from(table).flatmap(_well_formed), max_size=5)) if table else []
+    if draw(st.booleans()):
+        groups.insert(draw(st.integers(0, len(groups))), draw(_odd_group))
+    return [command, *(token for g in groups for token in g)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=_argvs())
+def test_scan_declines_or_parses_as_argparse_does(argv):
+    scanned = qhopper.cli._scan(argv)
+    code, out, err, args = _exit_of(_argparse_parse, argv)
+    if code is not None:
+        assert scanned is None
+        assert _exit_of(main, argv) == (None, out, err, code)
+    elif scanned is not None:
+        assert scanned == args == qhopper.cli._build_parser().parse_args(argv)
 
 
 def test_unrecognised_option_is_reported_with_the_top_level_usage(capsys):

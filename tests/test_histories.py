@@ -284,12 +284,17 @@ def test_classes_of_custom_states_equal_the_one_bit_loop(sp):
 
 def test_bit_helpers_equal_the_one_bit_loops():
     rng = random.Random(13)
-    for size in (0, 1, 7, 8, 9, 64, 300, 5000, 70000):
+    for size in (0, 1, 7, 8, 9, 63, 64, 65, 300, 5000, 70000):
         for density in (0.001, 0.1, 0.9):
             indices = sorted(i for i in range(size) if rng.random() < density)
             mask = oracles.mask_per_bit(indices)
             assert mask_of(indices) == mask_of(reversed(indices)) == mask
             assert list(bit_indices(mask)) == oracles.bit_indices_per_bit(mask) == indices
+    # either side of the switch from the bit loop to the byte scan at 2^64
+    for bits in (63, 64, 65):
+        for mask in ((1 << bits) - 1, 1 << (bits - 1), 1 << (bits - 1) | 1):
+            assert mask.bit_length() == bits
+            assert list(bit_indices(mask)) == oracles.bit_indices_per_bit(mask)
     sp = space(3, 3, "plus", 0)
     assert Event.from_indices(sp, [26, 0, 9, 9]).members == oracles.mask_per_bit([0, 9, 26])
 
