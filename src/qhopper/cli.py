@@ -390,7 +390,7 @@ def _space(args, fixed_for: str | None = None) -> HistorySpace:
 
 def cmd_model(args) -> int:
     spec = _spec_from(args)
-    check_size("model of {} sites", spec.n, None, LIMITS.model_sites)
+    check_size("model of {} sites", spec.n, LIMITS.model_sites.default, LIMITS.model_sites)
     data = _model_figures(spec)
     _emit(args, data)
     return EXIT_OK if data["unitary"] else EXIT_INTERNAL
@@ -686,24 +686,14 @@ def _scan(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse `argv` as the full command tree would.
+    """Parse `argv` as the full command tree does.
 
     A well-formed argv is read from the option table by `_scan`, and no
     parser is built.  Anything else (help, `--option=value`, abbreviations,
-    unknown tokens, missing or bad values) goes to the invoked command's
-    parser alone (what its subparser in the tree would do, without building
-    the tree); anything that parser does not recognise, and a missing or
-    unknown command, goes through the tree, which reports it."""
+    unknown tokens, missing or bad values, a missing or unknown command)
+    goes through the tree, which parses or reports it."""
     args = _scan(argv)
-    if args is not None:
-        return args
-    if argv and argv[0] in _COMMANDS:
-        parser = _Parser(prog=f"qhopper {argv[0]}")
-        _fill(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -714,7 +704,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:
-        # ValueError covers invalid sites, unknown states, malformed env overrides
+        # ValueError covers invalid sites and unknown states
         print(f"qhopper: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleSizeError as exc:

@@ -428,7 +428,7 @@ def enumerate_primitive(
 
 
 def enumerate_primitive_bruteforce(
-    space: HistorySpace, *, max_subsets: int | None = None
+    space: HistorySpace, *, max_subsets: int = LIMITS.max_subsets.default
 ) -> list[MultiplicativeCoevent]:
     """Primitive coevents by testing every subset of the space.
 

@@ -3,9 +3,9 @@
 `LIMITS` is the one table of size guards: histories per space, the
 kernel walk's free box and antichain, expanded supports, subsets walked
 by each brute force, and lattice sites for the unitarity check.  Keyword
-parameters such as `max_histories=` and `max_vectors=` take their
-defaults from it, and every refusal goes through `check_size`, so each
-`InfeasibleSizeError` reads
+parameters such as `max_histories=` and `max_subsets=` take their
+defaults from it, and nothing else sets a limit.  Every refusal goes
+through `check_size`, so each `InfeasibleSizeError` reads
 
     <subject with the requested size> exceeds the <guard> guard of <limit>; <remedy>
 
@@ -13,7 +13,6 @@ A size past 2^64 is given by its bit length b, as 2^(b-1)..2^b.
 """
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 
@@ -53,18 +52,14 @@ class InfeasibleSizeError(HopperError, RuntimeError):
     """An enumeration would exceed its configured size guard."""
 
 
-CAP_ENV_VAR = "COEVENT_MAX_SUBSETS"
-_SUBSETS = f"set it with {CAP_ENV_VAR} or max_subsets=, up to 2^27"
-
-
 class Guard(NamedTuple):
-    """One size limit: its name in messages, its default, and how to change it."""
+    """One size limit: its name in messages, its default, how to change it,
+    and the ceiling no passed limit goes past (None for no ceiling)."""
 
     name: str
     default: int
     remedy: str
-    env: str | None = None  # read when the caller sets no limit
-    ceiling: int | None = None  # holds whatever the setting
+    ceiling: int | None = None
 
 
 class Limits(NamedTuple):
@@ -76,8 +71,9 @@ class Limits(NamedTuple):
     )
     max_vectors: Guard = Guard("max_vectors", 1 << 20, "raise it with max_vectors=")
     max_supports: Guard = Guard("max_supports", 1 << 20, "raise it with max_supports=")
-    max_subsets: Guard = Guard("max_subsets", 1 << 20, _SUBSETS, CAP_ENV_VAR, 1 << 27)
-    subset_ceiling: Guard = Guard("max_subsets", 1 << 27, _SUBSETS, CAP_ENV_VAR, 1 << 27)
+    max_subsets: Guard = Guard(
+        "max_subsets", 1 << 20, "set it with max_subsets=, up to 2^27", 1 << 27
+    )
     model_sites: Guard = Guard("unitarity-check", 32, "fixed: its cost grows about n^5")
 
 
@@ -91,19 +87,9 @@ def _magnitude(x: int) -> str:
     return f"2^{b - 1}" if x == 1 << (b - 1) else f"2^{b - 1}..2^{b}"
 
 
-def check_size(subject: str, size: int, limit: int | None, guard: Guard) -> None:
-    """Refuse `size` over the limit in force; `subject` has `{}` where the size goes.
-
-    A `limit` of None means the guard's environment variable if set, else its default.
-    """
-    if limit is None:
-        limit = guard.default
-        text = os.environ.get(guard.env) if guard.env else None
-        if text:
-            try:
-                limit = int(text)
-            except ValueError as exc:
-                raise ValueError(f"{guard.env} must be an integer, got {text!r}") from exc
+def check_size(subject: str, size: int, limit: int, guard: Guard) -> None:
+    """Refuse `size` over `limit`, held to the guard's ceiling; `subject` has
+    `{}` where the size goes."""
     if guard.ceiling is not None:
         limit = min(limit, guard.ceiling)
     if size > limit:

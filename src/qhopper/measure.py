@@ -80,7 +80,6 @@ class _Kernel:
     coeffs: tuple[tuple[int, ...], ...]  # per free class, over the pivot rows
 
 
-@functools.lru_cache(maxsize=256)
 def _kernel(columns: tuple[tuple[int, ...], ...], counts: tuple[int, ...]) -> _Kernel:
     """Fraction-free Gauss-Jordan elimination, pivots on the largest classes first.
 
@@ -316,7 +315,7 @@ def preclusive_coevent_count_exponent(space: HistorySpace) -> int:
 def count_precluded_bruteforce(
     space: HistorySpace,
     *,
-    max_subsets: int | None = None,
+    max_subsets: int = LIMITS.max_subsets.ceiling,
     max_vectors: int = LIMITS.max_vectors.default,
     threads: int = 1,
 ) -> int:
@@ -332,7 +331,7 @@ def count_precluded_bruteforce(
     kernel walk behind it.  `threads` is accepted and changes nothing.
     """
     check_size("brute force over {} subsets", 1 << space.size, max_subsets,
-               LIMITS.subset_ceiling)
+               LIMITS.max_subsets)
     classes = amplitude_classes(space)
     radix = [c + 1 for c in classes.counts]
     lattice = math.prod(radix)

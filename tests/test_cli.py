@@ -308,13 +308,7 @@ def test_scan_leaves_help_abbreviations_and_errors_to_argparse(capsys, argv, cod
 
 
 def _argparse_parse(argv: list[str]) -> argparse.Namespace:
-    """The parse with argparse alone: the command's own parser, then the tree."""
-    if argv and argv[0] in qhopper.cli._COMMANDS:
-        parser = qhopper.cli._Parser(prog=f"qhopper {argv[0]}")
-        qhopper.cli._fill(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
+    """The parse with argparse alone: the full command tree."""
     return qhopper.cli._build_parser().parse_args(argv)
 
 

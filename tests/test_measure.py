@@ -305,18 +305,6 @@ def test_bruteforce_respects_cap(plus_space):
         count_precluded_bruteforce(plus_space, max_subsets=1 << 10)
 
 
-def test_env_var_overrides_bruteforce_cap(plus_space, monkeypatch):
-    from qhopper import InfeasibleSizeError
-    from qhopper.errors import CAP_ENV_VAR
-
-    monkeypatch.setenv(CAP_ENV_VAR, "1024")
-    with pytest.raises(InfeasibleSizeError):
-        count_precluded_bruteforce(plus_space)
-    monkeypatch.setenv(CAP_ENV_VAR, "not-a-number")
-    with pytest.raises(ValueError):
-        count_precluded_bruteforce(plus_space)
-
-
 def test_single_class_maximal_vector_is_empty():
     sp = make_space([(i, 0) for i in range(4)], [CycInt.one(3)] * 4, order=3)
     assert maximal_zero_count_vectors(amplitude_classes(sp)) == [(0,)]
