@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -38,7 +37,7 @@ from .coevents import (  # noqa: F401  enumerate_primitive stays importable from
 )
 from .errors import LIMITS, SpaceMismatchError
 from .histories import Event, HistorySpace, Sites, enumerate_histories, visited
-from .model import LatticeSpec, initial_state
+from .model import Frozen, LatticeSpec, initial_state
 
 __all__ = [
     "named_ensemble",
@@ -237,9 +236,11 @@ def event_by_name(space: HistorySpace, name: str) -> Event:
     raise ValueError(f"unknown event name {name!r}")
 
 
-@dataclass(frozen=True)
-class EventVerdicts:
-    """Per-coevent 0/1 verdicts on one event, with ensemble tallies."""
+class EventVerdicts(NamedTuple):
+    """Per-coevent 0/1 verdicts on one event, with ensemble tallies.
+
+    A named tuple, so it compares by value, as a tuple does.
+    """
 
     total: int
     affirmed: int
@@ -398,14 +399,18 @@ def rotate_coevent(
     return MultiplicativeCoevent(Event(target_space, moved >> _offset(target_space)))
 
 
-@dataclass(frozen=True)
-class ShiftSymmetry:
+class ShiftSymmetry(NamedTuple):
+    """One lattice rotation: how many coevents it maps to themselves, and
+    whether it maps the ensemble onto itself.  Compares by value, as a tuple."""
+
     individual_invariant: int
     ensemble_invariant: bool
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
+    """Rotation symmetry of a state's all-final-sites primitive ensemble, per
+    shift.  Compares by value, as a tuple."""
+
     state_label: str
     n: int
     steps: int
@@ -462,10 +467,16 @@ WITNESS_EVENTS = (
 )
 
 
-@dataclass(frozen=True)
-class DiscriminationReport:
-    """Pairwise primitive-coevent overlaps between initial states, with witnesses."""
+class DiscriminationReport(Frozen):
+    """Pairwise primitive-coevent overlaps between initial states, with witnesses.
 
+    Compares by value, over every field but `profiles`, which repr also
+    leaves out.
+    """
+
+    _fields = (
+        "n", "steps", "final", "states", "counts", "overlaps", "witness_counts", "separators"
+    )
     n: int
     steps: int
     final: int
@@ -474,7 +485,20 @@ class DiscriminationReport:
     overlaps: dict[tuple[str, str], int]
     witness_counts: dict[str, dict[str, int]]
     separators: dict[str, str | None]
-    profiles: dict[str, PrimitiveProfile] = field(repr=False, compare=False)
+    profiles: dict[str, PrimitiveProfile]
+
+    def __init__(
+        self, n, steps, final, states, counts, overlaps, witness_counts, separators, profiles
+    ):
+        vars(self).update(
+            n=n, steps=steps, final=final, states=states, counts=counts, overlaps=overlaps,
+            witness_counts=witness_counts, separators=separators, profiles=profiles,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
     @functools.cached_property
     def common(self) -> dict[tuple[str, str], list[tuple[int, ...]]]:

@@ -40,7 +40,7 @@ from .model import (
     initial_state,
     transfer_matrix,
 )
-from .render import JSON_INT_LIMIT, dumps_canonical, history_str, json_ready, value_label
+from .render import dumps_canonical, history_str, json_ready, plain_cells, value_label
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -216,18 +216,13 @@ def _flatten(d: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 def _csv_column(cells: list) -> list:
     """One csv column: the cells as `json_ready` renders them, sequences
-    joined by spaces.  Strings and ints up to JSON_INT_LIMIT, alone or in
-    sequences, render as they are, so a column's types are checked once
-    instead of walking every cell."""
+    joined by spaces.  A column of `plain_cells`, alone or in sequences,
+    renders as it is, so its types are checked once instead of walking
+    every cell."""
     flat = cells
     if {*map(type, cells)} <= {list, tuple}:
         flat = list(itertools.chain.from_iterable(cells))
-    kinds = {*map(type, flat)}
-    if not kinds <= {str} and not (
-        kinds <= {int}
-        and -JSON_INT_LIMIT <= min(flat, default=0)
-        and max(flat, default=0) <= JSON_INT_LIMIT
-    ):
+    if not plain_cells(flat):
         cells = json_ready(cells)
     return [" ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in cells]
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import LIMITS, SpaceMismatchError, WrongSpaceError, check_size
 from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes, bit_indices
 from .measure import sector_tables
+from .model import Frozen, FrozenValue, _set
 from .subsetwalk import close_downward, minimal_uncovered, outer_and, zero_sum_subsets
 
 __all__ = [
@@ -44,11 +44,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiplicativeCoevent:
-    """The coevent F* determined by its support F."""
+class MultiplicativeCoevent(FrozenValue):
+    """The coevent F* determined by its support F.
 
+    Compares by value: equal coevents have equal supports.
+    """
+
+    __slots__ = _fields = ("support",)
     support: Event
+
+    def __init__(self, support):
+        _set(self, "support", support)
+
+    def _values(self) -> tuple:
+        return (self.support,)
 
     @property
     def space(self) -> HistorySpace:
@@ -209,8 +218,7 @@ def _support_rows(member_lists, vectors) -> list[tuple[int, ...]]:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class PrimitiveProfile:
+class PrimitiveProfile(Frozen):
     """The primitive ensemble of a fixed-final space, held as its minimal class vectors.
 
     A support is primitive exactly when its per-class counts form a
@@ -218,11 +226,16 @@ class PrimitiveProfile:
     class c gives one.  So each whole-ensemble figure is a sum over the
     minimal vectors of products of binomials, and supports are expanded,
     as sorted index tuples, only where they are listed (`supports`,
-    `shared_supports`; `expand` wraps each as a coevent).
+    `shared_supports`; `expand` wraps each as a coevent).  Compares by
+    identity.
     """
 
+    _fields = ("classes", "minimal")
     classes: AmplitudeClasses
     minimal: tuple[tuple[int, ...], ...]  # sorted by total, then lexicographically
+
+    def __init__(self, classes, minimal):
+        vars(self).update(classes=classes, minimal=minimal)
 
     @property
     def space(self) -> HistorySpace:

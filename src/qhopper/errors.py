@@ -63,8 +63,8 @@ class Guard(NamedTuple):
 
 
 class Limits(NamedTuple):
-    """Every size guard; `LIMITS` is the only instance (a named tuple is as
-    immutable as a frozen dataclass, and several times cheaper to import)."""
+    """Every size guard; `LIMITS` is the only instance (a named tuple:
+    immutable, and cheap to create when the module is imported)."""
 
     max_histories: Guard = Guard(
         "max_histories", 1 << 24, "raise it with --max-histories or max_histories="

@@ -16,12 +16,11 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .cyclotomic import CycInt
 from .errors import LIMITS, SpaceMismatchError, check_size
-from .model import InitialState, LatticeSpec, hop_amplitude
+from .model import Frozen, FrozenValue, InitialState, LatticeSpec, _set, hop_amplitude
 
 __all__ = [
     "Sites",
@@ -48,8 +47,7 @@ def history_index(sites: Sites, n: int) -> int:
     return sum(s * n**t for t, s in enumerate(sites))
 
 
-@dataclass(frozen=True, eq=False)
-class HistorySpace:
+class HistorySpace(Frozen):
     """An ordered space of histories with their exact amplitudes.
 
     `final` is None for the unrestricted space, otherwise the shared
@@ -64,6 +62,11 @@ class HistorySpace:
     histories: tuple[Sites, ...]
     amps: tuple[CycInt, ...]
     order: int
+
+    def __init__(self, spec, state, final, histories, amps, order):
+        vars(self).update(
+            spec=spec, state=state, final=final, histories=histories, amps=amps, order=order
+        )
 
     @property
     def size(self) -> int:
@@ -267,16 +270,24 @@ def mask_of(indices) -> int:
     return int(digits, 2) << low
 
 
-@dataclass(frozen=True)
-class Event:
-    """A set of histories, stored as a bitset over the space's canonical indices."""
+class Event(FrozenValue):
+    """A set of histories, stored as a bitset over the space's canonical indices.
 
+    Compares by value: the same space object and the same members.
+    """
+
+    __slots__ = _fields = ("space", "members")
     space: HistorySpace
     members: int
 
-    def __post_init__(self):
-        if not 0 <= self.members <= self.space.universe_mask:
+    def __init__(self, space, members):
+        if not 0 <= members <= space.universe_mask:
             raise ValueError("bitset wider than the history space")
+        _set(self, "space", space)
+        _set(self, "members", members)
+
+    def _values(self) -> tuple:
+        return self.space, self.members
 
     @classmethod
     def from_indices(cls, space: HistorySpace, indices) -> Event:
@@ -331,30 +342,39 @@ class Event:
 # -- amplitude classes ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeClass:
-    """All histories of one final site sharing one exact amplitude value."""
+class AmplitudeClass(Frozen):
+    """All histories of one final site sharing one exact amplitude value.
 
+    Compares by identity.
+    """
+
+    _fields = ("value", "members", "count", "final")
     value: CycInt
     members: int  # bitset over the space
     count: int
     final: int
 
+    def __init__(self, value, members, count, final):
+        vars(self).update(value=value, members=members, count=count, final=final)
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeClasses:
+
+class AmplitudeClasses(Frozen):
     """Partition of a space by (final site, exact amplitude).
 
     This is the engine's main acceleration structure: preclusion of an
     event depends only on how many members it takes from each class.
     Classes are ordered by their smallest member index, which makes
-    every downstream report deterministic.
+    every downstream report deterministic.  Compares by identity.
     """
 
+    _fields = ("space", "classes")  # repr leaves out the lookup tables
     space: HistorySpace
     classes: tuple[AmplitudeClass, ...]
-    sectors: dict[int, tuple[int, ...]] = field(repr=False)
-    class_of: tuple[int, ...] = field(repr=False)
+    sectors: dict[int, tuple[int, ...]]
+    class_of: tuple[int, ...]
+
+    def __init__(self, space, classes, sectors, class_of):
+        vars(self).update(space=space, classes=classes, sectors=sectors, class_of=class_of)
 
     @property
     def counts(self) -> tuple[int, ...]:

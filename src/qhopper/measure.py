@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cyclotomic import CycInt
 from .errors import LIMITS, WrongSpaceError, check_size
 from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes
+from .model import Frozen
 from .subsetwalk import pack_rows, walk_count_table
 
 __all__ = [
@@ -46,10 +46,13 @@ LATTICE_BLOCK = 1 << 16  # count vectors whose sums are listed at once
 # -- per-sector count-vector tables -------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SectorTable:
-    """Zero-sum structure of one final sector's amplitude classes."""
+class SectorTable(Frozen):
+    """Zero-sum structure of one final sector's amplitude classes.
 
+    Compares by identity.
+    """
+
+    _fields = ("final", "class_ids", "values", "counts", "precluded", "maximal_zero")
     final: int
     class_ids: tuple[int, ...]  # global class indices, in class order
     values: tuple[CycInt, ...]
@@ -57,13 +60,18 @@ class SectorTable:
     precluded: int  # zero-sum subsets of the sector, the empty one included
     maximal_zero: tuple[tuple[int, ...], ...]  # in ascending lexicographic order
 
+    def __init__(self, final, class_ids, values, counts, precluded, maximal_zero):
+        vars(self).update(
+            final=final, class_ids=class_ids, values=values, counts=counts,
+            precluded=precluded, maximal_zero=maximal_zero,
+        )
+
     def extendable(self, vec: tuple[int, ...]) -> bool:
         """True iff some zero-sum count vector dominates `vec` componentwise."""
         return any(all(k <= m for k, m in zip(vec, mx)) for mx in self.maximal_zero)
 
 
-@dataclass(frozen=True)
-class _Kernel:
+class _Kernel(NamedTuple):
     """Integer reduced echelon form of one sector's class-value matrix A.
 
     Column j of A holds the canonical coordinates of class j's value, so
@@ -72,6 +80,7 @@ class _Kernel:
         denoms[r] * k[pivots[r]] + sum_j coeffs[j][r] * k[free[j]] = 0,
 
     with denoms[r] > 0: each pivot class is fixed by the free classes.
+    Compares and hashes by value, which keys `_kernel_walk`'s memo.
     """
 
     pivots: tuple[int, ...]

@@ -9,7 +9,6 @@ can never affect whether an amplitude sum vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cyclotomic import CycInt, root
 from .errors import InvalidSiteError, UnknownStateError
@@ -27,19 +26,78 @@ __all__ = [
 
 STATE_LABELS = ("ground", "plus", "minus", "standing")
 
+_set = object.__setattr__  # how __init__ fills the fields of a Frozen record
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """A cyclic lattice of n sites walked for a fixed number of time steps."""
 
+class Frozen:
+    """Base of the package's records: assigning or deleting an attribute
+    raises AttributeError, and repr lists the fields named in `_fields`.
+
+    A subclass's __init__ sets its fields with `_set`, or, when it has a
+    __dict__, with `vars(self).update`; `functools.cached_property` writes
+    that __dict__ directly, so it still caches.  A record compares by
+    identity unless it defines __eq__, as `FrozenValue` does.  A plain
+    class costs little to create when its module is imported: no method
+    is generated and exec'd.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+
+class FrozenValue(Frozen):
+    """A Frozen record that compares and hashes by `_values()`, its fields'
+    values, equal only to a record of the same class; it pickles and copies
+    through its constructor, which validates again.  Each subclass spells
+    out `_values`, several times faster than the generic loop."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class LatticeSpec(FrozenValue):
+    """A cyclic lattice of n sites walked for a fixed number of time steps.
+
+    Compares by value.
+    """
+
+    __slots__ = _fields = ("n", "steps")
     n: int
     steps: int
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least 2 sites, got {self.n}")
-        if self.steps < 1:
-            raise ValueError(f"need at least 1 step, got {self.steps}")
+    def __init__(self, n, steps):
+        if n < 2:
+            raise ValueError(f"need at least 2 sites, got {n}")
+        if steps < 1:
+            raise ValueError(f"need at least 1 step, got {steps}")
+        _set(self, "n", n)
+        _set(self, "steps", steps)
+
+    def _values(self) -> tuple:
+        return self.n, self.steps
 
     @property
     def phase_order(self) -> int:
@@ -51,16 +109,24 @@ class LatticeSpec:
             raise InvalidSiteError(f"site {x} outside 0..{self.n - 1}")
 
 
-@dataclass(frozen=True)
-class InitialState:
-    """Per-site starting amplitudes; overall scale is irrelevant to preclusion."""
+class InitialState(FrozenValue):
+    """Per-site starting amplitudes; overall scale is irrelevant to preclusion.
 
+    Compares by value; CycInt values have no hash, so neither has a state.
+    """
+
+    __slots__ = _fields = ("label", "amps")
     label: str
     amps: tuple[CycInt, ...]
 
-    def __post_init__(self):
-        if all(a.is_zero() for a in self.amps):
+    def __init__(self, label, amps):
+        if all(a.is_zero() for a in amps):
             raise ValueError("initial state cannot be identically zero")
+        _set(self, "label", label)
+        _set(self, "amps", amps)
+
+    def _values(self) -> tuple:
+        return self.label, self.amps
 
 
 def hop_amplitude(spec: LatticeSpec, x: int, x2: int) -> CycInt:

@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring
 
 from .cyclotomic import CycInt
 from .histories import Sites
 
-__all__ = ["history_str", "value_label", "json_ready", "dumps_canonical"]
+__all__ = ["history_str", "value_label", "plain_cells", "json_ready", "dumps_canonical"]
 
 JSON_INT_LIMIT = 1 << 53  # larger integers go out as decimal strings
 
@@ -59,6 +60,19 @@ def value_label(value: CycInt) -> str:
     return out
 
 
+def plain_cells(cells: list) -> bool:
+    """True iff `json_ready` returns each of the cells as it is: all are
+    strings, or all are plain ints within JSON_INT_LIMIT.  A bool, an int
+    subclass or a larger int fails, so one type check on a whole column or
+    listing can stand for a walk over every cell."""
+    kinds = {*map(type, cells)}
+    return kinds <= {str} or (
+        kinds <= {int}
+        and -JSON_INT_LIMIT <= min(cells, default=0)
+        and max(cells, default=0) <= JSON_INT_LIMIT
+    )
+
+
 def json_ready(obj):
     """Recursively convert to plain JSON types with exactness preserved.
 
@@ -79,6 +93,9 @@ def json_ready(obj):
     if isinstance(obj, dict):
         return {_key(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # rows of plain cells, such as a support listing, are checked as a whole
+        if {*map(type, obj)} <= {list, tuple} and plain_cells(list(chain.from_iterable(obj))):
+            return [list(row) for row in obj]
         return [json_ready(v) for v in obj]
     if isinstance(obj, float):
         raise TypeError("floating-point values have no place in exact reports")

@@ -753,8 +753,21 @@ def test_empty_ensemble_csv_keeps_the_records_header(capsys, argv, header):
     assert capsys.readouterr().out == header
 
 
-def test_the_package_and_its_cli_load_no_numpy():
+def _modules_after_import() -> set[str]:
+    """Every module loaded once a fresh interpreter has run `import qhopper, qhopper.cli`."""
     src = str(Path(qhopper.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, qhopper, qhopper.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = "import sys, qhopper, qhopper.cli; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_the_package_and_its_cli_load_no_numpy():
+    assert "numpy" not in _modules_after_import()
+
+
+def test_the_package_and_its_cli_load_no_dataclasses_or_inspect():
+    # dataclasses imports inspect, and each decorator execs generated methods:
+    # about half of what importing the package cost
+    assert not {"dataclasses", "inspect"} & _modules_after_import()

@@ -117,6 +117,22 @@ def test_an_int_subclass_past_the_limit_becomes_a_decimal_string():
     assert same(json_ready([Level.HIGH]), [str(LIMIT + 1)])
 
 
+def test_rows_of_plain_cells_become_lists():
+    rows = ((1, 2), [LIMIT, -LIMIT], (), ("a", "b"))
+    assert same(json_ready(rows), [[1, 2], [LIMIT, -LIMIT], [], ["a", "b"]])
+    assert same(json_ready([]), [])
+
+
+@pytest.mark.parametrize(
+    "cell, ready",
+    [(True, True), (Small.THREE, Small.THREE), (Tagged(5), Tagged(5)),
+     (LIMIT + 1, str(LIMIT + 1)), (-LIMIT - 1, str(-LIMIT - 1)), ("a", "a")],
+    ids=["bool", "IntEnum", "int subclass", "past the limit", "below the limit", "str among ints"],
+)
+def test_rows_with_one_cell_to_convert_keep_every_cell_exact(cell, ready):
+    assert same(json_ready([(1, 2), (3, cell)]), [[1, 2], [3, ready]])
+
+
 @pytest.mark.parametrize(
     "obj", [{1, 2}, frozenset({1}), [object()]], ids=["set", "frozenset", "object"]
 )
