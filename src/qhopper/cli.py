@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from collections.abc import Sequence
 from importlib import resources
@@ -32,7 +33,7 @@ from .histories import (
     enumerate_histories,
     half_hop_count,
 )
-from .measure import count_precluded, preclusive_coevent_count_exponent, sector_tables
+from .measure import sector_tables
 from .model import (
     STATE_LABELS,
     LatticeSpec,
@@ -307,16 +308,19 @@ def _histories_figures(space: HistorySpace, state: str) -> dict:
 
 
 def _preclusion_figures(space: HistorySpace, state: str) -> dict:
-    classes = amplitude_classes(space)
+    # one set of sector tables gives every figure, as count_precluded and
+    # preclusive_coevent_count_exponent would derive them
+    tables = sector_tables(amplitude_classes(space))
+    precluded = math.prod(table.precluded for table in tables.values())
     data = {
         **_head(space, state),
         "subsets_total": f"2^{space.size}",
-        "precluded": count_precluded(classes),
-        "preclusive_coevents_log2": preclusive_coevent_count_exponent(space),
+        "precluded": precluded,
+        "preclusive_coevents_log2": (1 << space.size) - precluded,
     }
     maximal = {
         f: [_vector_entries(table.values, vec) for vec in table.maximal_zero]
-        for f, table in sector_tables(classes).items()
+        for f, table in tables.items()
     }
     if space.final is not None:
         data["maximal_zero_vectors"] = maximal[space.final]

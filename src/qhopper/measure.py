@@ -10,20 +10,32 @@ how many members it takes from each class, so the zero-sum predicate
 lives on the small lattice of per-class count vectors and each zero-sum
 vector contributes a product of binomial coefficients.  The zero-sum
 vectors are the integer kernel points of the class-value matrix inside
-the box 0 <= k <= counts.  One walk over the kernel's free classes, each
-from its highest count down, visits them without listing them: it sums
-their binomial products into the precluded count and keeps the vectors
-no earlier one dominates, which are exactly the maxima.
+the box 0 <= k <= counts.  Classes whose reduced columns are parallel
+enter that matrix only through one sum per value direction, so one walk
+over the kernel's free directions, each from its highest value down,
+visits the zero-sum vectors without listing them: it sums their
+binomial products into the precluded count and keeps the vectors that
+no other one dominates, which are exactly the maxima.  A direction of
+one class is a digit over its count; a direction of several classes is
+a digit over its distinct sums, tabulated once.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from typing import Iterator, NamedTuple
 
 from .cyclotomic import CycInt
 from .errors import LIMITS, WrongSpaceError, check_size
-from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes
+from .histories import (
+    AmplitudeClasses,
+    Event,
+    HistorySpace,
+    amplitude_classes,
+    bit_indices,
+)
 from .model import Frozen
 from .subsetwalk import pack_rows, walk_count_table
 
@@ -132,93 +144,248 @@ def _check_free_box(kernel: _Kernel, counts: tuple[int, ...], max_vectors: int) 
     check_size("free-class box of {} points " + free, box, max_vectors, LIMITS.max_vectors)
 
 
+def _directions(
+    kernel: _Kernel,
+) -> list[tuple[int | None, tuple[int, ...], list[tuple[int, int]]]]:
+    """Classes grouped by the primitive direction u of their reduced column.
+
+    Pivot p_r has column denoms[r]·e_r and free class f has column
+    coeffs[f].  Each direction is (pivot row or None, u, classes), each
+    class as (class, scale s) with column s·u; u's first nonzero entry is
+    positive, and zero columns share the zero direction with scale 0.
+    The pivots' directions come first, in row order, then the other
+    directions in order of their first class.
+    """
+    rank = len(kernel.pivots)
+    groups: dict[tuple[int, ...], tuple] = {}
+    for r, (p, d) in enumerate(zip(kernel.pivots, kernel.denoms)):
+        groups[(0,) * r + (1,) + (0,) * (rank - r - 1)] = (r, [(p, d)])
+    for f, column in zip(kernel.free, kernel.coeffs):
+        g = math.gcd(*column)
+        if g:
+            g = g if next(filter(None, column)) > 0 else -g
+            column = tuple([a // g for a in column])
+        groups.setdefault(column, (None, []))[1].append((f, g))
+    return [(r, u, members) for u, (r, members) in groups.items()]
+
+
+def _direction_table(
+    members: list[tuple[int, int]], counts: tuple[int, ...], binoms: list[list[int]]
+) -> tuple[list[int], list[int], list[list[tuple[int, ...]]]]:
+    """Distinct sums t = sum_c s_c k_c over the box of one direction's
+    classes, ascending; per sum, the summed weight prod_c C(counts_c, k_c)
+    and the maximal count vectors, over `members` in order.
+
+    Built one class at a time.  A vector maximal at its sum has a prefix
+    maximal at the prefix's sum, so extending the previous antichains
+    gives every candidate.  Larger counts of the new class go first, and
+    a candidate is kept when none kept at its sum dominates it.
+    """
+    table: dict[int, list] = {0: [1, [()]]}
+    for c, s in members:
+        row = binoms[c]
+        grown: dict[int, list] = {}
+        for k in range(counts[c], -1, -1):
+            for t, (w, maxima) in table.items():
+                entry = grown.setdefault(t + s * k, [0, []])
+                entry[0] += w * row[k]
+                kept = entry[1]
+                for m in maxima:
+                    v = m + (k,)
+                    if not any(all(a <= b for a, b in zip(v, x)) for x in kept):
+                        kept.append(v)
+        table = grown
+    sums = sorted(table)
+    return sums, [table[t][0] for t in sums], [table[t][1] for t in sums]
+
+
 @functools.lru_cache(maxsize=256)
 def _kernel_walk(
     kernel: _Kernel, counts: tuple[int, ...]
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Zero-sum subset count and maximal zero-sum count vectors, in one walk.
 
-    Only the box of the kernel's free classes is walked; each pivot class
-    is solved exactly and kept when integral.  Each pivot row's partial
-    sum over the free classes is carried from digit to digit, and at
-    every digit the range of the digit is cut to values for which the
-    remaining free classes can still bring every pivot class into its
-    count.  A zero-sum vector k adds prod_c C(counts_c, k_c) to the count.
+    The walk runs over value directions (`_directions`).  Classes whose
+    reduced columns are parallel, s_c·u, enter A k only through their
+    direction's sum t_u = sum_c s_c k_c, so k is zero-sum iff
+    sum_u t_u·u = 0.  A direction of one class is one digit over the
+    class's count, as the class alone would be.  A direction of several
+    classes is one digit over its distinct sums, tabulated before the
+    walk with each sum's weight and maximal vectors (`_direction_table`).
 
-    Every free digit runs from high to low.  A zero-sum vector is fixed
-    by its free part, so any vector dominating k has a lexicographically
-    larger free part and is reached before k: k is maximal iff no
-    maximum found so far dominates it.  `above[c][v]` is the bitmask of
-    the maxima found so far whose count in class c is at least v, so
-    that test is one AND per class.  The maxima are returned in
-    ascending lexicographic order.
+    The free directions are the digits; each pivot direction u = e_r is
+    solved exactly from them and kept when its count, or its table,
+    reaches the sum.  Each pivot row's partial sum is carried from digit
+    to digit, and at every digit the range of the digit is cut to values
+    for which the remaining digits can still bring every pivot direction
+    into range.  A direction holds at most one pivot class, so its table
+    is at most (pivot count + 1) times its part of the free box, and the
+    walk visits at most the free directions' distinct sums: never more
+    than the free-class box that the guard bounds.  A zero-sum vector k
+    adds prod_c C(counts_c, k_c) to the count.
+
+    Every digit runs from high to low.  With one class per direction, a
+    zero-sum vector is fixed by its free part, so any vector dominating
+    k has a lexicographically larger free part and is reached before k:
+    k is maximal iff no vector kept so far dominates it.  `above[c][v]`
+    is the bitmask of the kept vectors whose count in class c is at
+    least v, so that test is one AND per class.  With a direction of
+    several classes, each zero-sum choice of sums gives the products of
+    the directions' maximal vectors, in no dominance order; so a newly
+    kept vector also drops the kept ones it dominates, found by one AND
+    per class over `below[c][v]`, the bitmask of those whose count in c
+    is at most v.  Once half the kept vectors are dropped, the masks are
+    rebuilt from the rest, so they hold at most twice the antichain kept
+    so far; no list of zero-sum vectors is held.  The maxima are
+    returned in ascending lexicographic order.
 
     Memoised by content: a space rebuilt for another query walks no
     second time.  The results hold no space.
     """
-    pivots, denoms, free = kernel.pivots, kernel.denoms, kernel.free
-    rows = range(len(pivots))
-    caps = [counts[f] for f in free]
+    rank = len(kernel.pivots)
+    rows = range(rank)
     binoms = [_binomial_row(c) for c in counts]
-    # pivot row r needs its free sum s_r in [-limits[r], 0]
-    limits = [d * counts[p] for p, d in zip(pivots, denoms)]
-    # rest_lo[i][r], rest_hi[i][r]: range of row r's sum over free digits i..
-    rest_lo = [[0] * len(pivots) for _ in range(len(free) + 1)]
-    rest_hi = [[0] * len(pivots) for _ in range(len(free) + 1)]
-    for i in range(len(free) - 1, -1, -1):
+    # pivot row r needs its sum over the free digits in [low[r], high[r]]
+    low, high = [0] * rank, [0] * rank
+    lone = []  # (row, pivot, denom, binomials) of each pivot alone in its direction
+    solved = []  # (row, {t: (weight, maxima)}, slot) of each other pivot direction
+    digits = []  # (column, class or None, least, most, table or None) per free direction
+    spread = []  # the classes of each direction of several classes, by slot
+    for r, u, members in _directions(kernel):
+        if len(members) == 1:
+            ((c, s),) = members
+            if r is None:
+                digits.append((tuple([s * a for a in u]), c, 0, counts[c], None))
+            else:
+                lone.append((r, c, s, binoms[c]))
+                low[r] = -s * counts[c]
+            continue
+        if r is None and sum(s * counts[c] for c, s in members) < 0:
+            # walked from high sums down, the larger vectors come first
+            u, members = tuple([-a for a in u]), [(c, -s) for c, s in members]
+        sums, weights, maxima = _direction_table(members, counts, binoms)
+        if r is None:
+            digits.append((u, None, sums[0], sums[-1], (sums, weights, maxima, len(spread))))
+        else:
+            solved.append((r, dict(zip(sums, zip(weights, maxima))), len(spread)))
+            low[r], high[r] = -sums[-1], -sums[0]
+        spread.append(members)
+    # rest_lo[i][r], rest_hi[i][r]: range of row r's sum over digits i..
+    rest_lo = [[0] * rank for _ in range(len(digits) + 1)]
+    rest_hi = [[0] * rank for _ in range(len(digits) + 1)]
+    for i in range(len(digits) - 1, -1, -1):
+        column, _, least, most, _ = digits[i]
         for r in rows:
-            span = kernel.coeffs[i][r] * caps[i]
-            rest_lo[i][r] = rest_lo[i + 1][r] + min(0, span)
-            rest_hi[i][r] = rest_hi[i + 1][r] + max(0, span)
+            ends = (column[r] * least, column[r] * most)
+            rest_lo[i][r] = rest_lo[i + 1][r] + min(ends)
+            rest_hi[i][r] = rest_hi[i + 1][r] + max(ends)
 
     precluded = 0
-    maxima: list[tuple[int, ...]] = []
+    kept: list[tuple[int, ...]] = []
+    alive = dropped = 0  # bits of the kept vectors not dropped; how many were
     above = [[0] * (c + 1) for c in counts]
+    below = [[0] * (c + 1) for c in counts] if spread else []
     vec = [0] * len(counts)
+    fibers: list = [()] * len(spread)  # maximal vectors of each spread direction at its sum
+
+    def keep(v) -> None:
+        """Keep v, which no kept vector dominates, and drop those it dominates."""
+        nonlocal kept, alive, dropped
+        if spread:
+            under = alive
+            for masks, k in zip(below, v):
+                under &= masks[k]
+                if not under:
+                    break
+            alive ^= under
+            dropped += under.bit_count()
+            if 2 * dropped > len(kept):
+                rest = [kept[j] for j in bit_indices(alive)]
+                kept, alive, dropped = [], 0, 0
+                for masks in above + below:
+                    masks[:] = [0] * len(masks)
+                for w in rest:
+                    keep(w)
+        bit = 1 << len(kept)
+        kept.append(tuple(v))
+        alive |= bit
+        for masks, k in zip(above, v):
+            for x in range(k + 1):
+                masks[x] |= bit
+        for masks, k in zip(below, v):
+            for x in range(k, len(masks)):
+                masks[x] |= bit
+
+    def settle(sums: list[int], weight: int) -> None:
+        """The leaf of a walk with directions of several classes: solve the
+        pivot directions' tables, then offer every product of maxima."""
+        nonlocal precluded
+        for r, table, slot in solved:
+            entry = table.get(-sums[r])
+            if entry is None:
+                return
+            weight *= entry[0]
+            fibers[slot] = entry[1]
+        precluded += weight
+        for picks in itertools.product(*fibers):
+            for members, ks in zip(spread, picks):
+                for (c, _), k in zip(members, ks):
+                    vec[c] = k
+            # a vector some dropped one dominates is dominated by a kept one
+            dominated = -1
+            for masks, k in zip(above, vec):
+                dominated &= masks[k]
+                if not dominated:
+                    keep(vec)
+                    break
 
     def rec(i: int, sums: list[int], weight: int) -> None:
         nonlocal precluded
-        if i == len(free):
-            for r in rows:
-                q, rem = divmod(-sums[r], denoms[r])
+        if i == len(digits):
+            for r, p, d, row in lone:
+                q, rem = divmod(-sums[r], d)
                 if rem:
                     return
-                vec[pivots[r]] = q
-                weight *= binoms[pivots[r]][q]
+                vec[p] = q
+                weight *= row[q]
+            if spread:
+                settle(sums, weight)
+                return
+            # the test is written out here too: most walks take only this leaf
             precluded += weight
             dominated = -1
             for masks, k in zip(above, vec):
                 dominated &= masks[k]
                 if not dominated:
+                    keep(vec)
                     break
-            else:
-                return
-            bit = 1 << len(maxima)
-            maxima.append(tuple(vec))
-            for masks, k in zip(above, vec):
-                for v in range(k + 1):
-                    masks[v] |= bit
             return
-        col, lo, hi = kernel.coeffs[i], rest_lo[i + 1], rest_hi[i + 1]
-        k_lo, k_hi = 0, caps[i]
+        column, c, least, most, table = digits[i]
+        lo, hi = rest_lo[i + 1], rest_hi[i + 1]
         for r in rows:
-            # some rest in [lo, hi] must give -limit <= sums + a*k + rest <= 0
-            a, least, most = col[r], -limits[r] - sums[r] - hi[r], -sums[r] - lo[r]
+            # some rest in [lo, hi] must give low <= sums + a*v + rest <= high
+            a, under, over = column[r], low[r] - sums[r] - hi[r], high[r] - sums[r] - lo[r]
             if a > 0:
-                k_lo, k_hi = max(k_lo, -(-least // a)), min(k_hi, most // a)
+                least, most = max(least, -(-under // a)), min(most, over // a)
             elif a < 0:
-                k_lo, k_hi = max(k_lo, -(-most // a)), min(k_hi, least // a)
-            elif least > 0 or most < 0:
+                least, most = max(least, -(-over // a)), min(most, under // a)
+            elif under > 0 or over < 0:
                 return
-        row = binoms[free[i]]
-        cur = [s + a * k_hi for s, a in zip(sums, col)]
-        for k in range(k_hi, k_lo - 1, -1):
-            vec[free[i]] = k
-            rec(i + 1, cur, weight * row[k])
-            cur = [s - a for s, a in zip(cur, col)]
+        if table is None:
+            row = binoms[c]
+            cur = [s + a * most for s, a in zip(sums, column)]
+            for k in range(most, least - 1, -1):
+                vec[c] = k
+                rec(i + 1, cur, weight * row[k])
+                cur = [s - a for s, a in zip(cur, column)]
+            return
+        ts, weights, maxima, slot = table
+        for j in range(bisect.bisect_right(ts, most) - 1, bisect.bisect_left(ts, least) - 1, -1):
+            fibers[slot] = maxima[j]
+            rec(i + 1, [s + a * ts[j] for s, a in zip(sums, column)], weight * weights[j])
 
-    rec(0, [0] * len(pivots), 1)
-    return precluded, tuple(sorted(maxima))
+    rec(0, [0] * rank, 1)
+    return precluded, tuple(sorted(v for j, v in enumerate(kept) if alive >> j & 1))
 
 
 def sector_tables(

@@ -2,12 +2,15 @@
 
 Everything here enumerates subsets, or whole count-vector boxes,
 explicitly with plain Python and exact CycInt sums; nothing is shared
-with the library's counting or enumeration code paths.  The ensemble
-observables are computed from each support's site tuples, where the
-library reads index tables and rotates global indices, and the bool
-table sweeps take one reshape of a bool array per bit, where the
-library shifts int bitsets block by block.  The bitset helpers set and
-clear one bit at a time.
+with the library's counting or enumeration code paths, except for
+`class_kernel_walk`.  That is the library's former kernel walk, one
+digit per class, kept as the reference for the walk over value
+directions where whole boxes are too large; it shares only the binomial
+rows.  The ensemble observables are computed from each support's site
+tuples, where the library reads index tables and rotates global
+indices, and the bool table sweeps take one reshape of a bool array per
+bit, where the library shifts int bitsets block by block.  The bitset
+helpers set and clear one bit at a time.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import itertools
 import numpy as np
 
 from qhopper import CycInt, Event, HistorySpace, MultiplicativeCoevent
+from qhopper.measure import _binomial_row
 
 
 def subset_sum_is_zero(space: HistorySpace, indices: tuple[int, ...]) -> bool:
@@ -126,6 +130,91 @@ def box_minimal_preclusive(
         if vec not in dominated:
             minimal.append(vec)
     return minimal
+
+
+def class_kernel_walk(kernel, counts: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Zero-sum subset count and maximal zero-sum count vectors, in one walk.
+
+    Only the box of the kernel's free classes is walked; each pivot class
+    is solved exactly and kept when integral.  Each pivot row's partial
+    sum over the free classes is carried from digit to digit, and at
+    every digit the range of the digit is cut to values for which the
+    remaining free classes can still bring every pivot class into its
+    count.  A zero-sum vector k adds prod_c C(counts_c, k_c) to the count.
+
+    Every free digit runs from high to low.  A zero-sum vector is fixed
+    by its free part, so any vector dominating k has a lexicographically
+    larger free part and is reached before k: k is maximal iff no
+    maximum found so far dominates it.  `above[c][v]` is the bitmask of
+    the maxima found so far whose count in class c is at least v, so
+    that test is one AND per class.  The maxima are returned in
+    ascending lexicographic order.
+
+    Unmemoised: each call walks.
+    """
+    pivots, denoms, free = kernel.pivots, kernel.denoms, kernel.free
+    rows = range(len(pivots))
+    caps = [counts[f] for f in free]
+    binoms = [_binomial_row(c) for c in counts]
+    # pivot row r needs its free sum s_r in [-limits[r], 0]
+    limits = [d * counts[p] for p, d in zip(pivots, denoms)]
+    # rest_lo[i][r], rest_hi[i][r]: range of row r's sum over free digits i..
+    rest_lo = [[0] * len(pivots) for _ in range(len(free) + 1)]
+    rest_hi = [[0] * len(pivots) for _ in range(len(free) + 1)]
+    for i in range(len(free) - 1, -1, -1):
+        for r in rows:
+            span = kernel.coeffs[i][r] * caps[i]
+            rest_lo[i][r] = rest_lo[i + 1][r] + min(0, span)
+            rest_hi[i][r] = rest_hi[i + 1][r] + max(0, span)
+
+    precluded = 0
+    maxima: list[tuple[int, ...]] = []
+    above = [[0] * (c + 1) for c in counts]
+    vec = [0] * len(counts)
+
+    def rec(i: int, sums: list[int], weight: int) -> None:
+        nonlocal precluded
+        if i == len(free):
+            for r in rows:
+                q, rem = divmod(-sums[r], denoms[r])
+                if rem:
+                    return
+                vec[pivots[r]] = q
+                weight *= binoms[pivots[r]][q]
+            precluded += weight
+            dominated = -1
+            for masks, k in zip(above, vec):
+                dominated &= masks[k]
+                if not dominated:
+                    break
+            else:
+                return
+            bit = 1 << len(maxima)
+            maxima.append(tuple(vec))
+            for masks, k in zip(above, vec):
+                for v in range(k + 1):
+                    masks[v] |= bit
+            return
+        col, lo, hi = kernel.coeffs[i], rest_lo[i + 1], rest_hi[i + 1]
+        k_lo, k_hi = 0, caps[i]
+        for r in rows:
+            # some rest in [lo, hi] must give -limit <= sums + a*k + rest <= 0
+            a, least, most = col[r], -limits[r] - sums[r] - hi[r], -sums[r] - lo[r]
+            if a > 0:
+                k_lo, k_hi = max(k_lo, -(-least // a)), min(k_hi, most // a)
+            elif a < 0:
+                k_lo, k_hi = max(k_lo, -(-most // a)), min(k_hi, least // a)
+            elif least > 0 or most < 0:
+                return
+        row = binoms[free[i]]
+        cur = [s + a * k_hi for s, a in zip(sums, col)]
+        for k in range(k_hi, k_lo - 1, -1):
+            vec[free[i]] = k
+            rec(i + 1, cur, weight * row[k])
+            cur = [s - a for s, a in zip(cur, col)]
+
+    rec(0, [0] * len(pivots), 1)
+    return precluded, tuple(sorted(maxima))
 
 
 # -- site-tuple observables ---------------------------------------------------------

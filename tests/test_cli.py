@@ -527,6 +527,14 @@ def test_primitives_dualises_once(monkeypatch, capsys):
     assert len(dualised) == 1
 
 
+@pytest.mark.parametrize("final, sectors", [("0", 1), ("all", 3)])
+def test_preclusion_builds_each_sector_kernel_once(monkeypatch, capsys, final, sectors):
+    kernels = _count_calls(monkeypatch, qhopper.measure._sector_kernel)
+    assert main(["preclusion", "--state", "standing", "--final", final]) == 0
+    capsys.readouterr()
+    assert len(kernels) == sectors
+
+
 @pytest.mark.parametrize(
     "argv",
     [["report"], ["compare", "--state", "ground", "--with", "plus", "--final", "0"]],

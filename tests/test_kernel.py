@@ -11,7 +11,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -30,10 +30,11 @@ from qhopper import (
     minimal_preclusive_vectors,
     root,
 )
+from qhopper.cli import _parse_state as parse_state
 from qhopper.cli import main
 from qhopper.coevents import _dualise_maxima
 from qhopper.errors import LIMITS
-from qhopper.measure import _kernel_walk, _sector_kernel, sector_tables
+from qhopper.measure import _directions, _kernel_walk, _sector_kernel, sector_tables
 
 ORDERS = (3, 4, 5, 8, 12)
 
@@ -42,28 +43,36 @@ def _monomials(order: int) -> set[tuple[int, ...]]:
     return {(s * root(order, k)).canonical() for k in range(order) for s in (1, -1)}
 
 
+def _fresh_values(order: int):
+    excluded = _monomials(order) | {CycInt.zero(order).canonical()}
+    return st.lists(
+        st.integers(min_value=-2, max_value=2), min_size=order, max_size=order
+    ).map(lambda cs: CycInt(order, cs)).filter(
+        lambda v: v.canonical() not in excluded
+    )
+
+
 @st.composite
 def class_layouts(draw):
     """An order, 1 to 6 non-monomial class values, counts 0 to 4.
 
     A value may repeat an earlier one negated, so that nontrivial
     kernels inside small boxes are common, or be zero, so that a class
-    is free with no pivot row to bound it.
+    is free with no pivot row to bound it.  It may also be an earlier
+    value times ±2 or ±3, so that directions of several parallel classes
+    with unequal scales are common.
     """
     order = draw(st.sampled_from(ORDERS))
-    excluded = _monomials(order) | {CycInt.zero(order).canonical()}
-    fresh = st.lists(
-        st.integers(min_value=-2, max_value=2), min_size=order, max_size=order
-    ).map(lambda cs: CycInt(order, cs)).filter(
-        lambda v: v.canonical() not in excluded
-    )
+    fresh = _fresh_values(order)
     values: list[CycInt] = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(("fresh", "negated", "zero")))
+        kind = draw(st.sampled_from(("fresh", "negated", "zero", "scaled")))
         if kind == "zero":
             values.append(CycInt.zero(order))
         elif kind == "negated" and values:
             values.append(-draw(st.sampled_from(values)))
+        elif kind == "scaled" and values:
+            values.append(draw(st.sampled_from(values)) * draw(st.sampled_from((2, -2, 3, -3))))
         else:
             values.append(draw(fresh))
     counts = draw(
@@ -96,6 +105,36 @@ def test_kernel_walk_equals_box_walk(layout):
     zeros = oracles.box_zero_vectors(values, counts, order)
     assert precluded == _box_count(counts, zeros)
     assert list(maxima) == _box_maxima(zeros)  # both in ascending lexicographic order
+
+
+@st.composite
+def line_layouts(draw):
+    """3 to 8 classes on the lines through b, b' and b + b', for two fresh
+    values b, b', the first three on one line each, every class at a scale
+    of ±1, ±2 or ±3, with counts 0 to 4: the shape of a custom state's
+    sector."""
+    order = draw(st.sampled_from(ORDERS))
+    b, b2 = draw(_fresh_values(order)), draw(_fresh_values(order))
+    assume(len(_sector_kernel((b, b2), (1, 1)).pivots) == 2)  # not parallel
+    lines = (b, b2, b + b2)
+    size = draw(st.integers(min_value=3, max_value=8))
+    values = tuple(
+        (lines[i] if i < 3 else draw(st.sampled_from(lines)))
+        * draw(st.sampled_from((1, -1, 2, -2, 3, -3)))
+        for i in range(size)
+    )
+    counts = tuple(draw(st.integers(min_value=0, max_value=4)) for _ in range(size))
+    return order, values, counts
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(line_layouts())
+def test_kernel_walk_equals_class_walk_on_three_lines(layout):
+    # free directions of several classes between two solved ones, as in
+    # the custom states, in boxes too large to walk whole
+    _, values, counts = layout
+    kernel = _sector_kernel(values, counts)
+    assert _kernel_walk(kernel, counts) == oracles.class_kernel_walk(kernel, counts)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -152,6 +191,50 @@ def test_tables_and_minimal_vectors_match_box_references_on_real_spaces():
         )
         checked += 1
     assert checked >= 50
+
+
+# (3,3) states of the frontier's custom coefficient patterns (-3,-1,1),
+# (-3,-2,-1) and (-2,-1,2), at several phase draws: eight classes in
+# three value directions
+CUSTOM_STATES = (
+    "custom:0:3,2:1,2:-1", "custom:0:3,1:1,2:-1", "custom:1:-3,1:-1,0:1",
+    "custom:2:-3,0:-2,2:-1", "custom:2:-3,1:-2,0:-1", "custom:0:3,0:2,1:1",
+    "custom:0:2,1:1,1:-2", "custom:1:-2,0:-1,2:2", "custom:2:2,2:1,0:-2",
+)
+
+
+def _walk_spaces():
+    for state in ("ground", "plus", "minus", "standing"):
+        for final in range(3):
+            yield 3, 4, state, final
+    for n, steps in ((3, 5), (4, 3)):
+        yield n, steps, "plus", 0
+    for state in CUSTOM_STATES:
+        for final in range(3):
+            yield 3, 3, state, final
+
+
+@pytest.mark.parametrize("point", list(_walk_spaces()), ids=lambda p: "-".join(map(str, p)))
+def test_direction_walk_equals_class_walk(point):
+    n, steps, state, final = point
+    spec = LatticeSpec(n, steps)
+    space = enumerate_histories(spec, parse_state(spec, state), final)
+    classes = amplitude_classes(space)
+    (cids,) = classes.sectors.values()
+    values = tuple(classes.classes[c].value for c in cids)
+    counts = tuple(classes.classes[c].count for c in cids)
+    kernel = _sector_kernel(values, counts)
+    assert _kernel_walk(kernel, counts) == oracles.class_kernel_walk(kernel, counts)
+
+
+def test_custom_states_walk_several_classes_per_direction():
+    # what the direction walk is for: eight classes on three value lines
+    spec = LatticeSpec(3, 3)
+    for state in CUSTOM_STATES:
+        classes = amplitude_classes(enumerate_histories(spec, parse_state(spec, state), 0))
+        kernel = _sector_kernel(tuple(c.value for c in classes.classes), classes.counts)
+        assert len(classes.counts) == 8
+        assert sorted(len(members) for _, _, members in _directions(kernel)) == [2, 3, 3]
 
 
 def test_bitmasks_wider_than_a_machine_word():
