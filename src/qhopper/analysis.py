@@ -12,7 +12,7 @@ reports) read a `PrimitiveProfile` instead: every figure depends only on
 how many histories a support takes from each amplitude class, so it is a
 binomial sum over the minimal class vectors and no support is expanded.
 Supports are listed, as sorted index tuples, only where they are printed
-(positive-only affirmers, common supports, per-coevent records), each
+(positive-only affirmers, common supports, per-coevent rows), each
 under the `max_supports` guard.  The per-coevent layer is the oracle the
 tests hold the closed forms to.
 
@@ -25,6 +25,8 @@ built once per shift and shared by `rotate_coevent` and
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -36,7 +38,15 @@ from .coevents import (  # noqa: F401  enumerate_primitive stays importable from
     primitive_profile,
 )
 from .errors import LIMITS, SpaceMismatchError
-from .histories import Event, HistorySpace, Sites, enumerate_histories, visited
+from .histories import (
+    Event,
+    HistorySpace,
+    Sites,
+    bit_indices,
+    enumerate_histories,
+    mask_of,
+    visited,
+)
 from .model import Frozen, LatticeSpec, initial_state
 
 __all__ = [
@@ -68,6 +78,7 @@ __all__ = [
     "DiscriminationReport",
     "discrimination_report",
     "coevent_fields",
+    "coevent_rows",
     "coevent_records",
 ]
 
@@ -559,32 +570,50 @@ def coevent_fields(events: dict[str, Event]) -> tuple[str, ...]:
     return ("coevent_id", "support", "circulation", "rest_profile", *events)
 
 
+def coevent_rows(
+    supports: Sequence[tuple[int, ...]],
+    space: HistorySpace,
+    events: dict[str, Event],
+) -> list[tuple]:
+    """Each coevent's cells in `coevent_fields` order, one row per support
+    (a sorted index tuple of `space`, as `PrimitiveProfile.supports` lists
+    them): its id, the support itself, its circulation, its sorted rest
+    profile as a list, and one 0/1 verdict per event.
+
+    Circulation and rest profile are lookups in the space's tables.  Bit j
+    of a history's event bits says it lies in the j-th event, so the AND of
+    the support's bits holds every verdict at once: a coevent affirms an
+    event iff its support lies inside it.
+    """
+    if any(ev.space is not space for ev in events.values()):
+        raise SpaceMismatchError("records and events live over different spaces")
+    circulations, rests = space.circulations, space.rest_counts
+    # event bits of the histories the supports hold, not of the whole space
+    bits = dict.fromkeys(itertools.chain.from_iterable(supports), 0)
+    listed = mask_of(bits)
+    for j, ev in enumerate(events.values()):
+        for i in bit_indices(ev.members & listed):
+            bits[i] |= 1 << j
+    every = (1 << len(events)) - 1
+
+    @functools.cache
+    def verdicts(inside: int) -> tuple[int, ...]:
+        return tuple(inside >> j & 1 for j in range(len(events)))
+
+    circulation, rest, inside = circulations.__getitem__, rests.__getitem__, bits.__getitem__
+    return [
+        (cid, row, sum(map(circulation, row)), sorted(map(rest, row)))
+        + verdicts(functools.reduce(operator.and_, map(inside, row), every))
+        for cid, row in enumerate(supports)
+    ]
+
+
 def coevent_records(
     supports: Sequence[tuple[int, ...]],
     space: HistorySpace,
     events: dict[str, Event],
 ) -> list[dict]:
-    """Flat per-coevent records for tabular output, one per support (a sorted
-    index tuple of `space`, as `PrimitiveProfile.supports` lists them).
-
-    Circulation and rest profile are lookups in the space's tables, and
-    each verdict is one bitset test: the coevent affirms an event iff its
-    support lies inside it.
-    """
-    if any(ev.space is not space for ev in events.values()):
-        raise SpaceMismatchError("records and events live over different spaces")
+    """Flat per-coevent records for tabular output: `coevent_rows` keyed by
+    `coevent_fields`."""
     fields = coevent_fields(events)
-    circulations, rests = space.circulations, space.rest_counts
-    outside = [space.universe_mask ^ ev.members for ev in events.values()]
-    records = []
-    for cid, row in enumerate(supports):
-        mask = sum(1 << i for i in row)
-        values = (
-            cid,
-            row,
-            sum(map(circulations.__getitem__, row)),
-            sorted(map(rests.__getitem__, row)),
-            *(0 if mask & out else 1 for out in outside),
-        )
-        records.append(dict(zip(fields, values)))
-    return records
+    return [dict(zip(fields, row)) for row in coevent_rows(supports, space, events)]

@@ -7,14 +7,13 @@ produce byte-identical output regardless of --threads.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
-from collections.abc import Sequence
+import types
+from collections.abc import Iterable, Sequence
 from importlib import resources
 from typing import NamedTuple
 
@@ -41,7 +40,15 @@ from .model import (
     initial_state,
     transfer_matrix,
 )
-from .render import dumps_canonical, history_str, json_ready, plain_cells, value_label
+from .render import (
+    dumps_canonical,
+    history_str,
+    json_keys,
+    json_ready,
+    plain_cells,
+    row_cell_str,
+    value_label,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,13 +61,6 @@ GOLDEN_RESOURCE = "report_n3_t3.json"
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 FORMATS = ("text", "json", "csv")
@@ -161,45 +161,50 @@ def _spec_from(args) -> LatticeSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _vector_entries(values, vec) -> list[dict]:
-    return [{"class": value_label(v), "k": k} for v, k in zip(values, vec) if k > 0]
+def _vector_entries(labels: Sequence[str], vec) -> list[dict]:
+    """A count vector's nonzero entries; `labels` names each class's value."""
+    return [{"class": label, "k": k} for label, k in zip(labels, vec) if k > 0]
 
 
 # -- output rendering --------------------------------------------------------------
 
+_CONTAINERS = (dict, list, tuple)
+
 
 def _text_lines(obj, indent: int = 0) -> list[str]:
+    """`obj` as indented text lines: a dict's entries as `key: value`, a
+    list's items as `- value`, an entry that holds containers on lines of
+    its own below it.  One walk that converts each value as `json_ready`
+    does while it writes; a listing of rows of plain ints is written one
+    `- [a, b, ...]` line per row."""
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_inline(v)}")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_inline(v)}")
+        entries = [(f"{pad}{k}:", v) for k, v in json_keys(obj).items()]
+    elif isinstance(obj, (list, tuple)):
+        cell = row_cell_str(obj)
+        if cell is not None:
+            return [f"{pad}- [{', '.join(map(cell, row))}]" for row in obj]
+        entries = [(f"{pad}-", v) for v in obj]
     else:
-        lines.append(f"{pad}{_inline(obj)}")
+        return [pad + _text_cell(obj)]
+    lines: list[str] = []
+    for head, v in entries:
+        if isinstance(v, _CONTAINERS) and v and (
+            isinstance(v, dict) or any(isinstance(x, _CONTAINERS) for x in v)
+        ):
+            lines.append(head)
+            lines.extend(_text_lines(v, indent + 1))
+        elif isinstance(v, (list, tuple)):
+            cells = v if plain_cells(v) else map(_text_cell, v)
+            lines.append(f"{head} [{', '.join(map(str, cells))}]")
+        else:
+            lines.append(f"{head} {_text_cell(v)}")
     return lines
 
 
-def _is_flat(v) -> bool:
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    return False
-
-
-def _inline(v) -> str:
-    if isinstance(v, list):
-        return "[" + ", ".join(map(str, v)) + "]"
-    return str(v)
+def _text_cell(v) -> str:
+    """A value that holds no containers (or an empty dict) as text."""
+    return v if type(v) is str else str(json_ready(v))
 
 
 def _flatten(d: dict, prefix: str = "") -> list[tuple[str, str]]:
@@ -215,25 +220,33 @@ def _flatten(d: dict, prefix: str = "") -> list[tuple[str, str]]:
     return rows
 
 
-def _csv_column(cells: list) -> list:
-    """One csv column: the cells as `json_ready` renders them, sequences
-    joined by spaces.  A column of `plain_cells`, alone or in sequences,
-    renders as it is, so its types are checked once instead of walking
-    every cell."""
-    flat = cells
-    if {*map(type, cells)} <= {list, tuple}:
-        flat = list(itertools.chain.from_iterable(cells))
-    if not plain_cells(flat):
-        cells = json_ready(cells)
-    return [" ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in cells]
+def _csv_rows(rows: Iterable[Sequence]) -> Iterable[Sequence]:
+    """Rows of cells as csv cells: each cell as `json_ready` renders it, a
+    sequence joined by spaces.  Types are checked once per column, so a
+    column of plain cells is written as it is, and a column of rows of
+    plain ints is joined through `row_cell_str`; any other column takes
+    `json_ready` cell by cell."""
+    columns = []
+    for column in zip(*rows):
+        if not plain_cells(column):
+            cell = row_cell_str(column)
+            if cell is not None:
+                column = [" ".join(map(cell, v)) for v in column]
+            else:
+                column = [
+                    " ".join(map(str, v)) if isinstance(v, list) else v
+                    for v in json_ready(column)
+                ]
+        columns.append(column)
+    return zip(*columns)
 
 
 def _emit(
-    args, data: dict, table: tuple[Sequence[str], list[dict]] | None = None
+    args, data: dict, table: tuple[Sequence[str], Iterable[Sequence]] | None = None
 ) -> None:
-    """Print `data` in the chosen format; csv prints `table`, a pair of header
-    fields and records, instead when given (the header alone when there are
-    no records)."""
+    """Print `data` in the chosen format; csv prints `table` instead when
+    given: its header fields, then its rows, each a sequence of cells in
+    field order (the header alone when there are no rows)."""
     fmt = getattr(args, "format", "text")
     if fmt == "json":
         text = dumps_canonical(data)
@@ -241,16 +254,16 @@ def _emit(
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if table is not None:
-            fields, records = table
+            fields, rows = table
             writer.writerow(fields)
-            writer.writerows(zip(*(_csv_column([rec[f] for rec in records]) for f in fields)))
+            writer.writerows(_csv_rows(rows))
         else:
             writer.writerow(["key", "value"])
             for key, value in _flatten(json_ready(data)):
                 writer.writerow([key, value])
         text = buf.getvalue()
     else:
-        text = "\n".join(_text_lines(json_ready(data))) + "\n"
+        text = "\n".join(_text_lines(data)) + "\n"
     out = getattr(args, "out", None)
     if out:
         try:
@@ -286,16 +299,25 @@ def _history_fields(n: int) -> tuple[str, ...]:
     return ("index", "history", "amplitude", "circulation", "rests", *half_hops)
 
 
-def _histories_figures(space: HistorySpace, state: str) -> dict:
+def _history_rows(space: HistorySpace) -> list[tuple]:
+    """Each history's cells in `_history_fields` order."""
     n = space.spec.n
-    fields = _history_fields(n)
-    records = []
-    for i, h in enumerate(space.histories):
-        row = [i, history_str(h), value_label(space.amps[i]), space.circulations[i],
-               space.rest_counts[i]]
-        if n % 2 == 0:
-            row.append(half_hop_count(h, n))
-        records.append(dict(zip(fields, row)))
+    amps = {id(a): a for a in space.amps}  # histories share a few amplitude objects
+    labels = {key: value_label(a) for key, a in amps.items()}
+    columns = [
+        range(space.size),
+        map(history_str, space.histories),
+        map(labels.__getitem__, map(id, space.amps)),
+        space.circulations,
+        space.rest_counts,
+    ]
+    if n % 2 == 0:
+        columns.append([half_hop_count(h, n) for h in space.histories])
+    return list(zip(*columns))
+
+
+def _histories_figures(space: HistorySpace, state: str) -> dict:
+    fields = _history_fields(space.spec.n)
     return {
         **_head(space, state),
         "count": space.size,
@@ -303,7 +325,7 @@ def _histories_figures(space: HistorySpace, state: str) -> dict:
             {"final": c.final, "value": value_label(c.value), "count": c.count}
             for c in amplitude_classes(space).classes
         ],
-        "histories": records,
+        "histories": [dict(zip(fields, row)) for row in _history_rows(space)],
     }
 
 
@@ -318,10 +340,10 @@ def _preclusion_figures(space: HistorySpace, state: str) -> dict:
         "precluded": precluded,
         "preclusive_coevents_log2": (1 << space.size) - precluded,
     }
-    maximal = {
-        f: [_vector_entries(table.values, vec) for vec in table.maximal_zero]
-        for f, table in tables.items()
-    }
+    maximal = {}
+    for f, table in tables.items():
+        labels = [value_label(v) for v in table.values]
+        maximal[f] = [_vector_entries(labels, vec) for vec in table.maximal_zero]
     if space.final is not None:
         data["maximal_zero_vectors"] = maximal[space.final]
     else:
@@ -330,13 +352,13 @@ def _preclusion_figures(space: HistorySpace, state: str) -> dict:
 
 
 def _primitives_figures(profile: PrimitiveProfile, state: str) -> dict:
-    values = [c.value for c in profile.classes.classes]
+    labels = [value_label(c.value) for c in profile.classes.classes]
     return {
         "state": state,
         "final": profile.space.final,
         "count": profile.count,
         "support_sizes": profile.size_histogram(),
-        "minimal_class_vectors": [_vector_entries(values, vec) for vec in profile.minimal],
+        "minimal_class_vectors": [_vector_entries(labels, vec) for vec in profile.minimal],
     }
 
 
@@ -398,7 +420,8 @@ def cmd_model(args) -> int:
 def cmd_histories(args) -> int:
     space = _space(args)
     data = _histories_figures(space, args.state)
-    _emit(args, data, (_history_fields(space.spec.n), data["histories"]))
+    rows = [record.values() for record in data["histories"]]
+    _emit(args, data, (_history_fields(space.spec.n), rows))
     return EXIT_OK
 
 
@@ -415,8 +438,7 @@ def cmd_primitives(args) -> int:
         supports = profile.supports()
         data["supports"] = supports
         if args.format == "csv":  # only csv prints records
-            fields = ("coevent_id", "support")
-            table = (fields, [dict(zip(fields, rec)) for rec in enumerate(supports)])
+            table = (("coevent_id", "support"), enumerate(supports))
     _emit(args, data, table)
     return EXIT_OK
 
@@ -426,11 +448,11 @@ def cmd_classify(args) -> int:
     profile = primitive_profile(space)
     data = _classify_figures(profile, args.state)
     table = None
-    if args.format == "csv":  # only csv prints per-coevent records, so only csv expands
+    if args.format == "csv":  # only csv prints per-coevent rows, so only csv expands
         events = {name: analysis.event_by_name(space, name) for name in CLASSIFY_EVENTS}
         table = (
             analysis.coevent_fields(events),
-            analysis.coevent_records(profile.supports(), space, events),
+            analysis.coevent_rows(profile.supports(), space, events),
         )
     _emit(args, data, table)
     return EXIT_OK
@@ -626,7 +648,7 @@ _COMMANDS = {
 }
 
 
-def _fill(p: argparse.ArgumentParser, command: str) -> None:
+def _fill(p, command: str) -> None:
     _, options, handler = _COMMANDS[command]
     for o in options:
         if o.kind is None:
@@ -639,8 +661,19 @@ def _fill(p: argparse.ArgumentParser, command: str) -> None:
     p.set_defaults(command=command, func=handler)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The full command tree: top-level help and usage, and every command."""
+def _build_parser():
+    """The full command tree: top-level help and usage, and every command.
+
+    argparse is imported here, so a well-formed argv, which `_scan` reads,
+    never loads it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse defaults to exit code 2
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
     parser = _Parser(prog="qhopper", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_line, _, _) in _COMMANDS.items():
@@ -648,11 +681,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan(argv: list[str]) -> argparse.Namespace | None:
+def _scan(argv: list[str]) -> types.SimpleNamespace | None:
     """What the tree parses a well-formed `argv` to, read from the option
-    table alone: the command, then exact `--option value` pairs (a value not
-    starting with '-', an int that converts, a choice among the choices) and
-    flags, with every required option present.  None for anything else."""
+    table alone: a namespace with the tree's attributes.  Well-formed is the
+    command, then exact `--option value` pairs (a value not starting with
+    '-', an int that converts, a choice among the choices) and flags, with
+    every required option present.  None for anything else."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, options, handler = _COMMANDS[argv[0]]
@@ -681,10 +715,10 @@ def _scan(argv: list[str]) -> argparse.Namespace | None:
         values[o.dest] = value
     if any(o.required and o.dest not in given for o in options):
         return None
-    return argparse.Namespace(**values, command=argv[0], func=handler)
+    return types.SimpleNamespace(**values, command=argv[0], func=handler)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]):
     """Parse `argv` as the full command tree does.
 
     A well-formed argv is read from the option table by `_scan`, and no

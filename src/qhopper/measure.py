@@ -393,21 +393,33 @@ def sector_tables(
 ) -> dict[int, SectorTable]:
     """Zero-sum count-vector tables per final sector.
 
-    Built on every call from the memoised kernel walks.  The free-box
-    guard is checked for every sector before any walk, so whether a
-    call is refused never depends on earlier calls.
+    Built on every call from the memoised kernel walks over the sectors'
+    kernels, which are built once per space.  The free-box guard is
+    checked for every sector before any walk, so whether a call is
+    refused never depends on earlier calls.
     """
-    sectors = []
-    for final, cids in classes.sectors.items():
-        values = tuple(classes.classes[c].value for c in cids)
-        counts = tuple(classes.classes[c].count for c in cids)
-        kernel = _sector_kernel(values, counts)
+    sectors = _sector_kernels(classes)
+    for _, _, _, counts, kernel in sectors:
         _check_free_box(kernel, counts, max_vectors)
-        sectors.append((final, cids, values, counts, kernel))
     return {
-        final: SectorTable(final, tuple(cids), values, counts, *_kernel_walk(kernel, counts))
+        final: SectorTable(final, cids, values, counts, *_kernel_walk(kernel, counts))
         for final, cids, values, counts, kernel in sectors
     }
+
+
+def _sector_kernels(classes: AmplitudeClasses) -> list[tuple]:
+    """Each sector's (final, class ids, values, counts, kernel), built on
+    first use and kept on `classes`, so the kernel depends on the space
+    alone, as the classes do."""
+    kept = vars(classes).get("_sector_kernels")
+    if kept is None:
+        kept = []
+        for final, cids in classes.sectors.items():
+            values = tuple(classes.classes[c].value for c in cids)
+            counts = tuple(classes.classes[c].count for c in cids)
+            kept.append((final, tuple(cids), values, counts, _sector_kernel(values, counts)))
+        vars(classes)["_sector_kernels"] = kept
+    return kept
 
 
 # -- measure and preclusion ----------------------------------------------------

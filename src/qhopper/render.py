@@ -1,8 +1,10 @@
 """Stable text labels, JSON-friendly conversion and JSON rendering for exact values.
 
-`json_ready` turns exact values into plain JSON types; `dumps_canonical`
-writes them as two-space-indented JSON, joining a flat list of plain
-ints, such as a support's index tuple, in one step.
+`json_ready` turns exact values into plain JSON types.  `dumps_canonical`
+writes what json.dumps would write of them, in one walk that converts as
+it goes: a flat list of plain ints, such as a support's index tuple, is
+joined in one step, and a listing of such rows is written row by row
+through `row_cell_str`, which the CLI's text and csv writers share.
 """
 from __future__ import annotations
 
@@ -11,11 +13,20 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring
+from typing import Callable
 
 from .cyclotomic import CycInt
 from .histories import Sites
 
-__all__ = ["history_str", "value_label", "plain_cells", "json_ready", "dumps_canonical"]
+__all__ = [
+    "history_str",
+    "value_label",
+    "plain_cells",
+    "json_ready",
+    "json_keys",
+    "row_cell_str",
+    "dumps_canonical",
+]
 
 JSON_INT_LIMIT = 1 << 53  # larger integers go out as decimal strings
 
@@ -102,6 +113,15 @@ def json_ready(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def json_keys(d: dict) -> dict:
+    """`d` with its keys as `json_ready` writes them (str, int and tuple keys
+    become strings) and its values as they are.  When two keys meet, it is
+    `json_ready(d)`, so that the value the meeting drops is still converted,
+    and refused, as `json_ready` would."""
+    keyed = {_key(k): v for k, v in d.items()}
+    return keyed if len(keyed) == len(d) else json_ready(d)
+
+
 def _key(k) -> str:
     if isinstance(k, str):
         return k
@@ -112,26 +132,31 @@ def _key(k) -> str:
     raise TypeError(f"cannot use {type(k).__name__} as a JSON key")
 
 
-def _encode(obj, pad: str) -> str:
-    """One `json_ready` value as JSON, nested lines indented past `pad`;
-    what json.dumps(obj, indent=2, ensure_ascii=False) writes."""
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        if {*map(type, obj)} == {int}:  # json_ready left only small ints
-            body = (",\n" + inner).join(map(int.__repr__, obj))
-        else:
-            body = (",\n" + inner).join([_encode(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        body = (",\n" + inner).join(
-            [f"{encode_basestring(k)}: {_encode(v, inner)}" for k, v in obj.items()]
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
+def row_cell_str(rows) -> Callable[[int], str] | None:
+    """How to write the cells of `rows` when it is a listing of rows of
+    plain ints, such as a support listing: every row a list or tuple, and
+    every cell an int that `json_ready` leaves as it is.  None otherwise.
+
+    Cells that index a table as long as the listing (non-negative and
+    below its cell count, as history indices are) read their strings from
+    one table; other plain ints are written by `int.__repr__`.
+    """
+    if not {*map(type, rows)} <= {list, tuple}:
+        return None
+    cells = list(chain.from_iterable(rows))
+    if not {*map(type, cells)} <= {int}:
+        return None
+    low, high = min(cells, default=0), max(cells, default=0)
+    if low < -JSON_INT_LIMIT or high > JSON_INT_LIMIT:
+        return None
+    if low >= 0 and high < len(cells):
+        return list(map(str, range(high + 1))).__getitem__
+    return int.__repr__
+
+
+def _scalar(obj) -> str:
+    """A value that is not a list, tuple or dict, as JSON."""
+    obj = json_ready(obj)
     if isinstance(obj, str):
         return encode_basestring(obj)
     if obj is None:
@@ -143,13 +168,54 @@ def _encode(obj, pad: str) -> str:
     return int.__repr__(obj)  # an int, or an int subclass such as an IntEnum
 
 
+def _encode(obj, pad: str) -> str:
+    """`obj` as json.dumps(json_ready(obj), indent=2, ensure_ascii=False)
+    writes it, nested lines indented past `pad`: one walk that converts
+    each value as `json_ready` does while it writes."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is int and -JSON_INT_LIMIT <= obj <= JSON_INT_LIMIT:
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            [f"{encode_basestring(k)}: {_encode(v, inner)}" for k, v in json_keys(obj).items()]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if not isinstance(obj, (list, tuple)):
+        return _scalar(obj)
+    if not obj:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if {*map(type, obj)} == {int} and -JSON_INT_LIMIT <= min(obj) and max(obj) <= JSON_INT_LIMIT:
+        return f"[\n{inner}{sep.join(map(int.__repr__, obj))}\n{pad}]"
+    cell = row_cell_str(obj)
+    if cell is None:
+        body = sep.join([_encode(v, inner) for v in obj])
+    else:
+        row_inner = inner + "  "
+        row_sep = ",\n" + row_inner
+        body = sep.join(
+            [
+                f"[\n{row_inner}{row_sep.join(map(cell, row))}\n{inner}]" if row else "[]"
+                for row in obj
+            ]
+        )
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def dumps_canonical(obj) -> str:
     """Byte-stable JSON rendering (UTF-8, two-space indent, trailing newline).
 
     The same bytes as json.dumps(json_ready(obj), indent=2,
-    ensure_ascii=False) + "\n", written directly: json.dumps with an
+    ensure_ascii=False) + "\n", written in one walk: json.dumps with an
     indent always takes the pure-Python encoder, while strings here go
-    through the C-accelerated `encode_basestring` and flat int lists are
-    joined in one step.
+    through the C-accelerated `encode_basestring`, flat int lists are
+    joined in one step and a listing of rows of plain ints is written row
+    by row through `row_cell_str`.
     """
-    return _encode(json_ready(obj), "") + "\n"
+    return _encode(obj, "") + "\n"

@@ -10,7 +10,9 @@ rows.  The ensemble observables are computed from each support's site
 tuples, where the library reads index tables and rotates global
 indices, and the bool table sweeps take one reshape of a bool array per
 bit, where the library shifts int bitsets block by block.  The bitset
-helpers set and clear one bit at a time.
+helpers set and clear one bit at a time.  The output writers' references
+convert a whole value with `json_ready` first and then walk it, as the
+CLI's text and csv writers once did; the library writes in one walk.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import numpy as np
 
 from qhopper import CycInt, Event, HistorySpace, MultiplicativeCoevent
 from qhopper.measure import _binomial_row
+from qhopper.render import json_ready, plain_cells
 
 
 def subset_sum_is_zero(space: HistorySpace, indices: tuple[int, ...]) -> bool:
@@ -255,6 +258,22 @@ def rest_events(space: HistorySpace) -> dict[str, Event]:
     }
 
 
+def coevent_rows(
+    supports: list[tuple[int, ...]], space: HistorySpace, events: dict[str, Event]
+) -> list[tuple]:
+    """Each support's csv cells from its site tuples: its id, the support,
+    its net circulation, its sorted rest counts and, per event, 1 iff every
+    member lies in the event."""
+    n = space.spec.n
+    rows = []
+    for cid, row in enumerate(supports):
+        sites = [space.histories[i] for i in row]
+        verdicts = [int(all(ev.members >> i & 1 for i in row)) for ev in events.values()]
+        circulation = sum(sum(hop_signs(h, n)) for h in sites)
+        rows.append((cid, row, circulation, sorted(rests(h) for h in sites), *verdicts))
+    return rows
+
+
 def rotate_sites(sites: tuple[int, ...], n: int, shift: int) -> tuple[int, ...]:
     return tuple((s + shift) % n for s in sites)
 
@@ -337,3 +356,54 @@ def amplitude_classes_per_bit(space: HistorySpace):
             class_of[i] = cid
     classes = [(f, value, mask_per_bit(ids), len(ids)) for (f, value), ids in ordered]
     return classes, tuple(class_of)
+
+
+# -- output writers ----------------------------------------------------------------
+
+
+def text_lines(obj, indent: int = 0) -> list[str]:
+    """The text format of a `json_ready` value: a dict's entries as `key:
+    value`, a list's items as `- value`, a non-flat container below its
+    own line."""
+    pad = "  " * indent
+    lines: list[str] = []
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if isinstance(v, (dict, list)) and v and not _is_flat(v):
+                lines.append(f"{pad}{k}:")
+                lines.extend(text_lines(v, indent + 1))
+            else:
+                lines.append(f"{pad}{k}: {_inline(v)}")
+    elif isinstance(obj, list):
+        for v in obj:
+            if isinstance(v, (dict, list)) and v and not _is_flat(v):
+                lines.append(f"{pad}-")
+                lines.extend(text_lines(v, indent + 1))
+            else:
+                lines.append(f"{pad}- {_inline(v)}")
+    else:
+        lines.append(f"{pad}{_inline(obj)}")
+    return lines
+
+
+def _is_flat(v) -> bool:
+    if isinstance(v, list):
+        return all(not isinstance(x, (dict, list)) for x in v)
+    return False
+
+
+def _inline(v) -> str:
+    if isinstance(v, list):
+        return "[" + ", ".join(map(str, v)) + "]"
+    return str(v)
+
+
+def csv_column(cells: list) -> list:
+    """One csv column: the cells as `json_ready` renders them, sequences
+    joined by spaces."""
+    flat = cells
+    if {*map(type, cells)} <= {list, tuple}:
+        flat = list(itertools.chain.from_iterable(cells))
+    if not plain_cells(flat):
+        cells = json_ready(cells)
+    return [" ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in cells]

@@ -30,9 +30,11 @@ from qhopper import (
     minimal_preclusive_vectors,
     root,
 )
+import qhopper.measure
 from qhopper.cli import _parse_state as parse_state
 from qhopper.cli import main
-from qhopper.coevents import _dualise_maxima
+from qhopper.coevents import _dualise_maxima, is_preclusive, is_primitive
+from qhopper.histories import Event
 from qhopper.errors import LIMITS
 from qhopper.measure import _directions, _kernel_walk, _sector_kernel, sector_tables
 
@@ -303,6 +305,27 @@ def test_rebuilt_space_walks_once_and_is_still_guarded(spec3):
         with pytest.raises(InfeasibleSizeError, match="free-class box of 7 points"):
             call()
     assert _kernel_walk.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("final, sectors", [(0, 1), (None, 3)])
+def test_sector_kernels_are_built_once_per_sector(monkeypatch, spec3, final, sectors):
+    # preclusivity checks (one per member and one per support), counts and
+    # tables all read the kernels kept on the space's classes
+    state = initial_state(spec3, "plus")
+    primitives = enumerate_primitive(enumerate_histories(spec3, state, 0))[:50]
+    built = []
+
+    def counting(values, counts):
+        built.append(counts)
+        return _sector_kernel(values, counts)
+
+    monkeypatch.setattr(qhopper.measure, "_sector_kernel", counting)
+    space = enumerate_histories(spec3, state, final)
+    verdicts = [is_primitive(Event(space, phi.support.members)) for phi in primitives]
+    assert all(verdicts) or final is None
+    count_precluded(amplitude_classes(space))
+    sector_tables(amplitude_classes(space))
+    assert len(built) == sectors
 
 
 def test_dualisation_antichain_is_bounded_by_max_vectors():
