@@ -366,16 +366,6 @@ def _rotation(spec: LatticeSpec, shift: int) -> list[int]:
     return perm
 
 
-def _rotate_mask(mask: int, perm: list[int]) -> int:
-    """The bitset of global indices `mask`, moved through the permutation."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _offset(space: HistorySpace) -> int:
     """Global index of the space's history 0."""
     return 0 if space.final is None else space.final * space.spec.n**space.spec.steps
@@ -406,7 +396,8 @@ def rotate_coevent(
             f"rotating by {shift} maps {space!r} into the space with final site "
             f"{new_final} and the same lattice, not into {target_space!r}"
         )
-    moved = _rotate_mask(_global_mask(phi), _rotation(space.spec, shift))
+    perm = _rotation(space.spec, shift)
+    moved = mask_of(perm[i] for i in bit_indices(_global_mask(phi)))
     return MultiplicativeCoevent(Event(target_space, moved >> _offset(target_space)))
 
 

@@ -24,7 +24,14 @@ import itertools
 import math
 
 from .errors import LIMITS, SpaceMismatchError, WrongSpaceError, check_size
-from .histories import AmplitudeClasses, Event, HistorySpace, amplitude_classes, bit_indices
+from .histories import (
+    AmplitudeClasses,
+    Event,
+    HistorySpace,
+    amplitude_classes,
+    bit_indices,
+    mask_of,
+)
 from .measure import sector_tables
 from .model import Frozen, FrozenValue, _set
 from .subsetwalk import close_downward, minimal_uncovered, outer_and, zero_sum_subsets
@@ -321,7 +328,7 @@ class PrimitiveProfile(Frozen):
         """The primitive coevents of `supports`, in the same order."""
         space = self.space
         return [
-            MultiplicativeCoevent(Event(space, sum(1 << i for i in row)))
+            MultiplicativeCoevent(Event(space, mask_of(row)))
             for row in self.supports(within, max_supports=max_supports)
         ]
 

@@ -25,7 +25,7 @@ import bisect
 import functools
 import itertools
 import math
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .cyclotomic import CycInt
 from .errors import LIMITS, WrongSpaceError, check_size
@@ -51,9 +51,6 @@ __all__ = [
     "preclusive_coevent_count_exponent",
     "maximal_zero_count_vectors",
 ]
-
-LATTICE_BLOCK = 1 << 16  # count vectors whose sums are listed at once
-
 
 # -- per-sector count-vector tables -------------------------------------------
 
@@ -504,73 +501,24 @@ def count_precluded_bruteforce(
     space: HistorySpace,
     *,
     max_subsets: int = LIMITS.max_subsets.ceiling,
-    max_vectors: int = LIMITS.max_vectors.default,
     threads: int = 1,
 ) -> int:
     """Count zero-sum subsets by walking every subset of the space.
 
-    The zero-sum verdict of every per-class count vector k is evaluated
-    once, directly as A k = 0 over the whole count-vector lattice, where
-    row block f of A holds the canonical coordinates of sector f's class
-    values.  The split-half walk then adds up the verdict of every
-    subset, reading it once per distinct pair of half sums weighted by
-    how many subsets share that pair.  Independent of
-    :func:`count_precluded`, which never enumerates subsets, and of the
-    kernel walk behind it.  `threads` is accepted and changes nothing.
+    Sectors are independent, and the final site is the most significant
+    digit of the canonical index, so each sector is one contiguous run
+    of histories and the count is the product of the runs' counts.  A
+    run's count is the number of its subsets whose packed amplitude sums
+    vanish, from the histories' exact amplitudes: no amplitude class,
+    count vector or kernel table, so it is independent of
+    :func:`count_precluded`.  The walk is called through this module's
+    binding of `walk_count_table`, so that rebinding it times the walk.
+    `threads` is accepted and changes nothing.
     """
     check_size("brute force over {} subsets", 1 << space.size, max_subsets,
                LIMITS.max_subsets)
-    classes = amplitude_classes(space)
-    radix = [c + 1 for c in classes.counts]
-    lattice = math.prod(radix)
-    check_size("count-vector lattice of {} points", lattice, max_vectors,
-               LIMITS.max_vectors)
-    # weight of class i in the mixed-radix index (row-major)
-    weights = [0] * len(radix)
-    w = 1
-    for i in range(len(radix) - 1, -1, -1):
-        weights[i] = w
-        w *= radix[i]
-
-    # class i's column of A: its canonical coordinates in its sector's block
-    coords = [c.value.canonical() for c in classes.classes]
-    dim = len(coords[0])
-    width = dim * len(classes.sectors)
-    column = [()] * len(coords)
-    for pos, cids in enumerate(classes.sectors.values()):
-        for c in cids:
-            column[c] = (0,) * (dim * pos) + tuple(coords[c]) + (0,) * (width - dim * (pos + 1))
-    # packed per history, so the base bounds every lattice point's sum
-    packed = dict(zip(classes.class_of, pack_rows([column[c] for c in classes.class_of])))
-    values = [packed[c] for c in range(len(coords))]
-    cut = len(radix)
-    while cut and math.prod(radix[cut - 1 :]) <= LATTICE_BLOCK:
-        cut -= 1
-    inner = _lattice_sums(values[cut:], radix[cut:])
-    table = bytearray(lattice)
-    for q, outer in enumerate(_lattice_sums(values[:cut], radix[:cut])):
-        for i in _positions(inner, -outer):
-            table[q * len(inner) + i] = 1
-
-    bit_weight = [weights[classes.class_of[b]] for b in range(space.size)]
-    return walk_count_table(space.size, bit_weight, table)
-
-
-def _positions(items: list[int], x: int) -> Iterator[int]:
-    """Indices of x in the list, each found by `list.index`, which scans in C."""
-    i = -1
-    while True:
-        try:
-            i = items.index(x, i + 1)
-        except ValueError:
-            return
-        yield i
-
-
-def _lattice_sums(values: list[int], radix: list[int]) -> list[int]:
-    """Σ_i k_i·values[i] at every point 0 <= k < radix, in row-major order."""
-    sums = [0]
-    for v, r in zip(values, radix):
-        steps = [k * v for k in range(r)]
-        sums = [s + d for s in sums for d in steps]
-    return sums
+    run = space.size if space.final is not None else space.size // space.spec.n
+    return math.prod(
+        walk_count_table(pack_rows([a.canonical() for a in space.amps[lo : lo + run]]))
+        for lo in range(0, space.size, run)
+    )

@@ -4,20 +4,15 @@ indexed by subset mask.
 A subset of {0..N-1} is the bitmask h << L | l, where l holds its low L
 elements and h its high N-L ones, so any additive per-subset statistic
 is the statistic of l plus that of h (meet in the middle: Horowitz &
-Sahni, J. ACM 21, 1974).  The count walk tabulates each half's distinct
-sums, with how many of the half's subsets reach each, by doubling one
-element at a time, and judges each distinct pair of sums at most once,
-weighted by the product of the two multiplicities; its memory is the
-number of distinct half sums, at most 2**L + 2**(N-L).  The zero-sum
-walk lists every subset sum of each half and groups the low subsets by
-their sum, so the 2**L subsets sharing each high subset get their
-verdicts as one bitset.
-
-`chunk` caps the low half at floor(log2(chunk)) elements.  The count
-walk takes L = min(N, floor(log2(chunk))).  The zero-sum walk, which
-lists every subset sum of both halves, 2**L + 2**(N-L) of them, splits
-evenly: L = min(ceil(N/2), floor(log2(chunk))).  Results are identical
-for any value of it.
+Sahni, J. ACM 21, 1974).  Both walks split the same way, evenly unless
+`chunk` caps the low half: L = min(ceil(N/2), floor(log2(chunk))).  The
+count walk tabulates each half's distinct sums, with how many of the
+half's subsets reach each, by doubling one element at a time, and looks
+up each distinct high sum h once, counting the low subsets that sum to
+-h; its memory is the number of distinct half sums.  The zero-sum walk
+lists every subset sum of each half and groups the low subsets by their
+sum, so the 2**L subsets sharing each high subset get their verdicts as
+one bitset.  Results are identical for any value of `chunk`.
 
 A table over N elements is one Python int of 2**N bits: bit m is the
 verdict of the subset with bitmask m.  Integer vectors are summed
@@ -33,7 +28,6 @@ Blocks stay small enough for the cache however large the table is.
 from __future__ import annotations
 
 import operator
-import re
 from typing import Sequence
 
 from .histories import mask_of
@@ -50,7 +44,6 @@ __all__ = [
 DEFAULT_CHUNK = 1 << 16
 
 _BLOCK_BITS = 16  # masks per swept block: 2**16 bits, 8 KiB (at least 3)
-_NONZERO = re.compile(rb"[^\x00]")
 
 
 def pack_rows(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -102,34 +95,18 @@ def _join(chunks: list[int], width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in chunks), "little")
 
 
-def walk_count_table(
-    num_bits: int,
-    bit_weight: Sequence[int],
-    table,
-    *,
-    chunk: int = DEFAULT_CHUNK,
-) -> int:
-    """Count subsets S of {0..num_bits-1} for which table[sum of weights of S] holds.
+def walk_count_table(values: Sequence[int], *, chunk: int = DEFAULT_CHUNK) -> int:
+    """Number of subsets of `values` whose sum is 0, the empty one included.
 
-    `bit_weight[b]` is the (nonnegative) contribution of element b to the
-    table index; the empty subset indexes slot 0.  `table` is a sequence
-    of truth values that `bytes()` accepts, such as `bytes` itself.
-    Subsets with equal index sums share one verdict: each distinct sum
-    of the half with fewer of them is joined with the other half's
-    distinct sums or with the table's true entries, whichever are fewer.
+    Each distinct high-half sum h is looked up once among the low half's
+    distinct sums, and counts its multiplicity times that of -h.  The
+    name stays from when it counted a verdict table's true entries:
+    `bench/worker.py` times the brute force's walk by rebinding
+    `measure.walk_count_table`.
     """
-    weights = list(bit_weight)
-    data = bytes(table)
-    if len(weights) != num_bits or min(weights, default=0) < 0 or sum(weights) >= len(data):
-        raise ValueError("bit weights must be nonnegative and index inside the table")
-    low_bits = _low_bits(num_bits, chunk)
-    low, high = _sum_counts(weights[:low_bits]), _sum_counts(weights[low_bits:])
-    if len(high) > len(low):  # the pairs are symmetric: loop over the fewer sums
-        low, high = high, low
-    hits = [m.start() for m in _NONZERO.finditer(data)]
-    if len(low) <= len(hits):
-        return sum(c * sum(k for s, k in low.items() if data[s + h]) for h, c in high.items())
-    return sum(c * sum(low.get(t - h, 0) for t in hits) for h, c in high.items())
+    low_bits = _low_bits((len(values) + 1) // 2, chunk)
+    low, high = _sum_counts(values[:low_bits]), _sum_counts(values[low_bits:])
+    return sum(c * low.get(-h, 0) for h, c in high.items())
 
 
 def zero_sum_subsets(rows: Sequence[Sequence[int]], *, chunk: int = DEFAULT_CHUNK) -> int:

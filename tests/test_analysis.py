@@ -341,3 +341,16 @@ def test_rotate_coevent_on_the_unrestricted_space():
             assert rotate_coevent(phi, shift, space).support == oracles.rotate_support(
                 phi, shift, space
             )
+
+
+def test_rotate_coevent_of_a_full_event_wider_than_64_histories():
+    # 243 histories: the support's bitset is read byte by byte, not bit by bit
+    spec = LatticeSpec(3, 5)
+    state = initial_state(spec, "plus")
+    space = enumerate_histories(spec, state, 0)
+    phi = MultiplicativeCoevent(Event(space, space.universe_mask))
+    for shift in range(spec.n):
+        target = enumerate_histories(spec, state, shift)
+        assert rotate_coevent(phi, shift, target).support == oracles.rotate_support(
+            phi, shift, target
+        )

@@ -4,14 +4,16 @@ import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import qhopper.histories
 import qhopper.measure
 from qhopper import (
     CycInt,
     Event,
     HistorySpace,
-    InfeasibleSizeError,
     InitialState,
     LatticeSpec,
     WrongSpaceError,
@@ -274,7 +276,7 @@ def test_bruteforce_starts_no_thread(monkeypatch):
 
 
 def test_bruteforce_matches_count_on_every_small_named_space():
-    answered, refused = 0, []
+    answered = 0
     for n in range(2, 6):
         for steps in range(1, 5):
             spec = LatticeSpec(n, steps)
@@ -283,19 +285,50 @@ def test_bruteforce_matches_count_on_every_small_named_space():
                     sp = enumerate_histories(spec, initial_state(spec, label), final)
                     if sp.size > 27:
                         continue
-                    try:
-                        got = count_precluded_bruteforce(sp)
-                    except InfeasibleSizeError as exc:
-                        assert "count-vector lattice" in str(exc)
-                        refused.append((n, steps, label, final))
-                        continue
+                    got = count_precluded_bruteforce(sp)
                     assert got == count_precluded(amplitude_classes(sp)), (
                         n, steps, label, final)
                     answered += 1
-    assert answered == 163
-    assert refused == [(3, 2, "standing", None)] + [
-        (5, 1, label, None) for label in ("ground", "plus", "minus", "standing")
-    ]
+    assert answered == 168
+
+
+def test_bruteforce_builds_no_amplitude_classes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute force grouped histories by amplitude")
+
+    monkeypatch.setattr(qhopper.histories, "_group_by_amplitude", refuse)
+    for steps, final, precluded in ((3, 0, 2017807), (2, None, 4913)):
+        spec = LatticeSpec(3, steps)
+        sp = enumerate_histories(spec, initial_state(spec, "plus"), final)
+        assert count_precluded_bruteforce(sp) == precluded
+
+
+@st.composite
+def small_custom_spaces(draw):
+    """A custom state's space of at most 12 histories, fixed-final or
+    unrestricted, with zero terms among the start amplitudes."""
+    n, steps, final = draw(st.sampled_from([
+        (n, steps, final)
+        for n in range(2, 6)
+        for steps in range(1, 4)
+        for final in (None, *range(n))
+        if n ** (steps + (final is None)) <= 12
+    ]))
+    spec = LatticeSpec(n, steps)
+    coeffs = st.lists(st.integers(-2, 2), min_size=spec.phase_order,
+                      max_size=spec.phase_order)
+    amps = draw(st.lists(
+        st.just(CycInt.zero(spec.phase_order))
+        | coeffs.map(lambda cs: CycInt(spec.phase_order, cs)),
+        min_size=n, max_size=n,
+    ).filter(lambda xs: not all(x.is_zero() for x in xs)))
+    return enumerate_histories(spec, initial_state(spec, "custom", tuple(amps)), final)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_custom_spaces())
+def test_bruteforce_equals_the_subset_oracle_on_custom_states(sp):
+    assert count_precluded_bruteforce(sp) == oracles.count_precluded(sp)
 
 
 def test_bruteforce_respects_cap(plus_space):

@@ -34,6 +34,14 @@ def from_array(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def zero_sum_count(values) -> int:
+    """Subsets of the values summing to 0, by listing every subset."""
+    return sum(
+        sum(v for b, v in enumerate(values) if mask >> b & 1) == 0
+        for mask in range(1 << len(values))
+    )
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 97, 1 << 16])
 def test_walk_count_matches_direct_enumeration(chunk):
     rng = random.Random(3)
@@ -42,18 +50,17 @@ def test_walk_count_matches_direct_enumeration(chunk):
         num_bits = rng.randint(0, 12)
         radix = rng.randint(2, 5)
         inputs.append([rng.randrange(radix) for _ in range(num_bits)])
+        inputs.append([rng.randrange(radix) - radix // 2 for _ in range(num_bits)])
+        dim = rng.randint(1, 3)
+        inputs.append(pack_rows(
+            [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(num_bits)]
+        ))
     inputs.append([3] * 11)  # every subset of a size shares its sum
     inputs.append([1 << b for b in range(11)])  # no two subsets share a sum
-    for weights in inputs:
-        num_bits = len(weights)
-        size = max(sum(weights), 1) + 1
-        table = bytes([rng.random() < 0.3 for _ in range(size)])
-        expected = 0
-        for mask in range(1 << num_bits):
-            idx = sum(w for b, w in enumerate(weights) if (mask >> b) & 1)
-            expected += bool(table[idx])
-        got = walk_count_table(num_bits, weights, table, chunk=chunk)
-        assert got == expected
+    inputs.append([3] * 5 + [-3] * 6)
+    inputs.append([0] * 12)  # every subset sums to 0
+    for values in inputs:
+        assert walk_count_table(values, chunk=chunk) == zero_sum_count(values)
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -88,16 +95,13 @@ def _split_sizes(chunk):
 def test_split_walks_match_direct_enumeration(chunk):
     rng = random.Random(chunk)
     for num_bits in _split_sizes(chunk):
-        weights = [rng.randrange(3) for _ in range(num_bits)]
-        table = [rng.random() < 0.4 for _ in range(sum(weights) + 1)]
         rows = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(num_bits)]
-        hits, zero = 0, [False] * (1 << num_bits)
+        zero = [False] * (1 << num_bits)
         for mask in range(1 << num_bits):
             members = [b for b in range(num_bits) if (mask >> b) & 1]
-            hits += bool(table[sum(weights[b] for b in members)])
             if all(sum(rows[b][j] for b in members) == 0 for j in range(2)):
                 zero[mask] = True
-        assert walk_count_table(num_bits, weights, table, chunk=chunk) == hits
+        assert walk_count_table(pack_rows(rows), chunk=chunk) == sum(zero)
         assert zero_sum_subsets(rows, chunk=chunk) == bitset(zero)
 
 
@@ -108,20 +112,12 @@ def test_zero_sum_subsets_come_out_ascending_without_a_sort():
     assert got == (1 << (1 << 9)) - 1
 
 
-def test_walk_count_refuses_weights_outside_the_table():
-    with pytest.raises(ValueError):
-        walk_count_table(2, [1, 1], bytes([True, True]))
-    with pytest.raises(ValueError):
-        walk_count_table(1, [-1], bytes([True, True]))
-
-
 def test_zero_sum_subsets_empty_ground_set():
     assert list(bit_indices(zero_sum_subsets([]))) == [0]
 
 
 def test_walk_count_empty_ground_set():
-    assert walk_count_table(0, [], bytes([True])) == 1
-    assert walk_count_table(0, [], bytes([False])) == 0
+    assert walk_count_table([]) == 1
 
 
 def test_close_downward_matches_direct_check():
