@@ -599,6 +599,10 @@ def _compare_golden(criteria: dict, golden: dict) -> list[dict]:
 
 def cmd_report(args) -> int:
     spec = _spec_from(args)
+    # --state picks the optional standing section and --final nothing, but
+    # both are checked as every other command checks them
+    _parse_state(spec, args.state)
+    _parse_final(args.final, spec)
     # a report analyses fixed-final spaces only; a larger one (the two-step
     # overlap when T = 1) is refused where it is built
     check_history_guard(spec, 0, args.max_histories)

@@ -11,13 +11,14 @@ lives on the small lattice of per-class count vectors and each zero-sum
 vector contributes a product of binomial coefficients.  The zero-sum
 vectors are the integer kernel points of the class-value matrix inside
 the box 0 <= k <= counts.  Classes whose reduced columns are parallel
-enter that matrix only through one sum per value direction, so one walk
-over the kernel's free directions, each from its highest value down,
-visits the zero-sum vectors without listing them: it sums their
-binomial products into the precluded count and keeps the vectors that
-no other one dominates, which are exactly the maxima.  A direction of
-one class is a digit over its count; a direction of several classes is
-a digit over its distinct sums, tabulated once.
+enter that matrix only through one sum per value direction, and every
+direction is tabulated once by its distinct sums.  One walk over the
+free directions' sums, each from its highest sum down, visits the
+zero-sum vectors without listing them: it sums their binomial products
+into the precluded count and keeps an antichain of the vectors no other
+one dominates, which ends as exactly the maxima, in whatever order the
+vectors come.  Classes of value 0 are not walked: they multiply the
+count by 2^count and join every maximum whole.
 """
 from __future__ import annotations
 
@@ -168,18 +169,20 @@ def _directions(
 
 def _direction_table(
     members: list[tuple[int, int]], counts: tuple[int, ...], binoms: list[list[int]]
-) -> tuple[list[int], list[int], list[list[tuple[int, ...]]]]:
-    """Distinct sums t = sum_c s_c k_c over the box of one direction's
-    classes, ascending; per sum, the summed weight prod_c C(counts_c, k_c)
-    and the maximal count vectors, over `members` in order.
+) -> dict[int, list]:
+    """Each distinct sum t = sum_c s_c k_c over the box of one direction's
+    classes, every s_c nonzero, to [the summed weight prod_c C(counts_c, k_c),
+    the maximal count vectors over `members` in order].
 
-    Built one class at a time.  A vector maximal at its sum has a prefix
-    maximal at the prefix's sum, so extending the previous antichains
-    gives every candidate.  Larger counts of the new class go first, and
-    a candidate is kept when none kept at its sum dominates it.
+    Built one class at a time from the first class's sums s·k, each with
+    the one vector (k,).  A vector maximal at its sum has a prefix maximal
+    at the prefix's sum, so extending the previous antichains gives every
+    candidate.  Larger counts of the new class go first, and a candidate
+    is kept when none kept at its sum dominates it.
     """
-    table: dict[int, list] = {0: [1, [()]]}
-    for c, s in members:
+    (c, s), rest = members[0], members[1:]
+    table = {s * k: [w, [(k,)]] for k, w in enumerate(binoms[c])}
+    for c, s in rest:
         row = binoms[c]
         grown: dict[int, list] = {}
         for k in range(counts[c], -1, -1):
@@ -192,8 +195,7 @@ def _direction_table(
                     if not any(all(a <= b for a, b in zip(v, x)) for x in kept):
                         kept.append(v)
         table = grown
-    sums = sorted(table)
-    return sums, [table[t][0] for t in sums], [table[t][1] for t in sums]
+    return table
 
 
 @functools.lru_cache(maxsize=256)
@@ -205,35 +207,35 @@ def _kernel_walk(
     The walk runs over value directions (`_directions`).  Classes whose
     reduced columns are parallel, s_c·u, enter A k only through their
     direction's sum t_u = sum_c s_c k_c, so k is zero-sum iff
-    sum_u t_u·u = 0.  A direction of one class is one digit over the
-    class's count, as the class alone would be.  A direction of several
-    classes is one digit over its distinct sums, tabulated before the
-    walk with each sum's weight and maximal vectors (`_direction_table`).
+    sum_u t_u·u = 0.  Each direction is tabulated before the walk with
+    its distinct sums, each sum's weight and its maximal vectors
+    (`_direction_table`).  Classes of value 0 form the zero direction,
+    which is not walked: every zero-sum vector takes them whole, and each
+    multiplies the count by 2^count.
 
-    The free directions are the digits; each pivot direction u = e_r is
-    solved exactly from them and kept when its count, or its table,
-    reaches the sum.  Each pivot row's partial sum is carried from digit
-    to digit, and at every digit the range of the digit is cut to values
-    for which the remaining digits can still bring every pivot direction
-    into range.  A direction holds at most one pivot class, so its table
-    is at most (pivot count + 1) times its part of the free box, and the
-    walk visits at most the free directions' distinct sums: never more
-    than the free-class box that the guard bounds.  A zero-sum vector k
-    adds prod_c C(counts_c, k_c) to the count.
+    The free directions are the digits, each over its sorted sums; each
+    pivot direction u = e_r is solved exactly from them and kept when its
+    table holds the sum.  Each pivot row's partial sum is carried from
+    digit to digit, and at every digit the range of the digit is cut to
+    sums for which the remaining digits can still bring every pivot
+    direction into range.  A direction holds at most one pivot class, so
+    its table is at most (pivot count + 1) times its part of the free
+    box, and the walk visits at most the free directions' distinct sums:
+    never more than the free-class box that the guard bounds.  A zero-sum
+    vector k adds prod_c C(counts_c, k_c) to the count.
 
-    Every digit runs from high to low.  With one class per direction, a
-    zero-sum vector is fixed by its free part, so any vector dominating
-    k has a lexicographically larger free part and is reached before k:
-    k is maximal iff no vector kept so far dominates it.  `above[c][v]`
-    is the bitmask of the kept vectors whose count in class c is at
-    least v, so that test is one AND per class.  With a direction of
-    several classes, each zero-sum choice of sums gives the products of
-    the directions' maximal vectors, in no dominance order; so a newly
-    kept vector also drops the kept ones it dominates, found by one AND
-    per class over `below[c][v]`, the bitmask of those whose count in c
-    is at most v.  Once half the kept vectors are dropped, the masks are
-    rebuilt from the rest, so they hold at most twice the antichain kept
-    so far; no list of zero-sum vectors is held.  The maxima are
+    Each zero-sum choice of sums gives the products of the directions'
+    maximal vectors, and every product is offered to the antichain of
+    kept vectors.  It is kept when no kept vector dominates it, found by
+    one AND per class over `above[c][v]`, the bitmask of the kept vectors
+    whose count in class c is at least v; a kept vector drops the kept
+    ones it dominates, found by one AND per class over `below[c][v]`, the
+    bitmask of those whose count in c is at most v.  So the maxima do not
+    depend on the walk's order.  Digits run from high sums to low, each
+    free direction oriented so that its larger vectors come first, which
+    keeps drops rare.  Once half the kept vectors are dropped, the masks
+    are rebuilt from the rest, so they hold at most twice the antichain
+    kept so far; no list of zero-sum vectors is held.  The maxima are
     returned in ascending lexicographic order.
 
     Memoised by content: a space rebuilt for another query walks no
@@ -242,38 +244,38 @@ def _kernel_walk(
     rank = len(kernel.pivots)
     rows = range(rank)
     binoms = [_binomial_row(c) for c in counts]
+    vec = [0] * len(counts)
+    factor = 0  # log2 of what the classes of value 0 multiply the count by
     # pivot row r needs its sum over the free digits in [low[r], high[r]]
     low, high = [0] * rank, [0] * rank
-    lone = []  # (row, pivot, denom, binomials) of each pivot alone in its direction
-    solved = []  # (row, {t: (weight, maxima)}, slot) of each other pivot direction
-    digits = []  # (column, class or None, least, most, table or None) per free direction
-    spread = []  # the classes of each direction of several classes, by slot
+    solved = []  # (row, {t: [weight, maxima]}, slot) per pivot direction
+    digits = []  # (column, sums, weights, maxima, slot) per free direction
+    spread = []  # the classes of each walked direction, by slot
     for r, u, members in _directions(kernel):
-        if len(members) == 1:
-            ((c, s),) = members
-            if r is None:
-                digits.append((tuple([s * a for a in u]), c, 0, counts[c], None))
-            else:
-                lone.append((r, c, s, binoms[c]))
-                low[r] = -s * counts[c]
+        if not any(u):
+            for c, _ in members:
+                vec[c] = counts[c]
+                factor += counts[c]
             continue
         if r is None and sum(s * counts[c] for c, s in members) < 0:
             # walked from high sums down, the larger vectors come first
             u, members = tuple([-a for a in u]), [(c, -s) for c, s in members]
-        sums, weights, maxima = _direction_table(members, counts, binoms)
+        table = _direction_table(members, counts, binoms)
         if r is None:
-            digits.append((u, None, sums[0], sums[-1], (sums, weights, maxima, len(spread))))
+            ts = sorted(table)
+            digits.append((u, ts, [table[t][0] for t in ts], [table[t][1] for t in ts],
+                           len(spread)))
         else:
-            solved.append((r, dict(zip(sums, zip(weights, maxima))), len(spread)))
-            low[r], high[r] = -sums[-1], -sums[0]
-        spread.append(members)
+            solved.append((r, table, len(spread)))
+            low[r], high[r] = -max(table), -min(table)
+        spread.append([c for c, _ in members])
     # rest_lo[i][r], rest_hi[i][r]: range of row r's sum over digits i..
     rest_lo = [[0] * rank for _ in range(len(digits) + 1)]
     rest_hi = [[0] * rank for _ in range(len(digits) + 1)]
     for i in range(len(digits) - 1, -1, -1):
-        column, _, least, most, _ = digits[i]
+        column, ts = digits[i][:2]
         for r in rows:
-            ends = (column[r] * least, column[r] * most)
+            ends = (column[r] * ts[0], column[r] * ts[-1])
             rest_lo[i][r] = rest_lo[i + 1][r] + min(ends)
             rest_hi[i][r] = rest_hi[i + 1][r] + max(ends)
 
@@ -281,28 +283,26 @@ def _kernel_walk(
     kept: list[tuple[int, ...]] = []
     alive = dropped = 0  # bits of the kept vectors not dropped; how many were
     above = [[0] * (c + 1) for c in counts]
-    below = [[0] * (c + 1) for c in counts] if spread else []
-    vec = [0] * len(counts)
-    fibers: list = [()] * len(spread)  # maximal vectors of each spread direction at its sum
+    below = [[0] * (c + 1) for c in counts]
+    fibers: list = [()] * len(spread)  # maximal vectors of each direction at its sum
 
     def keep(v) -> None:
         """Keep v, which no kept vector dominates, and drop those it dominates."""
         nonlocal kept, alive, dropped
-        if spread:
-            under = alive
-            for masks, k in zip(below, v):
-                under &= masks[k]
-                if not under:
-                    break
-            alive ^= under
-            dropped += under.bit_count()
-            if 2 * dropped > len(kept):
-                rest = [kept[j] for j in bit_indices(alive)]
-                kept, alive, dropped = [], 0, 0
-                for masks in above + below:
-                    masks[:] = [0] * len(masks)
-                for w in rest:
-                    keep(w)
+        under = alive
+        for masks, k in zip(below, v):
+            under &= masks[k]
+            if not under:
+                break
+        alive ^= under
+        dropped += under.bit_count()
+        if 2 * dropped > len(kept):
+            rest = [kept[j] for j in bit_indices(alive)]
+            kept, alive, dropped = [], 0, 0
+            for masks in above + below:
+                masks[:] = [0] * len(masks)
+            for w in rest:
+                keep(w)
         bit = 1 << len(kept)
         kept.append(tuple(v))
         alive |= bit
@@ -313,54 +313,33 @@ def _kernel_walk(
             for x in range(k, len(masks)):
                 masks[x] |= bit
 
-    def settle(sums: list[int], weight: int) -> None:
-        """The leaf of a walk with directions of several classes: solve the
-        pivot directions' tables, then offer every product of maxima."""
-        nonlocal precluded
-        for r, table, slot in solved:
-            entry = table.get(-sums[r])
-            if entry is None:
-                return
-            weight *= entry[0]
-            fibers[slot] = entry[1]
-        precluded += weight
-        for picks in itertools.product(*fibers):
-            for members, ks in zip(spread, picks):
-                for (c, _), k in zip(members, ks):
-                    vec[c] = k
-            # a vector some dropped one dominates is dominated by a kept one
-            dominated = -1
-            for masks, k in zip(above, vec):
-                dominated &= masks[k]
-                if not dominated:
-                    keep(vec)
-                    break
-
     def rec(i: int, sums: list[int], weight: int) -> None:
         nonlocal precluded
         if i == len(digits):
-            for r, p, d, row in lone:
-                q, rem = divmod(-sums[r], d)
-                if rem:
+            for r, table, slot in solved:
+                entry = table.get(-sums[r])
+                if entry is None:
                     return
-                vec[p] = q
-                weight *= row[q]
-            if spread:
-                settle(sums, weight)
-                return
-            # the test is written out here too: most walks take only this leaf
+                weight *= entry[0]
+                fibers[slot] = entry[1]
             precluded += weight
-            dominated = -1
-            for masks, k in zip(above, vec):
-                dominated &= masks[k]
-                if not dominated:
-                    keep(vec)
-                    break
+            for picks in itertools.product(*fibers):
+                for classes, ks in zip(spread, picks):
+                    for c, k in zip(classes, ks):
+                        vec[c] = k
+                # a vector some dropped one dominates is dominated by a kept one
+                dominated = -1
+                for masks, k in zip(above, vec):
+                    dominated &= masks[k]
+                    if not dominated:
+                        keep(vec)
+                        break
             return
-        column, c, least, most, table = digits[i]
+        column, ts, weights, maxima, slot = digits[i]
+        least, most = ts[0], ts[-1]
         lo, hi = rest_lo[i + 1], rest_hi[i + 1]
         for r in rows:
-            # some rest in [lo, hi] must give low <= sums + a*v + rest <= high
+            # some rest in [lo, hi] must give low <= sums + a*t + rest <= high
             a, under, over = column[r], low[r] - sums[r] - hi[r], high[r] - sums[r] - lo[r]
             if a > 0:
                 least, most = max(least, -(-under // a)), min(most, over // a)
@@ -368,21 +347,12 @@ def _kernel_walk(
                 least, most = max(least, -(-over // a)), min(most, under // a)
             elif under > 0 or over < 0:
                 return
-        if table is None:
-            row = binoms[c]
-            cur = [s + a * most for s, a in zip(sums, column)]
-            for k in range(most, least - 1, -1):
-                vec[c] = k
-                rec(i + 1, cur, weight * row[k])
-                cur = [s - a for s, a in zip(cur, column)]
-            return
-        ts, weights, maxima, slot = table
         for j in range(bisect.bisect_right(ts, most) - 1, bisect.bisect_left(ts, least) - 1, -1):
             fibers[slot] = maxima[j]
             rec(i + 1, [s + a * ts[j] for s, a in zip(sums, column)], weight * weights[j])
 
     rec(0, [0] * rank, 1)
-    return precluded, tuple(sorted(v for j, v in enumerate(kept) if alive >> j & 1))
+    return precluded << factor, tuple(sorted(v for j, v in enumerate(kept) if alive >> j & 1))
 
 
 def sector_tables(
@@ -407,7 +377,7 @@ def sector_tables(
 def _sector_kernels(classes: AmplitudeClasses) -> list[tuple]:
     """Each sector's (final, class ids, values, counts, kernel), built on
     first use and kept on `classes`, so the kernel depends on the space
-    alone, as the classes do."""
+    only, as the classes do."""
     kept = vars(classes).get("_sector_kernels")
     if kept is None:
         kept = []

@@ -4,15 +4,14 @@ indexed by subset mask.
 A subset of {0..N-1} is the bitmask h << L | l, where l holds its low L
 elements and h its high N-L ones, so any additive per-subset statistic
 is the statistic of l plus that of h (meet in the middle: Horowitz &
-Sahni, J. ACM 21, 1974).  Both walks split the same way, evenly unless
-`chunk` caps the low half: L = min(ceil(N/2), floor(log2(chunk))).  The
+Sahni, J. ACM 21, 1974).  Both walks split evenly: L = ceil(N/2).  The
 count walk tabulates each half's distinct sums, with how many of the
 half's subsets reach each, by doubling one element at a time, and looks
 up each distinct high sum h once, counting the low subsets that sum to
 -h; its memory is the number of distinct half sums.  The zero-sum walk
 lists every subset sum of each half and groups the low subsets by their
 sum, so the 2**L subsets sharing each high subset get their verdicts as
-one bitset.  Results are identical for any value of `chunk`.
+one bitset.
 
 A table over N elements is one Python int of 2**N bits: bit m is the
 verdict of the subset with bitmask m.  Integer vectors are summed
@@ -41,8 +40,6 @@ __all__ = [
     "minimal_uncovered",
 ]
 
-DEFAULT_CHUNK = 1 << 16
-
 _BLOCK_BITS = 16  # masks per swept block: 2**16 bits, 8 KiB (at least 3)
 
 
@@ -60,10 +57,6 @@ def pack_rows(rows: Sequence[Sequence[int]]) -> list[int]:
     bound = max((sum(map(abs, column)) for column in zip(*rows)), default=0)
     base = 2 * bound + 1
     return [sum(x * base**j for j, x in enumerate(r)) for r in rows]
-
-
-def _low_bits(num_bits: int, chunk: int) -> int:
-    return min(num_bits, max(chunk, 1).bit_length() - 1)
 
 
 def _subset_sums(values: Sequence[int]) -> list[int]:
@@ -95,7 +88,7 @@ def _join(chunks: list[int], width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in chunks), "little")
 
 
-def walk_count_table(values: Sequence[int], *, chunk: int = DEFAULT_CHUNK) -> int:
+def walk_count_table(values: Sequence[int]) -> int:
     """Number of subsets of `values` whose sum is 0, the empty one included.
 
     Each distinct high-half sum h is looked up once among the low half's
@@ -104,12 +97,12 @@ def walk_count_table(values: Sequence[int], *, chunk: int = DEFAULT_CHUNK) -> in
     `bench/worker.py` times the brute force's walk by rebinding
     `measure.walk_count_table`.
     """
-    low_bits = _low_bits((len(values) + 1) // 2, chunk)
+    low_bits = (len(values) + 1) // 2
     low, high = _sum_counts(values[:low_bits]), _sum_counts(values[low_bits:])
     return sum(c * low.get(-h, 0) for h, c in high.items())
 
 
-def zero_sum_subsets(rows: Sequence[Sequence[int]], *, chunk: int = DEFAULT_CHUNK) -> int:
+def zero_sum_subsets(rows: Sequence[Sequence[int]]) -> int:
     """Bitset over the 2**len(rows) subsets: does the subset's integer-vector sum vanish?
 
     `rows[b]` is the vector attached to element b, and bit m of the
@@ -117,7 +110,7 @@ def zero_sum_subsets(rows: Sequence[Sequence[int]], *, chunk: int = DEFAULT_CHUN
     subset always qualifies.
     """
     packed = pack_rows(rows)
-    low_bits = _low_bits((len(packed) + 1) // 2, chunk)
+    low_bits = (len(packed) + 1) // 2
     low, high = _subset_sums(packed[:low_bits]), _subset_sums(packed[low_bits:])
     wanted = set(map(operator.neg, high))
     groups: dict[int, list[int]] = {}

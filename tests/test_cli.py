@@ -151,6 +151,24 @@ def test_report_skips_golden_off_default(capsys):
     assert data["criteria"]["overlap_ground_plus"] > 0  # T=2 ensembles overlap
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--state", "bogus", "--final", "9"], "unknown state 'bogus'"),
+        (["--state", "custom:1,2"], "custom state needs 3 terms, got 2"),
+        (["--final", "x"], "--final must be an integer or 'all', got 'x'"),
+        (["--final", "9"], "site 9 outside 0..2"),
+    ],
+    ids=["state", "custom-terms", "final-text", "final-site"],
+)
+def test_report_refuses_a_bad_state_or_final_as_the_other_commands_do(capsys, option, message):
+    for command in ("preclusion", "report"):
+        assert main([command, *option]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+
 def test_report_standing_flagged(capsys):
     code, data = run_json(capsys, "report", "--state", "standing")
     assert code == 0

@@ -205,6 +205,11 @@ CUSTOM_STATES = (
 )
 
 
+# (n, T, state) whose every sector has a class of value 0, the histories
+# from a site of amplitude 0, which the walk takes whole as a factor
+ZERO_CLASS_POINTS = ((3, 3, "custom:1,0,2"), (3, 4, "custom:1,0,2"), (4, 3, "standing"))
+
+
 def _walk_spaces():
     for state in ("ground", "plus", "minus", "standing"):
         for final in range(3):
@@ -214,6 +219,9 @@ def _walk_spaces():
     for state in CUSTOM_STATES:
         for final in range(3):
             yield 3, 3, state, final
+    for n, steps, state in ZERO_CLASS_POINTS:
+        for final in range(n):
+            yield n, steps, state, final
 
 
 @pytest.mark.parametrize("point", list(_walk_spaces()), ids=lambda p: "-".join(map(str, p)))
@@ -227,6 +235,29 @@ def test_direction_walk_equals_class_walk(point):
     counts = tuple(classes.classes[c].count for c in cids)
     kernel = _sector_kernel(values, counts)
     assert _kernel_walk(kernel, counts) == oracles.class_kernel_walk(kernel, counts)
+
+
+@pytest.mark.parametrize("point", ZERO_CLASS_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_zero_class_points_have_a_zero_direction(point):
+    n, steps, state = point
+    spec = LatticeSpec(n, steps)
+    for final in range(n):
+        classes = amplitude_classes(enumerate_histories(spec, parse_state(spec, state), final))
+        kernel = _sector_kernel(tuple(c.value for c in classes.classes), classes.counts)
+        assert any(not any(u) for _, u, _ in _directions(kernel))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(class_layouts(), st.integers(min_value=0, max_value=4))
+def test_a_zero_valued_class_is_a_factor_of_the_walk(layout, count):
+    # any subset of a class of value 0 joins any zero-sum subset, so the
+    # count doubles per member and every maximum takes the class whole
+    order, values, counts = layout
+    precluded, maxima = _kernel_walk(_sector_kernel(values, counts), counts)
+    values, counts = values + (CycInt.zero(order),), counts + (count,)
+    assert _kernel_walk(_sector_kernel(values, counts), counts) == (
+        precluded << count, tuple(m + (count,) for m in maxima)
+    )
 
 
 def test_custom_states_walk_several_classes_per_direction():

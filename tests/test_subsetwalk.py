@@ -42,8 +42,9 @@ def zero_sum_count(values) -> int:
     )
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 97, 1 << 16])
-def test_walk_count_matches_direct_enumeration(chunk):
+def _walk_inputs():
+    """Random values of 0 to 12 elements, and four of 11 or 12 elements
+    whose subset sums collide as much, or as little, as they can."""
     rng = random.Random(3)
     inputs = []
     for _ in range(20):
@@ -59,19 +60,41 @@ def test_walk_count_matches_direct_enumeration(chunk):
     inputs.append([1 << b for b in range(11)])  # no two subsets share a sum
     inputs.append([3] * 5 + [-3] * 6)
     inputs.append([0] * 12)  # every subset sums to 0
-    for values in inputs:
-        assert walk_count_table(values, chunk=chunk) == zero_sum_count(values)
+    return inputs
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_zero_sum_subsets_matches_direct_enumeration(chunk):
+WALK_INPUTS = _walk_inputs()
+
+
+@pytest.mark.parametrize("num_bits", sorted({len(values) for values in WALK_INPUTS}))
+def test_walk_count_matches_direct_enumeration(num_bits):
+    for values in WALK_INPUTS:
+        if len(values) == num_bits:
+            assert walk_count_table(values) == zero_sum_count(values)
+
+
+def _zero_sum_inputs():
+    """Rows of 0 to 10 integer vectors of dimension 1 to 3."""
     rng = random.Random(5)
+    inputs = []
     for _ in range(20):
         num_bits = rng.randint(0, 10)
         dim = rng.randint(1, 3)
-        rows = [
-            tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(num_bits)
-        ]
+        inputs.append(
+            [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(num_bits)]
+        )
+    return inputs
+
+
+ZERO_SUM_INPUTS = _zero_sum_inputs()
+
+
+@pytest.mark.parametrize("num_bits", sorted({len(rows) for rows in ZERO_SUM_INPUTS}))
+def test_zero_sum_subsets_matches_direct_enumeration(num_bits):
+    for rows in ZERO_SUM_INPUTS:
+        if len(rows) != num_bits:
+            continue
+        dim = len(rows[0]) if rows else 1
         expected = []
         for mask in range(1 << num_bits):
             total = [0] * dim
@@ -80,35 +103,29 @@ def test_zero_sum_subsets_matches_direct_enumeration(chunk):
                     total = [t + r for t, r in zip(total, rows[b])]
             if all(t == 0 for t in total):
                 expected.append(mask)
-        got = zero_sum_subsets(rows, chunk=chunk)
+        got = zero_sum_subsets(rows)
         assert 0 < got < 1 << (1 << num_bits)
         assert list(bit_indices(got)) == expected
 
 
-def _split_sizes(chunk):
-    """num_bits on either side of the split: 0, L-1, L, L+1 and 2L+1."""
-    low = chunk.bit_length() - 1
-    return sorted({b for b in (0, low - 1, low, low + 1, 2 * low + 1) if b >= 0})
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 3, 61, 97, 1 << 4])
-def test_split_walks_match_direct_enumeration(chunk):
-    rng = random.Random(chunk)
-    for num_bits in _split_sizes(chunk):
-        rows = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(num_bits)]
-        zero = [False] * (1 << num_bits)
-        for mask in range(1 << num_bits):
-            members = [b for b in range(num_bits) if (mask >> b) & 1]
-            if all(sum(rows[b][j] for b in members) == 0 for j in range(2)):
-                zero[mask] = True
-        assert walk_count_table(pack_rows(rows), chunk=chunk) == sum(zero)
-        assert zero_sum_subsets(rows, chunk=chunk) == bitset(zero)
+@pytest.mark.parametrize("num_bits", range(14))
+def test_split_walks_match_direct_enumeration(num_bits):
+    # both walks split at ceil(num_bits / 2): odd and even sizes on either side
+    rng = random.Random(num_bits)
+    rows = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(num_bits)]
+    zero = [False] * (1 << num_bits)
+    for mask in range(1 << num_bits):
+        members = [b for b in range(num_bits) if (mask >> b) & 1]
+        if all(sum(rows[b][j] for b in members) == 0 for j in range(2)):
+            zero[mask] = True
+    assert walk_count_table(pack_rows(rows)) == sum(zero)
+    assert zero_sum_subsets(rows) == bitset(zero)
 
 
 def test_zero_sum_subsets_come_out_ascending_without_a_sort():
     # every subset of the all-zero rows qualifies, across many high runs
     rows = [(0, 0)] * 9
-    got = zero_sum_subsets(rows, chunk=8)
+    got = zero_sum_subsets(rows)
     assert got == (1 << (1 << 9)) - 1
 
 
