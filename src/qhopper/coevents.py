@@ -32,7 +32,7 @@ from .histories import (
     bit_indices,
     mask_of,
 )
-from .measure import sector_tables
+from .measure import _Antichain, sector_tables
 from .model import Frozen, FrozenValue, _set
 from .subsetwalk import close_downward, minimal_uncovered, outer_and, zero_sum_subsets
 
@@ -125,56 +125,26 @@ def _dualise_maxima(
 ) -> list[tuple[int, ...]]:
     """Minimal vectors of the box 0 <= v <= counts lying below none of `maxima`.
 
-    Berge-style dualisation: the minimal vectors escaping every maximum
-    seen so far either escape the next one M already (some v_i > M_i),
-    or are raised to M_i + 1 on one class i.  After each M the raised
-    vectors are pruned back to the minimal ones; the escaping vectors
-    stay minimal, as the previous antichain already was.
-
-    Every vector that joins the antichain gets the next bit, and
-    `below[c][x]` is the bitmask of those whose count in class c is at
-    most x.  The antichain's vectors under some v are then one AND per
-    class, which finds the vectors M dominates and tells whether a
-    raised vector is already covered.
+    Berge-style dualisation on an `_Antichain`: the minimal vectors
+    escaping every maximum seen so far either escape the next one M
+    already (some v_i > M_i), or lie under M and are raised to M_i + 1
+    on one class i.  A raised vector joins unless a held one lies under
+    it; the escaping vectors stay minimal, as they already were.
     """
-    vectors: list[tuple[int, ...]] = []
-    below = [[0] * (c + 1) for c in counts]
-    alive = 0  # bits of the vectors in the antichain now
-
-    def under(v: tuple[int, ...]) -> int:
-        hit = alive
-        for masks, k in zip(below, v):
-            hit &= masks[k]
-            if not hit:
-                break
-        return hit
-
-    def add(v: tuple[int, ...]) -> None:
-        nonlocal alive
-        bit = 1 << len(vectors)
-        vectors.append(v)
-        alive |= bit
-        for masks, k in zip(below, v):
-            for x in range(k, len(masks)):
-                masks[x] |= bit
-
-    add((0,) * len(counts))
+    minimal = _Antichain(counts, [(0,) * len(counts)])
     for mx in maxima:
-        hit = under(mx)
-        alive ^= hit
         raised: set[tuple[int, ...]] = set()
-        for j in bit_indices(hit):
-            v = vectors[j]
+        for v in minimal.remove(minimal.at_most(mx)):
             for i, (m, c) in enumerate(zip(mx, counts)):
                 if m < c:
                     raised.add(v[:i] + (m + 1,) + v[i + 1 :])
         # a vector dominating another has the larger sum, so it comes later
         for w in sorted(raised, key=sum):
-            if not under(w):
-                add(w)
-        check_size("antichain of {} minimal preclusive vectors", alive.bit_count(),
+            if not minimal.at_most(w):
+                minimal.add(w)
+        check_size("antichain of {} minimal preclusive vectors", len(minimal),
                    max_vectors, LIMITS.max_vectors)
-    return sorted((vectors[j] for j in bit_indices(alive)), key=lambda v: (sum(v), v))
+    return sorted(minimal, key=lambda v: (sum(v), v))
 
 
 def minimal_preclusive_vectors(

@@ -77,8 +77,72 @@ class SectorTable(Frozen):
         )
 
     def extendable(self, vec: tuple[int, ...]) -> bool:
-        """True iff some zero-sum count vector dominates `vec` componentwise."""
-        return any(all(k <= m for k, m in zip(vec, mx)) for mx in self.maximal_zero)
+        """True iff some zero-sum count vector dominates `vec`, a vector of the box."""
+        return self._maxima.at_least(vec) != 0
+
+    @functools.cached_property
+    def _maxima(self) -> _Antichain:
+        return _Antichain(self.counts, self.maximal_zero)
+
+
+class _Antichain:
+    """Count vectors of the box 0 <= v <= counts, one bit each.
+
+    `below[c][x]` is the bitmask of the vectors whose count in class c is
+    less than x, for x = 0..counts[c] + 1, so the vectors at or below any
+    v are one AND per class, and those at or above it one AND NOT.  It
+    tests no dominance itself: its users add only vectors that keep it an
+    antichain.  Once half the vectors added since the index was built are
+    removed, it is rebuilt from the rest.
+    """
+
+    def __init__(self, counts: tuple[int, ...], vectors=()) -> None:
+        self.counts = counts
+        self.vectors: list[tuple[int, ...]] = []
+        self.alive = 0  # bits of the vectors held
+        self.below = [[0] * (c + 2) for c in counts]
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return self.alive.bit_count()
+
+    def __iter__(self):
+        return (self.vectors[j] for j in bit_indices(self.alive))
+
+    def at_least(self, v) -> int:
+        """Bits of the vectors w with w_c >= v_c in every class c."""
+        hit = self.alive
+        for masks, k in zip(self.below, v):
+            hit &= ~masks[k]
+            if not hit:
+                break
+        return hit
+
+    def at_most(self, v) -> int:
+        """Bits of the vectors w with w_c <= v_c in every class c."""
+        hit = self.alive
+        for masks, k in zip(self.below, v):
+            hit &= masks[k + 1]
+            if not hit:
+                break
+        return hit
+
+    def add(self, v: tuple[int, ...]) -> None:
+        bit = 1 << len(self.vectors)
+        self.vectors.append(v)
+        self.alive |= bit
+        for masks, k in zip(self.below, v):
+            for x in range(k + 1, len(masks)):
+                masks[x] |= bit
+
+    def remove(self, bits: int) -> list[tuple[int, ...]]:
+        """Remove the vectors of `bits`, which must be held, and return them."""
+        gone = [self.vectors[j] for j in bit_indices(bits)]
+        self.alive ^= bits
+        if 2 * len(self) < len(self.vectors):
+            self.__init__(self.counts, list(self))
+        return gone
 
 
 class _Kernel(NamedTuple):
@@ -137,8 +201,10 @@ def _sector_kernel(values: tuple[CycInt, ...], counts: tuple[int, ...]) -> _Kern
 
 
 def _check_free_box(kernel: _Kernel, counts: tuple[int, ...], max_vectors: int) -> None:
-    box = math.prod(counts[f] + 1 for f in kernel.free)
-    free = f"({len(kernel.free)} free of {len(counts)} classes)"
+    # classes of value 0 are a factor of the walk's count, not a digit
+    walked = [f for f, column in zip(kernel.free, kernel.coeffs) if any(column)]
+    box = math.prod(counts[f] + 1 for f in walked)
+    free = f"({len(walked)} free of {len(counts)} classes)"
     check_size("free-class box of {} points " + free, box, max_vectors, LIMITS.max_vectors)
 
 
@@ -225,18 +291,13 @@ def _kernel_walk(
     vector k adds prod_c C(counts_c, k_c) to the count.
 
     Each zero-sum choice of sums gives the products of the directions'
-    maximal vectors, and every product is offered to the antichain of
-    kept vectors.  It is kept when no kept vector dominates it, found by
-    one AND per class over `above[c][v]`, the bitmask of the kept vectors
-    whose count in class c is at least v; a kept vector drops the kept
-    ones it dominates, found by one AND per class over `below[c][v]`, the
-    bitmask of those whose count in c is at most v.  So the maxima do not
-    depend on the walk's order.  Digits run from high sums to low, each
-    free direction oriented so that its larger vectors come first, which
-    keeps drops rare.  Once half the kept vectors are dropped, the masks
-    are rebuilt from the rest, so they hold at most twice the antichain
-    kept so far; no list of zero-sum vectors is held.  The maxima are
-    returned in ascending lexicographic order.
+    maximal vectors, and every product is offered to an `_Antichain`: it
+    is kept when no kept vector dominates it, and it removes the kept
+    ones it dominates, so the maxima do not depend on the walk's order.
+    Digits run from high sums to low, each free direction oriented so
+    that its larger vectors come first, which keeps removals rare.  No
+    list of zero-sum vectors is held.  The maxima are returned in
+    ascending lexicographic order.
 
     Memoised by content: a space rebuilt for another query walks no
     second time.  The results hold no space.
@@ -280,38 +341,8 @@ def _kernel_walk(
             rest_hi[i][r] = rest_hi[i + 1][r] + max(ends)
 
     precluded = 0
-    kept: list[tuple[int, ...]] = []
-    alive = dropped = 0  # bits of the kept vectors not dropped; how many were
-    above = [[0] * (c + 1) for c in counts]
-    below = [[0] * (c + 1) for c in counts]
+    kept = _Antichain(counts)
     fibers: list = [()] * len(spread)  # maximal vectors of each direction at its sum
-
-    def keep(v) -> None:
-        """Keep v, which no kept vector dominates, and drop those it dominates."""
-        nonlocal kept, alive, dropped
-        under = alive
-        for masks, k in zip(below, v):
-            under &= masks[k]
-            if not under:
-                break
-        alive ^= under
-        dropped += under.bit_count()
-        if 2 * dropped > len(kept):
-            rest = [kept[j] for j in bit_indices(alive)]
-            kept, alive, dropped = [], 0, 0
-            for masks in above + below:
-                masks[:] = [0] * len(masks)
-            for w in rest:
-                keep(w)
-        bit = 1 << len(kept)
-        kept.append(tuple(v))
-        alive |= bit
-        for masks, k in zip(above, v):
-            for x in range(k + 1):
-                masks[x] |= bit
-        for masks, k in zip(below, v):
-            for x in range(k, len(masks)):
-                masks[x] |= bit
 
     def rec(i: int, sums: list[int], weight: int) -> None:
         nonlocal precluded
@@ -327,13 +358,9 @@ def _kernel_walk(
                 for classes, ks in zip(spread, picks):
                     for c, k in zip(classes, ks):
                         vec[c] = k
-                # a vector some dropped one dominates is dominated by a kept one
-                dominated = -1
-                for masks, k in zip(above, vec):
-                    dominated &= masks[k]
-                    if not dominated:
-                        keep(vec)
-                        break
+                if not kept.at_least(vec):
+                    kept.remove(kept.at_most(vec))
+                    kept.add(tuple(vec))
             return
         column, ts, weights, maxima, slot = digits[i]
         least, most = ts[0], ts[-1]
@@ -352,26 +379,27 @@ def _kernel_walk(
             rec(i + 1, [s + a * ts[j] for s, a in zip(sums, column)], weight * weights[j])
 
     rec(0, [0] * rank, 1)
-    return precluded << factor, tuple(sorted(v for j, v in enumerate(kept) if alive >> j & 1))
+    return precluded << factor, tuple(sorted(kept))
 
 
 def sector_tables(
     classes: AmplitudeClasses, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> dict[int, SectorTable]:
-    """Zero-sum count-vector tables per final sector.
-
-    Built on every call from the memoised kernel walks over the sectors'
-    kernels, which are built once per space.  The free-box guard is
-    checked for every sector before any walk, so whether a call is
-    refused never depends on earlier calls.
+    """Zero-sum count-vector tables per final sector, built once per space
+    from the memoised kernel walks and kept on `classes`.  The free-box
+    guard is checked for every sector on every call, so whether a call
+    is refused never depends on earlier calls.
     """
     sectors = _sector_kernels(classes)
     for _, _, _, counts, kernel in sectors:
         _check_free_box(kernel, counts, max_vectors)
-    return {
-        final: SectorTable(final, cids, values, counts, *_kernel_walk(kernel, counts))
-        for final, cids, values, counts, kernel in sectors
-    }
+    tables = vars(classes).get("_sector_tables")
+    if tables is None:
+        tables = vars(classes)["_sector_tables"] = {
+            final: SectorTable(final, cids, values, counts, *_kernel_walk(kernel, counts))
+            for final, cids, values, counts, kernel in sectors
+        }
+    return dict(tables)
 
 
 def _sector_kernels(classes: AmplitudeClasses) -> list[tuple]:

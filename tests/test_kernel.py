@@ -1,12 +1,14 @@
 """Zero-sum tables from the integer kernel, and minimal vectors by dualisation.
 
 The kernel walk and the dualisation are checked against the whole-box
-references in `oracles.py`, on random class layouts and on real spaces;
+references in `oracles.py`, on random class layouts and on real spaces,
+and the antichain they share against linear scans;
 the reach points are pinned to the counts of the independent
 numpy/sympy checker `bench/checker.py`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -34,9 +36,16 @@ import qhopper.measure
 from qhopper.cli import _parse_state as parse_state
 from qhopper.cli import main
 from qhopper.coevents import _dualise_maxima, is_preclusive, is_primitive
-from qhopper.histories import Event
+from qhopper.histories import Event, bit_indices
 from qhopper.errors import LIMITS
-from qhopper.measure import _directions, _kernel_walk, _sector_kernel, sector_tables
+from qhopper.measure import (
+    SectorTable,
+    _Antichain,
+    _directions,
+    _kernel_walk,
+    _sector_kernel,
+    sector_tables,
+)
 
 ORDERS = (3, 4, 5, 8, 12)
 
@@ -151,11 +160,11 @@ def test_dualised_maxima_equal_box_scan(layout):
 
 
 @st.composite
-def boxes_with_maxima(draw):
-    """Counts of 1 to 5 classes and up to 6 points of their box."""
+def boxes_with_maxima(draw, max_points=6):
+    """Counts of 1 to 5 classes, 0 to 4 each, and 1 to `max_points` points of their box."""
     counts = tuple(draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=5)))
     point = st.tuples(*(st.integers(min_value=0, max_value=c) for c in counts))
-    return counts, tuple(draw(st.lists(point, min_size=1, max_size=6)))
+    return counts, tuple(draw(st.lists(point, min_size=1, max_size=max_points)))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -287,6 +296,70 @@ def test_bitmasks_wider_than_a_machine_word():
     assert len(minimal) == 155
 
 
+# -- the antichain ---------------------------------------------------------------
+
+
+def _box(counts):
+    return itertools.product(*(range(c + 1) for c in counts))
+
+
+def _walk_rule(counts, vectors) -> _Antichain:
+    # as in the kernel walk: a vector no held one dominates joins, and
+    # removes the held ones it dominates
+    kept = _Antichain(counts)
+    for v in vectors:
+        if not kept.at_least(v):
+            kept.remove(kept.at_most(v))
+            kept.add(v)
+    return kept
+
+
+def _assert_answers(antichain, held, counts):
+    """`antichain` holds `held`, and answers every point of the box as linear scans do."""
+    assert sorted(antichain) == sorted(held) and len(antichain) == len(held)
+    for v in _box(counts):
+        for bits, scan in (
+            (antichain.at_least(v), [w for w in held if all(a >= b for a, b in zip(w, v))]),
+            (antichain.at_most(v), [w for w in held if all(a <= b for a, b in zip(w, v))]),
+        ):
+            assert sorted(antichain.vectors[j] for j in bit_indices(bits)) == sorted(scan)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(boxes_with_maxima(max_points=30))
+def test_walk_rule_keeps_the_maxima_in_any_order_and_answers_as_scans(layout):
+    counts, vectors = layout
+    _assert_answers(_walk_rule(counts, vectors), _box_maxima(sorted(set(vectors))), counts)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(boxes_with_maxima(max_points=30), st.data())
+def test_removing_over_half_compacts_and_changes_no_answer(layout, data):
+    counts, vectors = layout
+    held = _box_maxima(sorted(set(vectors)))
+    antichain = _Antichain(counts, held)
+    gone = data.draw(st.sets(st.sampled_from(range(len(held))), min_size=len(held) // 2 + 1))
+    removed = antichain.remove(sum(1 << j for j in gone))
+    assert sorted(removed) == sorted(held[j] for j in gone)
+    held = [v for j, v in enumerate(held) if j not in gone]
+    assert len(antichain.vectors) == len(held)  # the index was rebuilt from the rest
+    _assert_answers(antichain, held, counts)
+    v = data.draw(st.sampled_from(list(_box(counts))))
+    removed = antichain.remove(antichain.at_most(v))
+    assert sorted(removed) == sorted(w for w in held if all(a <= b for a, b in zip(w, v)))
+    _assert_answers(antichain, [w for w in held if w not in removed], counts)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(class_layouts())
+def test_extendable_equals_a_scan_of_the_maxima(layout):
+    _, values, counts = layout
+    precluded, maxima = _kernel_walk(_sector_kernel(values, counts), counts)
+    table = SectorTable(0, tuple(range(len(counts))), values, counts, precluded, maxima)
+    for v in _box(counts):
+        assert table.extendable(v) == any(all(k <= m for k, m in zip(v, mx)) for mx in maxima)
+
+
 # -- guards --------------------------------------------------------------------
 
 
@@ -341,22 +414,47 @@ def test_rebuilt_space_walks_once_and_is_still_guarded(spec3):
 @pytest.mark.parametrize("final, sectors", [(0, 1), (None, 3)])
 def test_sector_kernels_are_built_once_per_sector(monkeypatch, spec3, final, sectors):
     # preclusivity checks (one per member and one per support), counts and
-    # tables all read the kernels kept on the space's classes
+    # tables all read the kernels and tables kept on the space's classes,
+    # so each table's antichain of maxima is built once too
     state = initial_state(spec3, "plus")
     primitives = enumerate_primitive(enumerate_histories(spec3, state, 0))[:50]
-    built = []
+    built, tables = [], []
 
     def counting(values, counts):
         built.append(counts)
         return _sector_kernel(values, counts)
 
     monkeypatch.setattr(qhopper.measure, "_sector_kernel", counting)
+    monkeypatch.setattr(qhopper.measure, "SectorTable",
+                        lambda *fields: tables.append(fields) or SectorTable(*fields))
     space = enumerate_histories(spec3, state, final)
     verdicts = [is_primitive(Event(space, phi.support.members)) for phi in primitives]
     assert all(verdicts) or final is None
     count_precluded(amplitude_classes(space))
     sector_tables(amplitude_classes(space))
-    assert len(built) == sectors
+    assert len(built) == len(tables) == sectors
+
+
+@pytest.mark.parametrize("final", (0, 1))
+def test_standing_four_five_answers_with_its_zero_valued_class_out_of_the_box(final):
+    # a class of value 0 is a factor of the walk, so its 512 histories do
+    # not count in the free box (13041 and 15617 points, not 6.7e6 and 8e6)
+    spec = LatticeSpec(4, 5)
+    classes = amplitude_classes(enumerate_histories(spec, initial_state(spec, "standing"), final))
+    (table,) = sector_tables(classes).values()
+    walked = [j for j, v in enumerate(table.values) if not v.is_zero()]
+    counts = tuple(table.counts[j] for j in walked)
+    zeros = sum(table.counts) - sum(counts)
+    assert 0 < zeros < sum(table.counts)
+    kernel = _sector_kernel(tuple(table.values[j] for j in walked), counts)
+    precluded, maxima = oracles.class_kernel_walk(kernel, counts)
+    assert table.precluded == count_precluded(classes) == precluded << zeros
+
+    def whole(m):  # the maximum with every class of value 0 taken whole
+        part = dict(zip(walked, m))
+        return tuple(part.get(j, c) for j, c in enumerate(table.counts))
+
+    assert table.maximal_zero == tuple(sorted(map(whole, maxima)))
 
 
 def test_dualisation_antichain_is_bounded_by_max_vectors():
