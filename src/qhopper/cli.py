@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 import types
 from collections.abc import Iterable, Sequence
@@ -32,7 +31,7 @@ from .histories import (
     enumerate_histories,
     half_hop_count,
 )
-from .measure import sector_tables
+from .measure import count_precluded, preclusive_coevent_count_exponent, sector_tables
 from .model import (
     STATE_LABELS,
     LatticeSpec,
@@ -330,18 +329,15 @@ def _histories_figures(space: HistorySpace, state: str) -> dict:
 
 
 def _preclusion_figures(space: HistorySpace, state: str) -> dict:
-    # one set of sector tables gives every figure, as count_precluded and
-    # preclusive_coevent_count_exponent would derive them
-    tables = sector_tables(amplitude_classes(space))
-    precluded = math.prod(table.precluded for table in tables.values())
+    classes = amplitude_classes(space)
     data = {
         **_head(space, state),
         "subsets_total": f"2^{space.size}",
-        "precluded": precluded,
-        "preclusive_coevents_log2": (1 << space.size) - precluded,
+        "precluded": count_precluded(classes),
+        "preclusive_coevents_log2": preclusive_coevent_count_exponent(space),
     }
     maximal = {}
-    for f, table in tables.items():
+    for f, table in sector_tables(classes).items():
         labels = [value_label(v) for v in table.values]
         maximal[f] = [_vector_entries(labels, vec) for vec in table.maximal_zero]
     if space.final is not None:
@@ -460,12 +456,12 @@ def cmd_classify(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = _spec_from(args)
-    final = _parse_final(args.final, spec)
-    if final is None:
-        raise UsageError("compare needs a fixed final site (--final <int>)")
     for label in (args.state, args.other):
         if label not in STATE_LABELS:
             raise UsageError(f"compare works over named states, got {label!r}")
+    final = _parse_final(args.final, spec)
+    if final is None:
+        raise UsageError("compare needs a fixed final site (--final <int>)")
     rep = analysis.discrimination_report(
         spec, (args.state, args.other), final, max_histories=args.max_histories
     )

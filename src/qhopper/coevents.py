@@ -32,7 +32,7 @@ from .histories import (
     bit_indices,
     mask_of,
 )
-from .measure import _Antichain, sector_tables
+from .measure import _Antichain, _bruteforce_sectors, sector_tables
 from .model import Frozen, FrozenValue, _set
 from .subsetwalk import close_downward, minimal_uncovered, outer_and, zero_sum_subsets
 
@@ -426,20 +426,15 @@ def enumerate_primitive_bruteforce(
     part is contained in a zero-sum subset of that sector, found from
     the histories' exact amplitude sums (no class shortcut).  Each
     sector's zero-sum table, closed downward, says which parts are; the
-    final site is the most significant digit of the canonical index, so
-    each sector is one contiguous run of histories and the space's table
-    is the outer AND of the sectors' tables.  The primitive supports are
-    its minimal unmarked subsets.  Results come out in size-then-index
-    order.
+    sectors are consecutive runs (`measure._bruteforce_sectors`), so the
+    space's table is the outer AND of theirs, and the primitive supports
+    are its minimal unmarked subsets, in size-then-index order.
     """
-    check_size("brute force over {} subsets", 1 << space.size, max_subsets,
-               LIMITS.max_subsets)
-    run = space.size if space.final is not None else space.size // space.spec.n
-    covered = None
-    for lo in range(0, space.size, run):
-        rows = [a.canonical() for a in space.amps[lo : lo + run]]
-        part = close_downward(zero_sum_subsets(rows), run)
-        covered = part if covered is None else outer_and(part, run, covered, lo)
+    covered, low_bits = None, 0
+    for rows in _bruteforce_sectors(space, max_subsets):
+        part = close_downward(zero_sum_subsets(rows), len(rows))
+        covered = part if covered is None else outer_and(part, len(rows), covered, low_bits)
+        low_bits += len(rows)
     masks = list(bit_indices(minimal_uncovered(covered, space.size)))
     masks.sort(key=lambda m: (m.bit_count(), Event(space, m).indices()))
     return [MultiplicativeCoevent(Event(space, m)) for m in masks]

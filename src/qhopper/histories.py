@@ -365,8 +365,8 @@ class AmplitudeClasses(Frozen):
     event depends only on how many members it takes from each class.
     Classes are ordered by their smallest member index, which makes
     every downstream report deterministic.  Compares by identity.
-    `measure.sector_tables` keeps each sector's kernel and table here on
-    first use.
+    `measure.sector_tables` keeps one `SectorTable` per final sector here,
+    the space's only record of its sectors, built on first use.
     """
 
     _fields = ("space", "classes")  # repr leaves out the lookup tables

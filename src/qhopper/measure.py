@@ -57,24 +57,34 @@ __all__ = [
 
 
 class SectorTable(Frozen):
-    """Zero-sum structure of one final sector's amplitude classes.
+    """One final sector: its amplitude classes, their class-value kernel
+    and, walked from that kernel on first use, its zero-sum structure.
 
-    Compares by identity.
+    `sector_tables` builds one per sector and keeps it on the space's
+    `AmplitudeClasses`.  Compares by identity.
     """
 
-    _fields = ("final", "class_ids", "values", "counts", "precluded", "maximal_zero")
+    _fields = ("final", "class_ids", "values", "counts", "kernel")
     final: int
     class_ids: tuple[int, ...]  # global class indices, in class order
     values: tuple[CycInt, ...]
     counts: tuple[int, ...]
-    precluded: int  # zero-sum subsets of the sector, the empty one included
-    maximal_zero: tuple[tuple[int, ...], ...]  # in ascending lexicographic order
+    kernel: _Kernel
 
-    def __init__(self, final, class_ids, values, counts, precluded, maximal_zero):
+    def __init__(self, final, class_ids, values, counts, kernel):
         vars(self).update(
-            final=final, class_ids=class_ids, values=values, counts=counts,
-            precluded=precluded, maximal_zero=maximal_zero,
+            final=final, class_ids=class_ids, values=values, counts=counts, kernel=kernel
         )
+
+    @functools.cached_property
+    def precluded(self) -> int:
+        """Zero-sum subsets of the sector, the empty one included."""
+        return _kernel_walk(self.kernel, self.counts)[0]
+
+    @functools.cached_property
+    def maximal_zero(self) -> tuple[tuple[int, ...], ...]:
+        """Maximal zero-sum count vectors, in ascending lexicographic order."""
+        return _kernel_walk(self.kernel, self.counts)[1]
 
     def extendable(self, vec: tuple[int, ...]) -> bool:
         """True iff some zero-sum count vector dominates `vec`, a vector of the box."""
@@ -365,6 +375,8 @@ def _kernel_walk(
         column, ts, weights, maxima, slot = digits[i]
         least, most = ts[0], ts[-1]
         lo, hi = rest_lo[i + 1], rest_hi[i + 1]
+        # a row with a = 0 needs no test: every table holds the sum 0, so every
+        # row is reachable at digit 0, and each cut keeps every row reachable
         for r in rows:
             # some rest in [lo, hi] must give low <= sums + a*t + rest <= high
             a, under, over = column[r], low[r] - sums[r] - hi[r], high[r] - sums[r] - lo[r]
@@ -372,8 +384,6 @@ def _kernel_walk(
                 least, most = max(least, -(-under // a)), min(most, over // a)
             elif a < 0:
                 least, most = max(least, -(-over // a)), min(most, under // a)
-            elif under > 0 or over < 0:
-                return
         for j in range(bisect.bisect_right(ts, most) - 1, bisect.bisect_left(ts, least) - 1, -1):
             fibers[slot] = maxima[j]
             rec(i + 1, [s + a * ts[j] for s, a in zip(sums, column)], weight * weights[j])
@@ -385,36 +395,23 @@ def _kernel_walk(
 def sector_tables(
     classes: AmplitudeClasses, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> dict[int, SectorTable]:
-    """Zero-sum count-vector tables per final sector, built once per space
-    from the memoised kernel walks and kept on `classes`.  The free-box
-    guard is checked for every sector on every call, so whether a call
-    is refused never depends on earlier calls.
+    """Each final sector's `SectorTable`, built once per space and kept on
+    `classes`.  The free-box guard is checked for every sector on every
+    call, before any walk, so whether a call is refused never depends on
+    earlier calls.
     """
-    sectors = _sector_kernels(classes)
-    for _, _, _, counts, kernel in sectors:
-        _check_free_box(kernel, counts, max_vectors)
     tables = vars(classes).get("_sector_tables")
     if tables is None:
-        tables = vars(classes)["_sector_tables"] = {
-            final: SectorTable(final, cids, values, counts, *_kernel_walk(kernel, counts))
-            for final, cids, values, counts, kernel in sectors
-        }
-    return dict(tables)
-
-
-def _sector_kernels(classes: AmplitudeClasses) -> list[tuple]:
-    """Each sector's (final, class ids, values, counts, kernel), built on
-    first use and kept on `classes`, so the kernel depends on the space
-    only, as the classes do."""
-    kept = vars(classes).get("_sector_kernels")
-    if kept is None:
-        kept = []
+        tables = vars(classes)["_sector_tables"] = {}
         for final, cids in classes.sectors.items():
             values = tuple(classes.classes[c].value for c in cids)
             counts = tuple(classes.classes[c].count for c in cids)
-            kept.append((final, tuple(cids), values, counts, _sector_kernel(values, counts)))
-        vars(classes)["_sector_kernels"] = kept
-    return kept
+            tables[final] = SectorTable(
+                final, tuple(cids), values, counts, _sector_kernel(values, counts)
+            )
+    for table in tables.values():
+        _check_free_box(table.kernel, table.counts, max_vectors)
+    return dict(tables)
 
 
 # -- measure and preclusion ----------------------------------------------------
@@ -495,6 +492,21 @@ def preclusive_coevent_count_exponent(space: HistorySpace) -> int:
     return (1 << space.size) - count_precluded(amplitude_classes(space))
 
 
+def _bruteforce_sectors(space: HistorySpace, max_subsets: int) -> list[list[tuple[int, ...]]]:
+    """Each final sector's canonical amplitude rows, in index order, once the
+    brute-force guard admits the space.
+
+    The final site is the most significant digit of the canonical index,
+    so each sector is one contiguous run of n^T histories, on a
+    fixed-final space and an unrestricted one alike.  Reads the space
+    only: no amplitude class, count vector or kernel.
+    """
+    check_size("brute force over {} subsets", 1 << space.size, max_subsets,
+               LIMITS.max_subsets)
+    rows, run = [a.canonical() for a in space.amps], space.spec.n ** space.spec.steps
+    return [rows[lo : lo + run] for lo in range(0, space.size, run)]
+
+
 def count_precluded_bruteforce(
     space: HistorySpace,
     *,
@@ -503,20 +515,12 @@ def count_precluded_bruteforce(
 ) -> int:
     """Count zero-sum subsets by walking every subset of the space.
 
-    Sectors are independent, and the final site is the most significant
-    digit of the canonical index, so each sector is one contiguous run
-    of histories and the count is the product of the runs' counts.  A
-    run's count is the number of its subsets whose packed amplitude sums
-    vanish, from the histories' exact amplitudes: no amplitude class,
-    count vector or kernel table, so it is independent of
+    The count is the product of the sectors' counts of subsets whose
+    packed amplitude sums vanish (`_bruteforce_sectors`), independent of
     :func:`count_precluded`.  The walk is called through this module's
     binding of `walk_count_table`, so that rebinding it times the walk.
     `threads` is accepted and changes nothing.
     """
-    check_size("brute force over {} subsets", 1 << space.size, max_subsets,
-               LIMITS.max_subsets)
-    run = space.size if space.final is not None else space.size // space.spec.n
     return math.prod(
-        walk_count_table(pack_rows([a.canonical() for a in space.amps[lo : lo + run]]))
-        for lo in range(0, space.size, run)
+        walk_count_table(pack_rows(rows)) for rows in _bruteforce_sectors(space, max_subsets)
     )

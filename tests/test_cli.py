@@ -169,6 +169,27 @@ def test_report_refuses_a_bad_state_or_final_as_the_other_commands_do(capsys, op
         assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--state", "ground", "--with", "plus", "--final", "all"],
+         "compare needs a fixed final site (--final <int>)"),
+        (["compare", "--state", "custom:1,0,2", "--with", "plus", "--final", "0"],
+         "compare works over named states, got 'custom:1,0,2'"),
+        (["compare", "--state", "bogus", "--with", "plus", "--final", "9"],
+         "compare works over named states, got 'bogus'"),
+        (["preclusion", "--state", "custom:1,x,2"], "bad custom term 'x'"),
+    ],
+    ids=["compare-all", "compare-custom", "compare-state-before-final", "custom-term"],
+)
+def test_usage_refusals_exit_1_with_one_error_line(capsys, argv, message):
+    # compare, like the other commands, reports a bad --state before a bad --final
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qhopper: error: {message}\n"
+
+
 def test_report_standing_flagged(capsys):
     code, data = run_json(capsys, "report", "--state", "standing")
     assert code == 0

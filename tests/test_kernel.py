@@ -354,8 +354,9 @@ def test_removing_over_half_compacts_and_changes_no_answer(layout, data):
 @given(class_layouts())
 def test_extendable_equals_a_scan_of_the_maxima(layout):
     _, values, counts = layout
-    precluded, maxima = _kernel_walk(_sector_kernel(values, counts), counts)
-    table = SectorTable(0, tuple(range(len(counts))), values, counts, precluded, maxima)
+    kernel = _sector_kernel(values, counts)
+    maxima = _kernel_walk(kernel, counts)[1]
+    table = SectorTable(0, tuple(range(len(counts))), values, counts, kernel)
     for v in _box(counts):
         assert table.extendable(v) == any(all(k <= m for k, m in zip(v, mx)) for mx in maxima)
 

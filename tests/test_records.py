@@ -77,8 +77,7 @@ def _identity_records(space):
                 table.class_ids,
                 table.values,
                 table.counts,
-                table.precluded,
-                table.maximal_zero,
+                table.kernel,
             ),
         ),
         (profile, PrimitiveProfile(profile.classes, profile.minimal)),
