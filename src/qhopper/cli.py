@@ -7,8 +7,6 @@ produce byte-identical output regardless of --threads.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 import types
@@ -36,18 +34,11 @@ from .model import (
     STATE_LABELS,
     LatticeSpec,
     _is_unitary,
+    check_unitarity,
     initial_state,
     transfer_matrix,
 )
-from .render import (
-    dumps_canonical,
-    history_str,
-    json_keys,
-    json_ready,
-    plain_cells,
-    row_cell_str,
-    value_label,
-)
+from .render import history_str, json_ready, value_label, write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,104 +156,15 @@ def _vector_entries(labels: Sequence[str], vec) -> list[dict]:
     return [{"class": label, "k": k} for label, k in zip(labels, vec) if k > 0]
 
 
-# -- output rendering --------------------------------------------------------------
-
-_CONTAINERS = (dict, list, tuple)
-
-
-def _text_lines(obj, indent: int = 0) -> list[str]:
-    """`obj` as indented text lines: a dict's entries as `key: value`, a
-    list's items as `- value`, an entry that holds containers on lines of
-    its own below it.  One walk that converts each value as `json_ready`
-    does while it writes; a listing of rows of plain ints is written one
-    `- [a, b, ...]` line per row."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        entries = [(f"{pad}{k}:", v) for k, v in json_keys(obj).items()]
-    elif isinstance(obj, (list, tuple)):
-        cell = row_cell_str(obj)
-        if cell is not None:
-            return [f"{pad}- [{', '.join(map(cell, row))}]" for row in obj]
-        entries = [(f"{pad}-", v) for v in obj]
-    else:
-        return [pad + _text_cell(obj)]
-    lines: list[str] = []
-    for head, v in entries:
-        if isinstance(v, _CONTAINERS) and v and (
-            isinstance(v, dict) or any(isinstance(x, _CONTAINERS) for x in v)
-        ):
-            lines.append(head)
-            lines.extend(_text_lines(v, indent + 1))
-        elif isinstance(v, (list, tuple)):
-            cells = v if plain_cells(v) else map(_text_cell, v)
-            lines.append(f"{head} [{', '.join(map(str, cells))}]")
-        else:
-            lines.append(f"{head} {_text_cell(v)}")
-    return lines
-
-
-def _text_cell(v) -> str:
-    """A value that holds no containers (or an empty dict) as text."""
-    return v if type(v) is str else str(json_ready(v))
-
-
-def _flatten(d: dict, prefix: str = "") -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
-    for k, v in d.items():
-        key = f"{prefix}{k}"
-        if isinstance(v, dict):
-            rows.extend(_flatten(v, key + "."))
-        elif isinstance(v, list):
-            rows.append((key, " ".join(str(x) for x in v)))
-        else:
-            rows.append((key, str(v)))
-    return rows
-
-
-def _csv_rows(rows: Iterable[Sequence]) -> Iterable[Sequence]:
-    """Rows of cells as csv cells: each cell as `json_ready` renders it, a
-    sequence joined by spaces.  Types are checked once per column, so a
-    column of plain cells is written as it is, and a column of rows of
-    plain ints is joined through `row_cell_str`; any other column takes
-    `json_ready` cell by cell."""
-    columns = []
-    for column in zip(*rows):
-        if not plain_cells(column):
-            cell = row_cell_str(column)
-            if cell is not None:
-                column = [" ".join(map(cell, v)) for v in column]
-            else:
-                column = [
-                    " ".join(map(str, v)) if isinstance(v, list) else v
-                    for v in json_ready(column)
-                ]
-        columns.append(column)
-    return zip(*columns)
+# -- output -------------------------------------------------------------------------
 
 
 def _emit(
     args, data: dict, table: tuple[Sequence[str], Iterable[Sequence]] | None = None
 ) -> None:
-    """Print `data` in the chosen format; csv prints `table` instead when
-    given: its header fields, then its rows, each a sequence of cells in
-    field order (the header alone when there are no rows)."""
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
-        text = dumps_canonical(data)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if table is not None:
-            fields, rows = table
-            writer.writerow(fields)
-            writer.writerows(_csv_rows(rows))
-        else:
-            writer.writerow(["key", "value"])
-            for key, value in _flatten(json_ready(data)):
-                writer.writerow([key, value])
-        text = buf.getvalue()
-    else:
-        text = "\n".join(_text_lines(data)) + "\n"
+    """Write `render.write`'s rendering of `data` (or of `table`, in csv) in
+    the chosen format to --out, or to stdout when no file is given."""
+    text = write(getattr(args, "format", "text"), data, table)
     out = getattr(args, "out", None)
     if out:
         try:
@@ -512,9 +414,7 @@ def _build_criteria(
     nontrivial = [sym.shifts[s] for s in range(1, n)]
 
     return {
-        "unitarity_2_to_8": all(
-            _model_figures(LatticeSpec(k, 1))["unitary"] for k in range(2, 9)
-        ),
+        "unitarity_2_to_8": all(check_unitarity(LatticeSpec(k, 1)) for k in range(2, 9)),
         "histories_unrestricted": n ** (spec.steps + 1),
         "histories_fixed_final": hist["plus"]["count"],
         "class_counts_plus": class_counts("plus"),

@@ -132,7 +132,8 @@ def _dualise_maxima(
     it; the escaping vectors stay minimal, as they already were.
     """
     minimal = _Antichain(counts, [(0,) * len(counts)])
-    for mx in maxima:
+    # larger maxima first: fewer vectors are then left for the smaller ones to raise
+    for mx in sorted(maxima, key=sum, reverse=True):
         raised: set[tuple[int, ...]] = set()
         for v in minimal.remove(minimal.at_most(mx)):
             for i, (m, c) in enumerate(zip(mx, counts)):

@@ -1,16 +1,20 @@
-"""Stable text labels, JSON-friendly conversion and JSON rendering for exact values.
+"""Stable text labels, JSON-friendly conversion and the output writers for exact values.
 
-`json_ready` turns exact values into plain JSON types.  `dumps_canonical`
-writes what json.dumps would write of them, in one walk that converts as
-it goes: a flat list of plain ints, such as a support's index tuple, is
-joined in one step, and a listing of such rows is written row by row
-through `row_cell_str`, which the CLI's text and csv writers share.
+`json_ready` turns exact values into plain JSON types.  `write` renders
+a command's figures as json, text or csv, each in one walk that converts
+as it goes: a flat list of plain ints, such as a support's index tuple,
+is joined in one step, and a listing of such rows is written row by row
+through `_row_cell_str`, which all three writers share.  `dumps_canonical`
+is the json writer: what json.dumps would write of `json_ready`'s result.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from decimal import Decimal
 from fractions import Fraction
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from json.encoder import encode_basestring
 from typing import Callable
@@ -21,11 +25,9 @@ from .histories import Sites
 __all__ = [
     "history_str",
     "value_label",
-    "plain_cells",
     "json_ready",
-    "json_keys",
-    "row_cell_str",
     "dumps_canonical",
+    "write",
 ]
 
 JSON_INT_LIMIT = 1 << 53  # larger integers go out as decimal strings
@@ -71,7 +73,7 @@ def value_label(value: CycInt) -> str:
     return out
 
 
-def plain_cells(cells: list) -> bool:
+def _plain_cells(cells: list) -> bool:
     """True iff `json_ready` returns each of the cells as it is: all are
     strings, or all are plain ints within JSON_INT_LIMIT.  A bool, an int
     subclass or a larger int fails, so one type check on a whole column or
@@ -105,7 +107,7 @@ def json_ready(obj):
         return {_key(k): json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         # rows of plain cells, such as a support listing, are checked as a whole
-        if {*map(type, obj)} <= {list, tuple} and plain_cells(list(chain.from_iterable(obj))):
+        if {*map(type, obj)} <= {list, tuple} and _plain_cells(list(chain.from_iterable(obj))):
             return [list(row) for row in obj]
         return [json_ready(v) for v in obj]
     if isinstance(obj, float):
@@ -113,7 +115,7 @@ def json_ready(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def json_keys(d: dict) -> dict:
+def _json_keys(d: dict) -> dict:
     """`d` with its keys as `json_ready` writes them (str, int and tuple keys
     become strings) and its values as they are.  When two keys meet, it is
     `json_ready(d)`, so that the value the meeting drops is still converted,
@@ -132,7 +134,7 @@ def _key(k) -> str:
     raise TypeError(f"cannot use {type(k).__name__} as a JSON key")
 
 
-def row_cell_str(rows) -> Callable[[int], str] | None:
+def _row_cell_str(rows) -> Callable[[int], str] | None:
     """How to write the cells of `rows` when it is a listing of rows of
     plain ints, such as a support listing: every row a list or tuple, and
     every cell an int that `json_ready` leaves as it is.  None otherwise.
@@ -182,7 +184,7 @@ def _encode(obj, pad: str) -> str:
             return "{}"
         inner = pad + "  "
         body = (",\n" + inner).join(
-            [f"{encode_basestring(k)}: {_encode(v, inner)}" for k, v in json_keys(obj).items()]
+            [f"{encode_basestring(k)}: {_encode(v, inner)}" for k, v in _json_keys(obj).items()]
         )
         return f"{{\n{inner}{body}\n{pad}}}"
     if not isinstance(obj, (list, tuple)):
@@ -193,7 +195,7 @@ def _encode(obj, pad: str) -> str:
     sep = ",\n" + inner
     if {*map(type, obj)} == {int} and -JSON_INT_LIMIT <= min(obj) and max(obj) <= JSON_INT_LIMIT:
         return f"[\n{inner}{sep.join(map(int.__repr__, obj))}\n{pad}]"
-    cell = row_cell_str(obj)
+    cell = _row_cell_str(obj)
     if cell is None:
         body = sep.join([_encode(v, inner) for v in obj])
     else:
@@ -216,6 +218,102 @@ def dumps_canonical(obj) -> str:
     indent always takes the pure-Python encoder, while strings here go
     through the C-accelerated `encode_basestring`, flat int lists are
     joined in one step and a listing of rows of plain ints is written row
-    by row through `row_cell_str`.
+    by row through `_row_cell_str`.
     """
     return _encode(obj, "") + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _text_lines(obj, indent: int = 0) -> list[str]:
+    """`obj` as indented text lines: a dict's entries as `key: value`, a
+    list's items as `- value`, an entry that holds containers on lines of
+    its own below it.  One walk that converts each value as `json_ready`
+    does while it writes; a listing of rows of plain ints is written one
+    `- [a, b, ...]` line per row."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        entries = [(f"{pad}{k}:", v) for k, v in _json_keys(obj).items()]
+    elif isinstance(obj, (list, tuple)):
+        cell = _row_cell_str(obj)
+        if cell is not None:
+            return [f"{pad}- [{', '.join(map(cell, row))}]" for row in obj]
+        entries = [(f"{pad}-", v) for v in obj]
+    else:
+        return [pad + _text_cell(obj)]
+    lines: list[str] = []
+    for head, v in entries:
+        if isinstance(v, _CONTAINERS) and v and (
+            isinstance(v, dict) or any(isinstance(x, _CONTAINERS) for x in v)
+        ):
+            lines.append(head)
+            lines.extend(_text_lines(v, indent + 1))
+        elif isinstance(v, (list, tuple)):
+            cells = v if _plain_cells(v) else map(_text_cell, v)
+            lines.append(f"{head} [{', '.join(map(str, cells))}]")
+        else:
+            lines.append(f"{head} {_text_cell(v)}")
+    return lines
+
+
+def _text_cell(v) -> str:
+    """A value that holds no containers (or an empty dict) as text."""
+    return v if type(v) is str else str(json_ready(v))
+
+
+def _flatten(d: dict, prefix: str = "") -> list[tuple[str, str]]:
+    rows: list[tuple[str, str]] = []
+    for k, v in d.items():
+        key = f"{prefix}{k}"
+        if isinstance(v, dict):
+            rows.extend(_flatten(v, key + "."))
+        elif isinstance(v, list):
+            rows.append((key, " ".join(str(x) for x in v)))
+        else:
+            rows.append((key, str(v)))
+    return rows
+
+
+def _csv_rows(rows: Iterable[Sequence]) -> Iterable[Sequence]:
+    """Rows of cells as csv cells: each cell as `json_ready` renders it, a
+    sequence joined by spaces.  Types are checked once per column, so a
+    column of plain cells is written as it is, and a column of rows of
+    plain ints is joined through `_row_cell_str`; any other column takes
+    `json_ready` cell by cell."""
+    columns = []
+    for column in zip(*rows):
+        if not _plain_cells(column):
+            cell = _row_cell_str(column)
+            if cell is not None:
+                column = [" ".join(map(cell, v)) for v in column]
+            else:
+                column = [
+                    " ".join(map(str, v)) if isinstance(v, list) else v
+                    for v in json_ready(column)
+                ]
+        columns.append(column)
+    return zip(*columns)
+
+
+def write(
+    fmt: str, data: dict, table: tuple[Sequence[str], Iterable[Sequence]] | None = None
+) -> str:
+    """`data` in the format `fmt` ("json", "text" or "csv"); csv writes
+    `table` instead when given: its header fields, then its rows, each a
+    sequence of cells in field order (the header alone when there are no
+    rows), and otherwise `data` as flattened key/value rows."""
+    if fmt == "json":
+        return dumps_canonical(data)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        if table is not None:
+            fields, rows = table
+            writer.writerow(fields)
+            writer.writerows(_csv_rows(rows))
+        else:
+            writer.writerow(["key", "value"])
+            writer.writerows(_flatten(json_ready(data)))
+        return buf.getvalue()
+    return "\n".join(_text_lines(data)) + "\n"

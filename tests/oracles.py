@@ -22,7 +22,7 @@ import numpy as np
 
 from qhopper import CycInt, Event, HistorySpace, MultiplicativeCoevent
 from qhopper.measure import _binomial_row
-from qhopper.render import json_ready, plain_cells
+from qhopper.render import json_ready
 
 
 def subset_sum_is_zero(space: HistorySpace, indices: tuple[int, ...]) -> bool:
@@ -404,6 +404,9 @@ def csv_column(cells: list) -> list:
     flat = cells
     if {*map(type, cells)} <= {list, tuple}:
         flat = list(itertools.chain.from_iterable(cells))
-    if not plain_cells(flat):
+    # all strings, or all plain ints within 2^53: json_ready leaves them as they are
+    kinds = {*map(type, flat)}
+    plain = kinds <= {str} or (kinds <= {int} and all(abs(x) <= 1 << 53 for x in flat))
+    if not plain:
         cells = json_ready(cells)
     return [" ".join(map(str, v)) if isinstance(v, (list, tuple)) else v for v in cells]

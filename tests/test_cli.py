@@ -459,6 +459,36 @@ def test_out_file_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preclusion", "--state", "ground", "--format", "json"],
+        ["primitives", "--state", "plus", "--format", "text", "--emit-supports"],
+        ["classify", "--state", "plus", "--format", "csv"],
+        ["preclusion", "--state", "plus", "--format", "csv"],
+    ],
+    ids=["json", "text", "csv-table", "csv-key-value"],
+)
+def test_out_file_holds_the_bytes_stdout_gets(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
+def test_report_checks_unitarity_once_per_lattice_size(capsys, monkeypatch):
+    sizes = []
+    check = qhopper.cli.check_unitarity
+    monkeypatch.setattr(
+        qhopper.cli, "check_unitarity", lambda spec: sizes.append(spec.n) or check(spec)
+    )
+    assert main(["report", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["criteria"]["unitarity_2_to_8"] is True
+    assert sizes == list(range(2, 9))
+
+
 def test_report_golden_mismatch_exits_four(capsys, monkeypatch):
     import qhopper.cli as cli
 

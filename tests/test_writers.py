@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 from qhopper import LatticeSpec, enumerate_histories, initial_state, root
 from qhopper.coevents import primitive_profile
 from qhopper.analysis import coevent_fields, coevent_records, coevent_rows, event_by_name
-from qhopper.cli import _csv_rows, _text_lines
-from qhopper.render import dumps_canonical, json_ready
+from qhopper.render import _csv_rows, _text_lines, dumps_canonical, json_ready
 
 LIMIT = 1 << 53
 
