@@ -275,8 +275,7 @@ class PrimitiveProfile(Frozen):
 
     @functools.cached_property
     def _member_lists(self) -> list[tuple[int, ...]]:
-        space = self.space
-        return [Event(space, c.members).indices() for c in self.classes.classes]
+        return [tuple(bit_indices(c.members)) for c in self.classes.classes]
 
     def supports(
         self, within: int | None = None, *, max_supports: int = LIMITS.max_supports.default
@@ -314,11 +313,15 @@ class PrimitiveProfile(Frozen):
         table over the cells has a minimal vector of each profile as its
         two marginals.  Returns the cells' member lists and those tables.
         """
-        own, theirs = self.classes.class_of, other.classes.class_of
+        theirs = [0] * other.space.size
+        for b, ids in enumerate(other._member_lists):
+            for j in ids:
+                theirs[j] = b
         cells: dict[tuple[int, int], list[int]] = {}
-        for i in range(self.space.size):
-            j = i if index_map is None else index_map[i]
-            cells.setdefault((own[i], theirs[j]), []).append(i)
+        for a, ids in enumerate(self._member_lists):
+            for i in ids:
+                b = theirs[i if index_map is None else index_map[i]]
+                cells.setdefault((a, b), []).append(i)
         keys = sorted(cells)
         members = [cells[key] for key in keys]
         rows: list[list[int]] = [[] for _ in self.classes.classes]

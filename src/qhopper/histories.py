@@ -364,19 +364,20 @@ class AmplitudeClasses(Frozen):
     This is the engine's main acceleration structure: preclusion of an
     event depends only on how many members it takes from each class.
     Classes are ordered by their smallest member index, which makes
-    every downstream report deterministic.  Compares by identity.
-    `measure.sector_tables` keeps one `SectorTable` per final sector here,
-    the space's only record of its sectors, built on first use.
+    every downstream report deterministic.  The class bitsets are the
+    one record of membership: a sector is the classes of one final site,
+    and a history's class is the class whose bitset holds it.  Compares
+    by identity.  `measure.sector_tables` keeps one `SectorTable` per
+    final sector here, the space's only record of its sectors, built on
+    first use.
     """
 
-    _fields = ("space", "classes")  # repr leaves out the lookup tables
+    _fields = ("space", "classes")
     space: HistorySpace
     classes: tuple[AmplitudeClass, ...]
-    sectors: dict[int, tuple[int, ...]]
-    class_of: tuple[int, ...]
 
-    def __init__(self, space, classes, sectors, class_of):
-        vars(self).update(space=space, classes=classes, sectors=sectors, class_of=class_of)
+    def __init__(self, space, classes):
+        vars(self).update(space=space, classes=classes)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -395,40 +396,24 @@ def amplitude_classes(space: HistorySpace) -> AmplitudeClasses:
     return space._classes
 
 
-def _amplitude_keys(space: HistorySpace):
-    """Per history, its amplitude object, with its final site on an
-    unrestricted space; equal keys mean equal (final site, amplitude)."""
-    if space.final is not None:
-        return map(id, space.amps)
-    return zip(map(operator.itemgetter(-1), space.histories), map(id, space.amps))
-
-
 def _group_by_amplitude(space: HistorySpace) -> AmplitudeClasses:
     # enumerated histories share a few amplitude objects, so bucket them by
-    # object and take each object's canonical value once, not per history
+    # object (and final site, on an unrestricted space) and take each
+    # object's canonical value once, not per history
+    keys = map(id, space.amps)
+    if space.final is None:
+        keys = zip(map(operator.itemgetter(-1), space.histories), keys)
     by_key = collections.defaultdict(list)
-    for i, key in enumerate(_amplitude_keys(space)):
+    for i, key in enumerate(keys):
         by_key[key].append(i)
-    value_of = {
-        key: (space.histories[ids[0]][-1], space.amps[ids[0]].canonical())
-        for key, ids in by_key.items()
-    }
     buckets = collections.defaultdict(list)
-    for key, ids in by_key.items():
-        buckets[value_of[key]].extend(ids)
+    for ids in by_key.values():
+        buckets[space.histories[ids[0]][-1], space.amps[ids[0]].canonical()].extend(ids)
     for ids in buckets.values():
         ids.sort()
     ordered = sorted(buckets.items(), key=lambda item: item[1][0])
-    class_id = {value: cid for cid, (value, _) in enumerate(ordered)}
-    classes = []
-    sectors: dict[int, list[int]] = {}
-    for cid, ((final, _), ids) in enumerate(ordered):
-        classes.append(AmplitudeClass(space.amps[ids[0]], mask_of(ids), len(ids), final))
-        sectors.setdefault(final, []).append(cid)
-    class_of_key = {key: class_id[value] for key, value in value_of.items()}
-    return AmplitudeClasses(
-        space,
-        tuple(classes),
-        {f: tuple(cids) for f, cids in sorted(sectors.items())},
-        tuple(map(class_of_key.__getitem__, _amplitude_keys(space))),
+    classes = tuple(
+        AmplitudeClass(space.amps[ids[0]], mask_of(ids), len(ids), final)
+        for (final, _), ids in ordered
     )
+    return AmplitudeClasses(space, classes)

@@ -395,20 +395,22 @@ def _kernel_walk(
 def sector_tables(
     classes: AmplitudeClasses, *, max_vectors: int = LIMITS.max_vectors.default
 ) -> dict[int, SectorTable]:
-    """Each final sector's `SectorTable`, built once per space and kept on
-    `classes`.  The free-box guard is checked for every sector on every
-    call, before any walk, so whether a call is refused never depends on
-    earlier calls.
+    """Each final sector's `SectorTable` in ascending final order, built
+    once per space from the classes' final sites and kept on `classes`.
+    The free-box guard is checked for every sector on every call, before
+    any walk, so whether a call is refused never depends on earlier calls.
     """
     tables = vars(classes).get("_sector_tables")
     if tables is None:
         tables = vars(classes)["_sector_tables"] = {}
-        for final, cids in classes.sectors.items():
+        sectors: dict[int, list[int]] = {}
+        for cid, c in enumerate(classes.classes):
+            sectors.setdefault(c.final, []).append(cid)
+        for final, cids in sorted(sectors.items()):
             values = tuple(classes.classes[c].value for c in cids)
             counts = tuple(classes.classes[c].count for c in cids)
-            tables[final] = SectorTable(
-                final, tuple(cids), values, counts, _sector_kernel(values, counts)
-            )
+            kernel = _sector_kernel(values, counts)
+            tables[final] = SectorTable(final, tuple(cids), values, counts, kernel)
     for table in tables.values():
         _check_free_box(table.kernel, table.counts, max_vectors)
     return dict(tables)
@@ -424,10 +426,7 @@ def event_sum(event: Event) -> CycInt:
         raise WrongSpaceError(
             "event_sum needs a fixed-final space; use sector_sums on unrestricted spaces"
         )
-    acc = CycInt.zero(space.order)
-    for i in event.iter_indices():
-        acc = acc + space.amps[i]
-    return acc
+    return sector_sums(event)[space.final]
 
 
 def sector_sums(event: Event) -> dict[int, CycInt]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -158,16 +159,7 @@ def _row_cell_str(rows) -> Callable[[int], str] | None:
 
 def _scalar(obj) -> str:
     """A value that is not a list, tuple or dict, as JSON."""
-    obj = json_ready(obj)
-    if isinstance(obj, str):
-        return encode_basestring(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    return int.__repr__(obj)  # an int, or an int subclass such as an IntEnum
+    return json.dumps(json_ready(obj), ensure_ascii=False)
 
 
 def _encode(obj, pad: str) -> str:

@@ -344,18 +344,13 @@ def mask_per_bit(indices) -> int:
 
 def amplitude_classes_per_bit(space: HistorySpace):
     """(final, canonical value, members, count) per class in order of the
-    smallest member, and each history's class, keyed by every history's own
-    canonical value and built with one OR per member."""
+    smallest member, keyed by every history's own canonical value and
+    built with one OR per member."""
     buckets: dict[tuple, list[int]] = {}
     for i, (sites, amp) in enumerate(zip(space.histories, space.amps)):
         buckets.setdefault((sites[-1], amp.canonical()), []).append(i)
     ordered = sorted(buckets.items(), key=lambda item: item[1][0])
-    class_of = [0] * space.size
-    for cid, (_, ids) in enumerate(ordered):
-        for i in ids:
-            class_of[i] = cid
-    classes = [(f, value, mask_per_bit(ids), len(ids)) for (f, value), ids in ordered]
-    return classes, tuple(class_of)
+    return [(f, value, mask_per_bit(ids), len(ids)) for (f, value), ids in ordered]
 
 
 # -- output writers ----------------------------------------------------------------

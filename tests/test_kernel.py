@@ -239,9 +239,8 @@ def test_direction_walk_equals_class_walk(point):
     spec = LatticeSpec(n, steps)
     space = enumerate_histories(spec, parse_state(spec, state), final)
     classes = amplitude_classes(space)
-    (cids,) = classes.sectors.values()
-    values = tuple(classes.classes[c].value for c in cids)
-    counts = tuple(classes.classes[c].count for c in cids)
+    values = tuple(c.value for c in classes.classes)  # a fixed-final space is one sector
+    counts = classes.counts
     kernel = _sector_kernel(values, counts)
     assert _kernel_walk(kernel, counts) == oracles.class_kernel_walk(kernel, counts)
 

@@ -200,6 +200,46 @@ def test_shared_supports_under_rotation_are_the_rows_mapped_onto_rows(lattice, l
             assert shared == profile.supports()
 
 
+PERMUTED_LATTICES = ((3, 2), (3, 3), (2, 3), (2, 4), (4, 2))
+
+
+def seeded_permutations(size: int, rng: random.Random, k: int = 6) -> list[list[int]]:
+    """Permutations of range(size): every other one a few transpositions of
+    the identity, so that some rows still map onto rows, the rest shuffles."""
+    perms = []
+    for m in range(k):
+        perm = list(range(size))
+        if m % 2:
+            rng.shuffle(perm)
+        else:
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(size), 2)
+                perm[i], perm[j] = perm[j], perm[i]
+        perms.append(perm)
+    return perms
+
+
+@pytest.mark.parametrize(
+    "lattice", PERMUTED_LATTICES, ids=[f"n{n}-T{t}" for n, t in PERMUTED_LATTICES]
+)
+def test_shared_supports_under_any_permutation_are_the_rows_mapped_onto_rows(lattice):
+    spec = LatticeSpec(*lattice)
+    profiles = {
+        label: primitive_profile(enumerate_histories(spec, initial_state(spec, label), 0))
+        for label in STATE_LABELS
+    }
+    rng = random.Random(100 * spec.n + spec.steps)
+    mapped = 0
+    for a, b in itertools.product(STATE_LABELS, repeat=2):
+        p, q = profiles[a], profiles[b]
+        for index_map in seeded_permutations(p.space.size, rng):
+            rows = rows_mapped_into(p.supports(), index_map, q.supports())
+            assert p.shared(q, index_map) == len(rows)
+            assert p.shared_supports(q, index_map) == rows
+            mapped += bool(rows)
+    assert mapped  # some maps keep rows on rows
+
+
 def test_closed_forms_match_expansion_on_every_family_space():
     spaces = [sp for sp in space_family(max_histories=27) if sp.final is not None]
     assert {(sp.spec.n, sp.spec.steps) for sp in spaces} >= {(2, 3), (3, 3)}

@@ -69,7 +69,7 @@ def _identity_records(space):
             ),
         ),
         (cls, AmplitudeClass(cls.value, cls.members, cls.count, cls.final)),
-        (classes, AmplitudeClasses(space, classes.classes, classes.sectors, classes.class_of)),
+        (classes, AmplitudeClasses(space, classes.classes)),
         (
             table,
             SectorTable(
