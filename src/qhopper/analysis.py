@@ -47,7 +47,7 @@ from .histories import (
     mask_of,
     visited,
 )
-from .model import Frozen, LatticeSpec, initial_state
+from .model import LatticeSpec, initial_state
 
 __all__ = [
     "named_ensemble",
@@ -91,11 +91,16 @@ RESTLESSNESS_BUCKETS = ("all_moving", "mixed_6v1", "rest_once_each", "other")
 @functools.lru_cache(maxsize=None)
 def named_ensemble(
     spec: LatticeSpec, state_label: str, final: int, max_histories: int
-) -> tuple[HistorySpace, PrimitiveProfile]:
-    """The fixed-final space of a named state and its primitive profile, built once."""
+) -> PrimitiveProfile:
+    """The primitive profile of a named state's fixed-final space, built once
+    per process; its space is `profile.space`.
+
+    The package's one holder of named profiles: the symmetry and
+    discrimination reports, `compare` and `report` all read them here, and
+    none keeps one of its own.
+    """
     state = initial_state(spec, state_label)
-    space = enumerate_histories(spec, state, final, max_histories=max_histories)
-    return space, primitive_profile(space)
+    return primitive_profile(enumerate_histories(spec, state, final, max_histories=max_histories))
 
 
 # -- per-coevent statistics ----------------------------------------------------
@@ -434,7 +439,7 @@ def ensemble_symmetry_report(
     as both ensembles hold.
     """
     n = spec.n
-    profiles = [named_ensemble(spec, state_label, f, max_histories)[1] for f in range(n)]
+    profiles = [named_ensemble(spec, state_label, f, max_histories) for f in range(n)]
     counts = [p.count for p in profiles]
     per_final = n**spec.steps
     shifts: dict[int, ShiftSymmetry] = {0: ShiftSymmetry(sum(counts), True)}
@@ -469,16 +474,11 @@ WITNESS_EVENTS = (
 )
 
 
-class DiscriminationReport(Frozen):
-    """Pairwise primitive-coevent overlaps between initial states, with witnesses.
+class DiscriminationReport(NamedTuple):
+    """Pairwise primitive-coevent overlaps between initial states, with
+    witnesses: plain values, equal by value.  Its fields are dicts, so it
+    does not hash."""
 
-    Compares by value, over every field but `profiles`, which repr also
-    leaves out.
-    """
-
-    _fields = (
-        "n", "steps", "final", "states", "counts", "overlaps", "witness_counts", "separators"
-    )
     n: int
     steps: int
     final: int
@@ -487,28 +487,6 @@ class DiscriminationReport(Frozen):
     overlaps: dict[tuple[str, str], int]
     witness_counts: dict[str, dict[str, int]]
     separators: dict[str, str | None]
-    profiles: dict[str, PrimitiveProfile]
-
-    def __init__(
-        self, n, steps, final, states, counts, overlaps, witness_counts, separators, profiles
-    ):
-        vars(self).update(
-            n=n, steps=steps, final=final, states=states, counts=counts, overlaps=overlaps,
-            witness_counts=witness_counts, separators=separators, profiles=profiles,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    @functools.cached_property
-    def common(self) -> dict[tuple[str, str], list[tuple[int, ...]]]:
-        """Each pair's shared supports, sorted; listed on first use only."""
-        return {
-            (a, b): self.profiles[a].shared_supports(self.profiles[b])
-            for a, b in self.overlaps
-        }
 
 
 def discrimination_report(
@@ -522,11 +500,11 @@ def discrimination_report(
 
     An event separates when exactly one state's ensemble affirms it at
     all; a coevent affirming such an event pins the initial state down.
+    The profiles are read from `named_ensemble` and stay there: the report
+    holds only the figures, and a caller that lists the supports a pair
+    shares takes them from the two profiles (`shared_supports`).
     """
-    profiles = {
-        label: named_ensemble(spec, label, final, max_histories)[1]
-        for label in state_labels
-    }
+    profiles = {label: named_ensemble(spec, label, final, max_histories) for label in state_labels}
     overlaps: dict[tuple[str, str], int] = {}
     for i, a in enumerate(state_labels):
         for b in state_labels[i + 1 :]:
@@ -551,7 +529,6 @@ def discrimination_report(
         overlaps,
         witness_counts,
         separators,
-        profiles,
     )
 
 

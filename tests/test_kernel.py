@@ -219,6 +219,17 @@ CUSTOM_STATES = (
 ZERO_CLASS_POINTS = ((3, 3, "custom:1,0,2"), (3, 4, "custom:1,0,2"), (4, 3, "standing"))
 
 
+# named-state points whose sector is walked over two or more free
+# directions; (7,2) standing final 0 has 10 of them and 17 maxima
+SEVERAL_FREE_POINTS = (
+    *((6, 2, state, final) for state in ("ground", "plus", "minus", "standing")
+      for final in (0, 1)),
+    (9, 2, "plus", 0),
+    (10, 2, "minus", 0),
+    (7, 2, "standing", 0),
+)
+
+
 def _walk_spaces():
     for state in ("ground", "plus", "minus", "standing"):
         for final in range(3):
@@ -231,6 +242,7 @@ def _walk_spaces():
     for n, steps, state in ZERO_CLASS_POINTS:
         for final in range(n):
             yield n, steps, state, final
+    yield from SEVERAL_FREE_POINTS
 
 
 @pytest.mark.parametrize("point", list(_walk_spaces()), ids=lambda p: "-".join(map(str, p)))
@@ -253,6 +265,35 @@ def test_zero_class_points_have_a_zero_direction(point):
         classes = amplitude_classes(enumerate_histories(spec, parse_state(spec, state), final))
         kernel = _sector_kernel(tuple(c.value for c in classes.classes), classes.counts)
         assert any(not any(u) for _, u, _ in _directions(kernel))
+
+
+@pytest.mark.parametrize("point", SEVERAL_FREE_POINTS, ids=lambda p: "-".join(map(str, p)))
+def test_several_free_points_walk_two_or_more_free_directions(point):
+    n, steps, state, final = point
+    spec = LatticeSpec(n, steps)
+    classes = amplitude_classes(enumerate_histories(spec, initial_state(spec, state), final))
+    kernel = _sector_kernel(tuple(c.value for c in classes.classes), classes.counts)
+    free = [u for r, u, _ in _directions(kernel) if r is None and any(u)]
+    assert len(free) >= 2
+
+
+# What the walk's two heuristics buy, cold, in seconds: the digit cuts keep
+# (7,2) standing final 0 at about 1 ms (0.3 s without them), and orienting
+# each free direction so that its larger vectors come first keeps (3,8)
+# plus final 1 at about 36 ms (0.5 s without it)
+WALK_BUDGETS = {(7, 2, "standing", 0): 0.1, (3, 8, "plus", 1): 0.25}
+
+
+@pytest.mark.parametrize("point", list(WALK_BUDGETS), ids=lambda p: "-".join(map(str, p)))
+def test_digit_cuts_and_orientation_keep_the_walk_fast(point):
+    n, steps, state, final = point
+    spec = LatticeSpec(n, steps)
+    classes = amplitude_classes(enumerate_histories(spec, initial_state(spec, state), final))
+    _kernel_walk.cache_clear()
+    start = time.perf_counter()
+    count_precluded(classes)
+    maximal_zero_count_vectors(classes)
+    assert time.perf_counter() - start < WALK_BUDGETS[point]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -305,7 +305,7 @@ def test_named_state_overlaps_match_expansion(lattice, final):
     for a, b in itertools.combinations(STATE_LABELS, 2):
         explicit = sorted(supports[a] & supports[b])
         assert overlap(spaces[a], spaces[b]) == rep.overlaps[(a, b)] == len(explicit)
-        assert common_supports(spaces[a], spaces[b]) == rep.common[(a, b)] == explicit
+        assert common_supports(spaces[a], spaces[b]) == explicit
     for name, per_state in rep.witness_counts.items():
         for label, affirmed in per_state.items():
             event = event_by_name(spaces[label], name)

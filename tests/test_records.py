@@ -123,15 +123,17 @@ def test_identity_records_equal_only_themselves(space):
         assert len({record, twin}) == 2
 
 
-def test_a_discrimination_report_compares_by_value_without_its_profiles():
+def test_a_discrimination_report_is_its_eight_values():
     rep = discrimination_report(LatticeSpec(3, 2), ["plus", "ground"], 0)
     fields = (
         rep.n, rep.steps, rep.final, rep.states, rep.counts,
         rep.overlaps, rep.witness_counts, rep.separators,
     )
-    assert rep == DiscriminationReport(*fields, {})
-    assert rep != DiscriminationReport(*fields[:-1], {"plus": None, "ground": None}, {})
-    assert "profiles" not in repr(rep)
+    assert rep == DiscriminationReport(*fields)
+    assert rep != DiscriminationReport(*fields[:-1], {"plus": None, "ground": None})
+    assert DiscriminationReport._fields == (
+        "n", "steps", "final", "states", "counts", "overlaps", "witness_counts", "separators"
+    )
     with pytest.raises(TypeError):
         hash(rep)
 
