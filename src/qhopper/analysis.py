@@ -16,11 +16,12 @@ Supports are listed, as sorted index tuples, only where they are printed
 under the `max_supports` guard.  The per-coevent layer is the oracle the
 tests hold the closed forms to.
 
-Coevents are compared across states and final sites by global history
-indices, final * n**T + i, which name the same site tuple whatever the
-initial state.  A lattice rotation is one permutation of those indices,
-built once per shift and shared by `rotate_coevent` and
-`ensemble_symmetry_report`.
+Coevents are compared across states by history index, which names the
+same site tuple whatever the initial state.  A lattice rotation permutes
+a space's own digits: T for a fixed-final space, whose final site moves
+with them, T + 1 for an unrestricted one.  A hop's phase is
+`LatticeSpec.hop_exponents`, and its direction is read from the space's
+circulation table.
 """
 from __future__ import annotations
 
@@ -207,22 +208,14 @@ def avoids_any_site_event(space: HistorySpace) -> Event:
 
 
 def circulates_positive_only_event(space: HistorySpace) -> Event:
-    """Histories whose every hop is forward or a rest, with at least one forward hop."""
-    n = space.spec.n
-
-    def qualifies(h: Sites) -> bool:
-        forward = 0
-        for t in range(len(h) - 1):
-            d = (h[t + 1] - h[t]) % n
-            if d == 0:
-                continue
-            if 2 * d < n:
-                forward += 1
-            else:
-                return False
-        return forward > 0
-
-    return _event_where(space, qualifies)
+    """Histories whose every hop is forward or a rest, with at least one forward hop:
+    their circulation counts each hop that is not a rest as +1."""
+    steps = space.spec.steps
+    return Event.from_indices(
+        space,
+        (i for i, (c, r) in enumerate(zip(space.circulations, space.rest_counts))
+         if c == steps - r > 0),
+    )
 
 
 def terminates_at_event(space: HistorySpace, final: int) -> Event:
@@ -356,29 +349,14 @@ def ensemble_event_tally(profile: PrimitiveProfile, event: Event) -> EventTally:
 # -- rotation symmetry -----------------------------------------------------------
 
 
-def _rotation(spec: LatticeSpec, shift: int) -> list[int]:
-    """Global index of each history's rotation, indexed by its global index.
-
-    A history's global index is sum(sites[t] * n**t), that is final * n**T
-    plus its index in its fixed-final space.  Rotating adds `shift` to
-    every site, one base-n digit at a time.
-    """
-    n = spec.n
+def _rotation(n: int, digits: int, shift: int) -> list[int]:
+    """Index of each history's rotation by `shift`, by its own index, in a
+    space whose index has `digits` base-n digits (its free sites)."""
     perm = [0]
-    for t in range(spec.steps + 1):
+    for t in range(digits):
         place = n**t
         perm = [p + (s + shift) % n * place for s in range(n) for p in perm]
     return perm
-
-
-def _offset(space: HistorySpace) -> int:
-    """Global index of the space's history 0."""
-    return 0 if space.final is None else space.final * space.spec.n**space.spec.steps
-
-
-def _global_mask(phi: MultiplicativeCoevent) -> int:
-    """The support as a bitset of global history indices."""
-    return phi.support.members << _offset(phi.space)
 
 
 def rotate_coevent(
@@ -401,9 +379,9 @@ def rotate_coevent(
             f"rotating by {shift} maps {space!r} into the space with final site "
             f"{new_final} and the same lattice, not into {target_space!r}"
         )
-    perm = _rotation(space.spec, shift)
-    moved = mask_of(perm[i] for i in bit_indices(_global_mask(phi)))
-    return MultiplicativeCoevent(Event(target_space, moved >> _offset(target_space)))
+    perm = _rotation(space.spec.n, space.spec.steps + (space.final is None), shift)
+    moved = mask_of(perm[i] for i in phi.support.iter_indices())
+    return MultiplicativeCoevent(Event(target_space, moved))
 
 
 class ShiftSymmetry(NamedTuple):
@@ -441,14 +419,12 @@ def ensemble_symmetry_report(
     n = spec.n
     profiles = [named_ensemble(spec, state_label, f, max_histories) for f in range(n)]
     counts = [p.count for p in profiles]
-    per_final = n**spec.steps
     shifts: dict[int, ShiftSymmetry] = {0: ShiftSymmetry(sum(counts), True)}
     for shift in range(1, n):
-        perm = _rotation(spec, shift)
+        index_map = _rotation(n, spec.steps, shift)
         invariant = True
         for f, profile in enumerate(profiles):
             g = (f + shift) % n
-            index_map = [perm[f * per_final + i] - g * per_final for i in range(per_final)]
             if not counts[f] == counts[g] == profile.shared(profiles[g], index_map):
                 invariant = False
                 break

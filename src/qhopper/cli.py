@@ -184,7 +184,7 @@ def _model_figures(spec: LatticeSpec) -> dict:
     return {
         "n": spec.n,
         "phase_order": spec.phase_order,
-        "hop_exponents": {str(d): (d * d) % spec.phase_order for d in range(spec.n)},
+        "hop_exponents": {str(d): e for d, e in enumerate(spec.hop_exponents)},
         "matrix": [[value_label(x) for x in row] for row in matrix],
         "unitary": _is_unitary(spec, matrix),
     }

@@ -243,6 +243,8 @@ class PrimitiveProfile(Frozen):
         some class c, which leaves w_c - 1 members to choose from class
         c's part of `rest`.
         """
+        if one & rest:
+            raise ValueError("count_one_of needs disjoint bitsets")
         ones = self.classes.event_counts(one)
         rests = self.classes.event_counts(rest)
         total = 0
@@ -263,6 +265,8 @@ class PrimitiveProfile(Frozen):
         * w_c / n_c of them, so class c contributes its table total T_c
         times that many.
         """
+        if len(table) != self.space.size:
+            raise ValueError(f"table of {len(table)} entries for {self.space.size} histories")
         counts = self.classes.counts
         class_totals = [sum(table[i] for i in ids) for ids in self._member_lists]
         total = 0
@@ -312,8 +316,21 @@ class PrimitiveProfile(Frozen):
         primitive in both (read through the map) exactly when its count
         table over the cells has a minimal vector of each profile as its
         two marginals.  Returns the cells' member lists and those tables.
+
+        Without a map the two spaces must share lattice, steps and final
+        site.  A map holds one index of the other space per history here,
+        no two alike, or a support's image would lose members.
         """
-        theirs = [0] * other.space.size
+        here, there = self.space, other.space
+        if index_map is None:
+            if here.spec != there.spec or here.final != there.final:
+                raise SpaceMismatchError("without an index map, profiles must share "
+                                         "lattice, steps and final site")
+        elif not (len(index_map) == len(set(index_map)) == here.size
+                  and 0 <= min(index_map) <= max(index_map) < there.size):
+            raise ValueError(f"an index map holds distinct indices of 0..{there.size - 1}, "
+                             f"one per history, {here.size} in all")
+        theirs = [0] * there.size
         for b, ids in enumerate(other._member_lists):
             for j in ids:
                 theirs[j] = b
@@ -444,16 +461,8 @@ def enumerate_primitive_bruteforce(
     return [MultiplicativeCoevent(Event(space, m)) for m in masks]
 
 
-def _comparable(a_space: HistorySpace, b_space: HistorySpace) -> None:
-    if a_space.spec != b_space.spec or a_space.final != b_space.final:
-        raise SpaceMismatchError(
-            "overlap compares spaces sharing lattice, steps, and final site"
-        )
-
-
 def overlap(a_space: HistorySpace, b_space: HistorySpace) -> int:
     """Number of supports primitive for both spaces (as history-index sets)."""
-    _comparable(a_space, b_space)
     return primitive_profile(a_space).shared(primitive_profile(b_space))
 
 
@@ -461,5 +470,4 @@ def common_supports(
     a_space: HistorySpace, b_space: HistorySpace
 ) -> list[tuple[int, ...]]:
     """Supports shared by the two spaces' primitive coevents, sorted."""
-    _comparable(a_space, b_space)
     return primitive_profile(a_space).shared_supports(primitive_profile(b_space))

@@ -129,12 +129,13 @@ def enumerate_histories(
 ) -> HistorySpace:
     """Enumerate the canonical space, filling in all amplitudes.
 
-    Every hop carries a pure root z^(d^2 mod phase_order), so a history's
-    amplitude is its start amplitude turned by one integer exponent
-    E = sum_t (x_{t+1} - x_t)^2 mod phase_order: with s = order /
-    phase_order, its coefficients rotate by s * E.  The n * phase_order
-    turned start amplitudes are built once and shared by the histories;
-    `history_amplitude` forms the same values as CycInt products.
+    Every hop carries a pure root z^(d^2 mod phase_order)
+    (`LatticeSpec.hop_exponents`), so a history's amplitude is its start
+    amplitude turned by one integer exponent E = sum_t (x_{t+1} - x_t)^2
+    mod phase_order: with s = order / phase_order, its coefficients
+    rotate by s * E.  The n * phase_order turned start amplitudes are
+    built once and shared by the histories; `history_amplitude` forms the
+    same values as CycInt products.
 
     Refuses spaces larger than `max_histories` rather than thrash.
     """
@@ -145,10 +146,8 @@ def enumerate_histories(
     order = math.lcm(p, *(a.order for a in state.amps))
     s = order // p
     turned = [[_turn(a.embed(order), s * e) for e in range(p)] for a in state.amps]
-    # the phase of a hop depends only on its displacement mod n, for either
-    # phase order: (d + k n)^2 = d^2 mod n, and mod 2n when n is even; a
-    # negative displacement indexes this list from its end, which is mod n
-    square = [d * d % p for d in range(n)]
+    # a negative displacement indexes the exponents from their end, which is mod n
+    square = spec.hop_exponents
 
     # site 0 is the least significant digit of the index, the last digit
     # of each product tuple

@@ -104,6 +104,14 @@ class LatticeSpec(FrozenValue):
         """Order of the root of unity carrying hop phases: n if odd, 2n if even."""
         return self.n if self.n % 2 else 2 * self.n
 
+    @property
+    def hop_exponents(self) -> tuple[int, ...]:
+        """Exponent d^2 mod phase_order of the root a hop by d = 0..n-1 sites
+        carries.  Only d mod n matters: (d + k n)^2 = d^2 mod n, and mod 2n
+        for even n, so a negative d may index the tuple from its end."""
+        m = self.phase_order
+        return tuple(d * d % m for d in range(self.n))
+
     def check_site(self, x: int) -> None:
         if not 0 <= x < self.n:
             raise InvalidSiteError(f"site {x} outside 0..{self.n - 1}")
@@ -133,8 +141,7 @@ def hop_amplitude(spec: LatticeSpec, x: int, x2: int) -> CycInt:
     """Unnormalized single-step amplitude from x to x2."""
     spec.check_site(x)
     spec.check_site(x2)
-    m = spec.phase_order
-    return root(m, (x - x2) ** 2 % m)
+    return root(spec.phase_order, spec.hop_exponents[(x2 - x) % spec.n])
 
 
 def transfer_matrix(spec: LatticeSpec) -> tuple[tuple[CycInt, ...], ...]:

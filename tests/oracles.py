@@ -7,9 +7,9 @@ with the library's counting or enumeration code paths, except for
 digit per class, kept as the reference for the walk over value
 directions where whole boxes are too large; it shares only the binomial
 rows.  The ensemble observables are computed from each support's site
-tuples, where the library reads index tables and rotates global
-indices, and the bool table sweeps take one reshape of a bool array per
-bit, where the library shifts int bitsets block by block.  The bitset
+tuples, where the library reads index tables and permutes a space's own
+index digits, and the bool table sweeps take one reshape of a bool array
+per bit, where the library shifts int bitsets block by block.  The bitset
 helpers set and clear one bit at a time.  The output writers' references
 convert a whole value with `json_ready` first and then walk it, as the
 CLI's text and csv writers once did; the library writes in one walk.
@@ -272,6 +272,26 @@ def coevent_rows(
         circulation = sum(sum(hop_signs(h, n)) for h in sites)
         rows.append((cid, row, circulation, sorted(rests(h) for h in sites), *verdicts))
     return rows
+
+
+def positive_only_event(space: HistorySpace) -> Event:
+    """Histories whose every hop is forward or a rest, with at least one
+    forward hop, judged hop by hop on the site tuples: a backward or
+    half-lattice hop disqualifies."""
+    n = space.spec.n
+
+    def qualifies(sites: tuple[int, ...]) -> bool:
+        forward = 0
+        for a, b in zip(sites, sites[1:]):
+            d = (b - a) % n
+            if d == 0:
+                continue
+            if 2 * d >= n:
+                return False
+            forward += 1
+        return forward > 0
+
+    return Event.from_indices(space, (i for i, h in enumerate(space.histories) if qualifies(h)))
 
 
 def rotate_sites(sites: tuple[int, ...], n: int, shift: int) -> tuple[int, ...]:

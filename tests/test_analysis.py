@@ -286,8 +286,8 @@ def test_standing_state_reportable(spec3):
 
 
 # the paper's lattice at two and three steps, n = 4 (half-lattice hops carry
-# sign 0) and n = 2
-ORACLE_LATTICES = ((3, 2), (3, 3), (4, 2), (2, 3))
+# sign 0), n = 2 and n = 5
+ORACLE_LATTICES = ((3, 2), (3, 3), (4, 2), (2, 3), (5, 2))
 
 
 def _check_against_oracles(space):
@@ -322,6 +322,23 @@ def test_index_tables_match_site_tuple_oracles(lattice, label):
         shift: (sh.individual_invariant, sh.ensemble_invariant)
         for shift, sh in report.shifts.items()
     } == expected
+
+
+# every lattice with n = 2..8 and at most 40 000 histories over all final sites
+POSITIVE_ONLY_LATTICES = [
+    (n, steps) for n in range(2, 9) for steps in range(1, 16) if n ** (steps + 1) <= 40_000
+]
+
+
+def test_circulates_positive_only_matches_the_per_hop_oracle():
+    # even n brings half-lattice hops, which disqualify a history
+    assert len(POSITIVE_ONLY_LATTICES) == 45
+    for n, steps in POSITIVE_ONLY_LATTICES:
+        spec = LatticeSpec(n, steps)
+        state = initial_state(spec, "ground")
+        for final in (None, *range(n)):
+            space = enumerate_histories(spec, state, final, max_histories=40_000)
+            assert circulates_positive_only_event(space) == oracles.positive_only_event(space)
 
 
 def test_index_tables_match_oracles_with_a_zero_amplitude():

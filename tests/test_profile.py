@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qhopper import (
     LatticeSpec,
+    SpaceMismatchError,
     average_net_circulation,
     classify_restlessness,
     common_supports,
@@ -27,7 +28,6 @@ from qhopper import (
     overlap,
 )
 from qhopper.analysis import (
-    _rotation,
     ensemble_average_circulation,
     ensemble_event_tally,
     ensemble_positive_only_circulations,
@@ -106,11 +106,10 @@ def explicit_shared(ensemble, target_ensemble, shift: int) -> int:
     return sum(1 for phi in ensemble if oracles.rotate_support(phi, shift, space) in target)
 
 
-def rotation_map(spec: LatticeSpec, final: int, shift: int) -> list[int]:
-    per_final = spec.n**spec.steps
-    target = (final + shift) % spec.n
-    perm = _rotation(spec, shift)
-    return [perm[final * per_final + i] - target * per_final for i in range(per_final)]
+def rotation_map(space, target, shift: int) -> list[int]:
+    """Index in `target` of each history of `space` rotated by `shift`, by site tuple."""
+    n = space.spec.n
+    return [target.index_of(oracles.rotate_sites(h, n, shift)) for h in space.histories]
 
 
 def bruteforce_rows(space) -> list[tuple[int, ...]]:
@@ -194,7 +193,7 @@ def test_shared_supports_under_rotation_are_the_rows_mapped_onto_rows(lattice, l
     for final, profile in enumerate(profiles):
         for shift in range(1, spec.n):
             target = profiles[(final + shift) % spec.n]
-            index_map = rotation_map(spec, final, shift)
+            index_map = rotation_map(profile.space, target.space, shift)
             shared = profile.shared_supports(target, index_map)
             assert shared == rows_mapped_into(profile.supports(), index_map, target.supports())
             assert shared == profile.supports()
@@ -277,7 +276,7 @@ def test_closed_forms_match_expansion_on_custom_states(lattice, terms, final, sh
     assert profile.shared_supports(primitive_profile(plus)) == explicit
 
     target = enumerate_histories(spec, state, (final + shift) % n)
-    index_map = rotation_map(spec, final, shift)
+    index_map = rotation_map(space, target, shift)
     assert profile.shared(
         primitive_profile(target), index_map
     ) == explicit_shared(ensemble, enumerate_primitive(target), shift)
@@ -325,7 +324,8 @@ def test_rotation_shared_counts_match_expansion(lattice, label):
     for final in range(spec.n):
         for shift in range(1, spec.n):
             target = (final + shift) % spec.n
-            got = profiles[final].shared(profiles[target], rotation_map(spec, final, shift))
+            index_map = rotation_map(spaces[final], spaces[target], shift)
+            got = profiles[final].shared(profiles[target], index_map)
             assert got == explicit_shared(ensembles[final], ensembles[target], shift)
 
 
@@ -338,3 +338,56 @@ def test_listing_shared_supports_is_guarded():
         a.shared_supports(b, max_supports=2)
     with pytest.raises(Exception, match="max_vectors guard of 0"):
         a.shared(b, max_vectors=0)
+
+
+def named_profile(n: int, steps: int, label: str, final: int):
+    spec = LatticeSpec(n, steps)
+    return primitive_profile(enumerate_histories(spec, initial_state(spec, label), final))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((3, 3, "plus", 0), (3, 2, "plus", 0)),
+        ((3, 2, "plus", 0), (3, 3, "plus", 0)),
+        ((3, 2, "ground", 0), (3, 2, "ground", 1)),
+        ((2, 4, "plus", 0), (4, 2, "plus", 0)),  # 16 histories each
+    ],
+    ids=["longer-vs-shorter", "shorter-vs-longer", "final-0-vs-1", "same-size-other-lattice"],
+)
+def test_profiles_over_other_spaces_need_an_index_map(a, b):
+    p, q = named_profile(*a), named_profile(*b)
+    with pytest.raises(SpaceMismatchError):
+        p.shared(q)
+    with pytest.raises(SpaceMismatchError):
+        p.shared_supports(q)
+
+
+def test_an_index_map_holds_distinct_indices_of_the_other_space_one_per_history():
+    p, q = named_profile(3, 2, "ground", 0), named_profile(3, 2, "plus", 1)
+    good = rotation_map(p.space, q.space, 1)
+    assert p.shared(q, good) == len(p.shared_supports(q, good))
+    too_short, too_long = good[:-1], good + [0]
+    outside = [good[:-1] + [q.space.size], good[:-1] + [-1]]
+    repeated = good[:-1] + [good[0]]  # two histories onto one
+    for bad in (too_short, too_long, *outside, repeated):
+        with pytest.raises(ValueError, match="index map"):
+            p.shared(q, bad)
+        with pytest.raises(ValueError, match="index map"):
+            p.shared_supports(q, bad)
+
+
+def test_count_one_of_refuses_overlapping_bitsets():
+    profile = named_profile(3, 2, "plus", 0)
+    assert profile.count_one_of(0b1, 0b110) >= 0
+    with pytest.raises(ValueError, match="disjoint"):
+        profile.count_one_of(0b11, 0b110)
+
+
+def test_total_needs_one_entry_per_history():
+    profile = named_profile(3, 2, "plus", 0)
+    table = [1] * profile.space.size
+    assert profile.total(table) == sum(map(len, profile.supports()))
+    for bad in (table[:-1], table + [1]):
+        with pytest.raises(ValueError, match="entries"):
+            profile.total(bad)
