@@ -308,8 +308,9 @@ def _space(args, fixed_for: str | None = None) -> HistorySpace:
 
 
 def cmd_model(args) -> int:
+    # refused before the lattice builds its phase row of n entries
+    check_size("model of {} sites", args.sites, LIMITS.model_sites.default, LIMITS.model_sites)
     spec = _spec_from(args)
-    check_size("model of {} sites", spec.n, LIMITS.model_sites.default, LIMITS.model_sites)
     data = _model_figures(spec)
     _emit(args, data)
     return EXIT_OK if data["unitary"] else EXIT_INTERNAL

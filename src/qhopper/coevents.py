@@ -234,15 +234,18 @@ class PrimitiveProfile(Frozen):
 
     def count_within(self, members: int) -> int:
         """Supports inside the event bitset: sum over w of prod_c C(|class_c & E|, w_c)."""
+        self.space.check_bitset(members)
         return _support_count(self.classes.event_counts(members), self.minimal)
 
     def count_one_of(self, one: int, rest: int) -> int:
         """Supports of two or more histories: one in bitset `one`, the others in `rest`.
 
-        The bitsets must be disjoint.  The member from `one` comes from
-        some class c, which leaves w_c - 1 members to choose from class
-        c's part of `rest`.
+        The bitsets must be disjoint and inside the space.  The member
+        from `one` comes from some class c, which leaves w_c - 1 members
+        to choose from class c's part of `rest`.
         """
+        self.space.check_bitset(one)
+        self.space.check_bitset(rest)
         if one & rest:
             raise ValueError("count_one_of needs disjoint bitsets")
         ones = self.classes.event_counts(one)
@@ -285,7 +288,8 @@ class PrimitiveProfile(Frozen):
         self, within: int | None = None, *, max_supports: int = LIMITS.max_supports.default
     ) -> list[tuple[int, ...]]:
         """The primitive supports as sorted index tuples, in canonical index
-        order; only those inside the event bitset `within` when it is given."""
+        order; only those inside the event bitset `within` when it is given
+        (checked by `count_within`, as the guard counts them first)."""
         if within is None:
             within = self.space.universe_mask
         check_size("expansion of {} primitive supports", self.count_within(within),

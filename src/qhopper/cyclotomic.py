@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from typing import Iterable
 
 from .errors import EmbeddingError, InvalidOrderError, OrderMismatchError
@@ -86,7 +87,9 @@ def _phi_remainder(order: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
 class CycInt:
     """An element of Z[z] with z a primitive `order`-th root of unity.
 
-    Instances are immutable; all operations return new values.  Ring
+    Instances are immutable; all operations return new values.  The
+    coefficients must be integers (anything `operator.index` accepts); a
+    float or a string raises TypeError rather than being truncated.  Ring
     arithmetic requires both operands to carry the same order (embed
     first via :meth:`embed`), while equality silently embeds into the
     least common multiple order.
@@ -97,7 +100,7 @@ class CycInt:
     def __init__(self, order: int, coeffs: Iterable[int]):
         if order < 1:
             raise InvalidOrderError(f"order must be >= 1, got {order}")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(operator.index, coeffs))
         if len(coeffs) != order:
             raise ValueError(f"expected {order} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "order", order)

@@ -74,7 +74,7 @@ class Limits(NamedTuple):
     max_subsets: Guard = Guard(
         "max_subsets", 1 << 20, "set it with max_subsets=, up to 2^27", 1 << 27
     )
-    model_sites: Guard = Guard("unitarity-check", 32, "fixed: its cost grows about n^5")
+    model_sites: Guard = Guard("unitarity-check", 32, "fixed: its cost grows about n^2")
 
 
 LIMITS = Limits()

@@ -76,6 +76,11 @@ class HistorySpace(Frozen):
     def universe_mask(self) -> int:
         return (1 << self.size) - 1
 
+    def check_bitset(self, members: int) -> None:
+        """Refuse an event bitset outside 0..universe_mask with ValueError."""
+        if not 0 <= members <= self.universe_mask:
+            raise ValueError("bitset wider than the history space")
+
     @functools.cached_property
     def _classes(self) -> AmplitudeClasses:
         # an instance attribute, so the classes live exactly as long as the space
@@ -280,8 +285,7 @@ class Event(FrozenValue):
     members: int
 
     def __init__(self, space, members):
-        if not 0 <= members <= space.universe_mask:
-            raise ValueError("bitset wider than the history space")
+        space.check_bitset(members)
         _set(self, "space", space)
         _set(self, "members", members)
 

@@ -79,38 +79,35 @@ class FrozenValue(Frozen):
 
 
 class LatticeSpec(FrozenValue):
-    """A cyclic lattice of n sites walked for a fixed number of time steps.
+    """A cyclic lattice of n sites walked for a fixed number of time steps,
+    with its phase row built once: a hop by d = 0..n-1 sites carries the
+    root z^hop_exponents[d], z of order `phase_order` (n if odd, 2n if
+    even) and hop_exponents[d] = d^2 mod phase_order.  Only d mod n
+    matters, so a negative d may index the tuple from its end.
 
-    Compares by value.
+    Compares, hashes, pickles and prints by (n, steps) alone.
     """
 
-    __slots__ = _fields = ("n", "steps")
+    __slots__ = ("n", "steps", "phase_order", "hop_exponents")
+    _fields = ("n", "steps")
     n: int
     steps: int
+    phase_order: int
+    hop_exponents: tuple[int, ...]
 
     def __init__(self, n, steps):
         if n < 2:
             raise ValueError(f"need at least 2 sites, got {n}")
         if steps < 1:
             raise ValueError(f"need at least 1 step, got {steps}")
+        m = n if n % 2 else 2 * n
         _set(self, "n", n)
         _set(self, "steps", steps)
+        _set(self, "phase_order", m)
+        _set(self, "hop_exponents", tuple([d * d % m for d in range(n)]))
 
     def _values(self) -> tuple:
         return self.n, self.steps
-
-    @property
-    def phase_order(self) -> int:
-        """Order of the root of unity carrying hop phases: n if odd, 2n if even."""
-        return self.n if self.n % 2 else 2 * self.n
-
-    @property
-    def hop_exponents(self) -> tuple[int, ...]:
-        """Exponent d^2 mod phase_order of the root a hop by d = 0..n-1 sites
-        carries.  Only d mod n matters: (d + k n)^2 = d^2 mod n, and mod 2n
-        for even n, so a negative d may index the tuple from its end."""
-        m = self.phase_order
-        return tuple(d * d % m for d in range(self.n))
 
     def check_site(self, x: int) -> None:
         if not 0 <= x < self.n:
@@ -145,37 +142,41 @@ def hop_amplitude(spec: LatticeSpec, x: int, x2: int) -> CycInt:
 
 
 def transfer_matrix(spec: LatticeSpec) -> tuple[tuple[CycInt, ...], ...]:
-    """Matrix U with U[x2][x] the amplitude to hop from x to x2 (unnormalized)."""
-    return tuple(
-        tuple(hop_amplitude(spec, x, x2) for x in range(spec.n)) for x2 in range(spec.n)
-    )
+    """Matrix U with U[x2][x] the amplitude to hop from x to x2 (unnormalized):
+    the circulant U[x2][x] = row[(x2 - x) % n] of the lattice's phase row."""
+    n = spec.n
+    row = [root(spec.phase_order, e) for e in spec.hop_exponents]
+    return tuple(tuple([row[x2 - x] for x in range(n)]) for x2 in range(n))
 
 
 def check_unitarity(spec: LatticeSpec) -> bool:
-    """True iff U * U^dagger equals n * I exactly.
-
-    U * U^dagger is Hermitian, so only the entries r <= c are checked.
-    Each entry is accumulated as a plain coefficient list over the phase
-    ring and decided with one zero test.
-    """
+    """True iff U * U^dagger equals n * I exactly."""
     return _is_unitary(spec, transfer_matrix(spec))
 
 
 def _is_unitary(spec: LatticeSpec, u) -> bool:
-    """True iff the matrix u of `spec`'s phase ring has u * u^dagger = n * I."""
+    """True iff the matrix u of `spec`'s phase ring is circulant and has
+    u * u^dagger = n * I.  For a circulant, entry (r, c) of u * u^dagger is
+    the first row's autocorrelation sum_y u[0][y] * conj(u[0][(y + k) % n])
+    at k = r - c mod n; each of the n sums is accumulated as a plain
+    coefficient list over the phase ring and decided with one zero test."""
     n, m = spec.n, spec.phase_order
-    terms = [[[(k, a) for k, a in enumerate(x.coeffs) if a] for x in row] for row in u]
-    conj = [[[(-k % m, a) for k, a in entry] for entry in row] for row in terms]
-    for r in range(n):
-        for c in range(r, n):
-            acc = [0] * m
-            acc[0] = -n if r == c else 0
-            for left, right in zip(terms[r], conj[c]):
-                for i, a in left:
-                    for j, b in right:
-                        acc[(i + j) % m] += a * b
-            if not CycInt(m, acc).is_zero():
-                return False
+    first = tuple(u[0])
+    # row r must be first[(x - r) % n]; tuples compare entries by identity first
+    if any(tuple(u[r]) != first[n - r :] + first[: n - r] for r in range(1, n)):
+        return False
+    terms = [[(k, a) for k, a in enumerate(x.coeffs) if a] for x in first]
+    conj = [[(-k % m, a) for k, a in entry] for entry in terms]
+    for k in range(n):
+        acc = [0] * m
+        acc[0] = 0 if k else -n
+        for y in range(n):
+            right = conj[(y + k) % n]
+            for i, a in terms[y]:
+                for j, b in right:
+                    acc[(i + j) % m] += a * b
+        if not CycInt(m, acc).is_zero():
+            return False
     return True
 
 
@@ -223,13 +224,10 @@ def is_transfer_eigenvector(spec: LatticeSpec, state: InitialState) -> bool:
     n = spec.n
     m = math.lcm(spec.phase_order, *(a.order for a in state.amps))
     amps = tuple(a.embed(m) for a in state.amps)
-    u = transfer_matrix(spec)
-    image = []
-    for r in range(n):
-        acc = CycInt.zero(m)
-        for c in range(n):
-            acc = acc + u[r][c].embed(m) * amps[c]
-        image.append(acc)
+    image = [
+        sum((x.embed(m) * a for x, a in zip(row, amps)), CycInt.zero(m))
+        for row in transfer_matrix(spec)
+    ]
     if all(v.is_zero() for v in image):
         return False
     for i in range(n):

@@ -525,6 +525,14 @@ def test_model_refuses_large_lattice_before_building(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "200 sites" in err and "unitarity-check guard of 32" in err
 
+    def lattice(n, steps):
+        raise AssertionError(f"lattice of {n} sites built")
+
+    # a lattice builds a phase row of n entries, so none is built either
+    monkeypatch.setattr(qhopper.cli, "LatticeSpec", lattice)
+    assert main(["model", "--sites", str(10**12)]) == 2
+    assert "model of 1000000000000 sites" in capsys.readouterr().err
+
 
 def _count_calls(monkeypatch, fn) -> list:
     """Wrap `fn` wherever a qhopper module binds it; return the argument log."""

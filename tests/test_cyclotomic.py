@@ -54,6 +54,26 @@ def test_coeff_length_must_match_order():
         CycInt(3, (1, 2))
 
 
+def test_coefficients_must_be_integers():
+    # int() would truncate the float and parse the string
+    for build in (
+        lambda: CycInt(3, (0.5, 0, 0)),
+        lambda: CycInt(3, ("7", 0, 0)),
+        lambda: CycInt.from_int(2.9, 3),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_bools_and_numpy_integers_are_integer_coefficients():
+    import numpy as np
+
+    x = CycInt(3, (True, np.int64(-2), np.uint8(5)))
+    assert x.coeffs == (1, -2, 5)
+    assert all(type(c) is int for c in x.coeffs)
+    assert x == CycInt(3, (1, -2, 5))
+
+
 # -- ring operations -----------------------------------------------------------
 
 

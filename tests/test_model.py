@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from qhopper import (
@@ -14,6 +17,7 @@ from qhopper import (
     root,
     transfer_matrix,
 )
+from qhopper.model import _is_unitary
 
 
 def test_lattice_validation():
@@ -72,12 +76,12 @@ def test_transfer_matrix_two_sites():
     assert u[0][1] == i and u[1][0] == i
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 65))
 def test_unitarity(n):
     assert check_unitarity(LatticeSpec(n, 1))
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5, 8))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_unitarity_fails_for_any_perturbed_entry(monkeypatch, n):
     # moving one entry's phase breaks the inner product of its row with every
     # other row, so each position is caught, below the diagonal as well
@@ -108,6 +112,84 @@ def test_unitarity_fails_for_a_scaled_row(monkeypatch):
     rows[2] = [x * 2 for x in rows[2]]
     monkeypatch.setattr(qhopper.model, "transfer_matrix", lambda _: rows)
     assert not check_unitarity(spec)
+
+
+def full_product_is_scaled_identity(u, n: int) -> bool:
+    """U * U^dagger == n * I, every entry multiplied out: the oracle."""
+    m = u[0][0].order
+    for r in range(n):
+        for c in range(n):
+            acc = CycInt.zero(m)
+            for x in range(n):
+                acc = acc + u[r][x] * u[c][x].conj()
+            if acc != (n if r == c else 0):
+                return False
+    return True
+
+
+def circulant(first):
+    n = len(first)
+    return tuple(tuple(first[(x - r) % n] for x in range(n)) for r in range(n))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_transfer_matrix_is_hop_amplitude_entry_by_entry(n):
+    spec = LatticeSpec(n, 1)
+    u = transfer_matrix(spec)
+    assert len(u) == n
+    for x2 in range(n):
+        assert u[x2] == tuple(hop_amplitude(spec, x, x2) for x in range(n))
+    assert u == circulant(u[0])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_is_unitary_refuses_a_row_swap(n):
+    # swapping two rows keeps U * U^dagger = n * I; only at n = 2 is the
+    # result still a circulant, so everywhere else it is refused
+    spec = LatticeSpec(n, 1)
+    exact = transfer_matrix(spec)
+    swapped = [exact[1], exact[0], *exact[2:]]
+    assert full_product_is_scaled_identity(swapped, n)
+    assert _is_unitary(spec, swapped) is (n == 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_is_unitary_agrees_with_the_full_product_on_circulants(n):
+    # a circulant passes the rotation check, so the first row's
+    # autocorrelation alone decides it
+    spec = LatticeSpec(n, 1)
+    first = transfer_matrix(spec)[0]
+    z = root(spec.phase_order, 1)
+    rows = [first, tuple(CycInt.one(spec.phase_order) for _ in range(n))]
+    for x in range(n):
+        rows.append(first[:x] + (first[x] * z,) + first[x + 1 :])
+        rows.append(first[:x] + (first[x] * 2,) + first[x + 1 :])
+    for row in rows:
+        u = circulant(row)
+        assert _is_unitary(spec, u) is full_product_is_scaled_identity(u, n)
+    assert _is_unitary(spec, circulant(first))
+
+
+def test_phase_row_is_built_once_and_frozen():
+    spec = LatticeSpec(6, 2)
+    assert spec.phase_order == 12
+    assert spec.hop_exponents == (0, 1, 4, 9, 4, 1)
+    assert spec.hop_exponents is spec.hop_exponents
+    for name in ("phase_order", "hop_exponents", "n"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 1)
+
+
+def test_lattice_compares_hashes_prints_and_pickles_by_sites_and_steps():
+    spec = LatticeSpec(6, 2)
+    assert spec == LatticeSpec(6, 2) and spec != LatticeSpec(6, 3)
+    assert hash(spec) == hash((6, 2))
+    assert repr(spec) == "LatticeSpec(n=6, steps=2)"
+    assert spec.__reduce__() == (LatticeSpec, (6, 2))
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert clone == spec and hash(clone) == hash(spec)
+        assert clone.hop_exponents == spec.hop_exponents
+        assert clone.phase_order == spec.phase_order
 
 
 def test_hop_amplitude_translation_invariance_and_symmetry():

@@ -384,6 +384,21 @@ def test_count_one_of_refuses_overlapping_bitsets():
         profile.count_one_of(0b11, 0b110)
 
 
+def test_profile_queries_refuse_bitsets_outside_the_space():
+    profile = named_profile(3, 2, "plus", 0)
+    mask = profile.space.universe_mask
+    assert profile.count_within(mask) == profile.count == len(profile.supports(within=mask))
+    for bad in (-1, mask + 1, (1 << 40) - 1):
+        with pytest.raises(ValueError, match="bitset"):
+            profile.count_within(bad)
+        with pytest.raises(ValueError, match="bitset"):
+            profile.supports(within=bad)
+        with pytest.raises(ValueError, match="bitset"):
+            profile.count_one_of(bad, 0)
+        with pytest.raises(ValueError, match="bitset"):
+            profile.count_one_of(0b1, bad & ~1)
+
+
 def test_total_needs_one_entry_per_history():
     profile = named_profile(3, 2, "plus", 0)
     table = [1] * profile.space.size
