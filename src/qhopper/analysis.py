@@ -44,6 +44,7 @@ from .histories import (
     HistorySpace,
     Sites,
     bit_indices,
+    check_history_guard,
     enumerate_histories,
     mask_of,
     visited,
@@ -100,6 +101,8 @@ def named_ensemble(
     discrimination reports, `compare` and `report` all read them here, and
     none keeps one of its own.
     """
+    # refused before the state, of n amplitudes of up to 2n coefficients, is built
+    check_history_guard(spec, final, max_histories)
     state = initial_state(spec, state_label)
     return primitive_profile(enumerate_histories(spec, state, final, max_histories=max_histories))
 

@@ -20,7 +20,7 @@ from .coevents import (  # noqa: F401  enumerate_primitive stays importable from
     enumerate_primitive,
     primitive_profile,
 )
-from .cyclotomic import CycInt, root
+from .cyclotomic import root
 from .errors import LIMITS, HopperError, InfeasibleSizeError, check_size
 from .histories import (
     HistorySpace,
@@ -123,25 +123,39 @@ def _parse_final(text: str, spec: LatticeSpec) -> int | None:
     return final
 
 
-def _parse_state(spec: LatticeSpec, text: str):
+def _read_state(n: int, text: str) -> str | tuple[tuple[int, int], ...]:
+    """A --state text read without building the state: a named label, or a
+    custom state's (exponent, coefficient) terms, one per site.  Every usage
+    error of the text is raised here, so it is reported before a refusal."""
     if text in STATE_LABELS:
-        return initial_state(spec, text)
-    if text.startswith("custom:"):
-        terms = text[len("custom:") :].split(",")
-        if len(terms) != spec.n:
-            raise UsageError(f"custom state needs {spec.n} terms, got {len(terms)}")
-        amps = []
-        for term in terms:
-            try:
-                if ":" in term:
-                    e, c = term.split(":")
-                    amps.append(root(spec.n, int(e)) * int(c))
-                else:
-                    amps.append(CycInt.from_int(int(term), spec.n))
-            except ValueError as exc:
-                raise UsageError(f"bad custom term {term!r}") from exc
-        return initial_state(spec, "custom", tuple(amps))
-    raise UsageError(f"unknown state {text!r}")
+        return text
+    if not text.startswith("custom:"):
+        raise UsageError(f"unknown state {text!r}")
+    terms = text[len("custom:") :].split(",")
+    if len(terms) != n:
+        raise UsageError(f"custom state needs {n} terms, got {len(terms)}")
+    pairs = []
+    for term in terms:
+        try:
+            e, c = term.split(":") if ":" in term else (0, term)
+            pairs.append((int(e), int(c)))
+        except ValueError as exc:
+            raise UsageError(f"bad custom term {term!r}") from exc
+    # c * w^e is zero only when c is
+    if not any(c for _, c in pairs):
+        raise UsageError("initial state cannot be identically zero")
+    return tuple(pairs)
+
+
+def _build_state(spec: LatticeSpec, read: str | tuple[tuple[int, int], ...]):
+    """The initial state `_read_state` read for `spec`."""
+    if isinstance(read, str):
+        return initial_state(spec, read)
+    return initial_state(spec, "custom", tuple(root(spec.n, e) * c for e, c in read))
+
+
+def _parse_state(spec: LatticeSpec, text: str):
+    return _build_state(spec, _read_state(spec.n, text))
 
 
 def _spec_from(args) -> LatticeSpec:
@@ -298,12 +312,16 @@ def _classify_figures(profile: PrimitiveProfile, state: str) -> dict:
 
 def _space(args, fixed_for: str | None = None) -> HistorySpace:
     """The space a command reads.  A bad --state is reported before a bad
-    --final; `fixed_for` names a command that needs a fixed final site."""
+    --final, and both before a space over the history guard; the state is
+    built only after that guard.  `fixed_for` names a command that needs a
+    fixed final site."""
     spec = _spec_from(args)
-    state = _parse_state(spec, args.state)
+    state = _read_state(spec.n, args.state)
     final = _parse_final(args.final, spec)
     if fixed_for and final is None:
         raise UsageError(f"{fixed_for} needs a fixed final site (--final <int>)")
+    check_history_guard(spec, final, args.max_histories)
+    state = _build_state(spec, state)
     return enumerate_histories(spec, state, final, max_histories=args.max_histories)
 
 
@@ -502,8 +520,8 @@ def _compare_golden(criteria: dict, golden: dict) -> list[dict]:
 def cmd_report(args) -> int:
     spec = _spec_from(args)
     # --state picks the optional standing section and --final nothing, but
-    # both are checked as every other command checks them
-    _parse_state(spec, args.state)
+    # both are read and checked as every other command checks them
+    _read_state(spec.n, args.state)
     _parse_final(args.final, spec)
     # a report analyses fixed-final spaces only; a larger one (the two-step
     # overlap when T = 1) is refused where it is built

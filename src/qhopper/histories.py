@@ -138,9 +138,9 @@ def enumerate_histories(
     (`LatticeSpec.hop_exponents`), so a history's amplitude is its start
     amplitude turned by one integer exponent E = sum_t (x_{t+1} - x_t)^2
     mod phase_order: with s = order / phase_order, its coefficients
-    rotate by s * E.  The n * phase_order turned start amplitudes are
-    built once and shared by the histories; `history_amplitude` forms the
-    same values as CycInt products.
+    rotate by s * E.  Each start amplitude is embedded once and turned
+    once per exponent its histories hold, and those histories share that
+    one value; `history_amplitude` forms the same values as CycInt products.
 
     Refuses spaces larger than `max_histories` rather than thrash.
     """
@@ -149,8 +149,6 @@ def enumerate_histories(
         spec.check_site(final)
     check_history_guard(spec, final, max_histories)
     order = math.lcm(p, *(a.order for a in state.amps))
-    s = order // p
-    turned = [[_turn(a.embed(order), s * e) for e in range(p)] for a in state.amps]
     # a negative displacement indexes the exponents from their end, which is mod n
     square = spec.hop_exponents
 
@@ -167,8 +165,13 @@ def enumerate_histories(
         last = [x for x in range(n) for _ in last]
     if final is not None:
         exps = [e + square[final - y] for e, y in zip(exps, last)]
-    amps = tuple(turned[h[0]][e % p] for h, e in zip(histories, exps))
-    return HistorySpace(spec, state, final, tuple(histories), amps, order)
+    # a start site is the lowest index digit, so site x starts histories x::n
+    amps = [None] * len(exps)
+    for x, a in enumerate(state.amps):
+        raw, a = set(exps[x::n]), a.embed(order)  # exponents not yet reduced mod p
+        turned = {e: _turn(a, order // p * e) for e in {e % p for e in raw}}
+        amps[x::n] = map({e: turned[e % p] for e in raw}.__getitem__, exps[x::n])
+    return HistorySpace(spec, state, final, tuple(histories), tuple(amps), order)
 
 
 def _turn(a: CycInt, k: int) -> CycInt:

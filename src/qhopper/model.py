@@ -54,15 +54,12 @@ class Frozen:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
 
 class FrozenValue(Frozen):
     """A Frozen record that compares and hashes by `_values()`, its fields'
     values, equal only to a record of the same class; it pickles and copies
-    through its constructor, which validates again.  Each subclass spells
-    out `_values`, several times faster than the generic loop."""
+    through its constructor, which validates again.  Every subclass must
+    define `_values`, returning its constructor's arguments in order."""
 
     __slots__ = ()
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import errno
 import hashlib
 import importlib
@@ -20,11 +21,13 @@ from hypothesis import strategies as st
 
 import qhopper
 from qhopper import (
+    InfeasibleSizeError,
     LatticeSpec,
     amplitude_classes,
     count_precluded,
     count_primitive,
     enumerate_histories,
+    half_hop_count,
     initial_state,
 )
 from qhopper.cli import main
@@ -438,6 +441,30 @@ def test_custom_state(capsys):
     assert counts == {"2": 1, "-ω": 2}
 
 
+@pytest.mark.parametrize(
+    "n, steps, final", [(4, 2, "all"), (4, 2, "1"), (2, 3, "all"), (2, 3, "0"), (3, 2, "all")]
+)
+def test_histories_lists_half_hops_on_even_lattices_only(capsys, n, steps, final):
+    argv = ["histories", "--sites", str(n), "--steps", str(steps), "--final", final]
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert main([*argv, "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    fields = ["index", "history", "amplitude", "circulation", "rests"]
+    fields += ["half_hops"] if n % 2 == 0 else []
+    assert list(rows[0]) == fields
+    assert [list(record) for record in data["histories"]] == [fields] * data["count"]
+    assert len(rows) == data["count"]
+    half_hops = []
+    for record, row in zip(data["histories"], rows):
+        assert row["history"] == record["history"]
+        if n % 2 == 0:
+            sites = tuple(int(x) for x in record["history"].split("-"))
+            assert record["half_hops"] == int(row["half_hops"]) == half_hop_count(sites, n)
+            half_hops.append(record["half_hops"])
+    assert n % 2 or max(half_hops) > 0
+
+
 def test_text_and_csv_formats(capsys):
     assert main(["model", "--sites", "2"]) == 0
     text = capsys.readouterr().out
@@ -534,6 +561,15 @@ def test_model_refuses_large_lattice_before_building(monkeypatch, capsys):
     assert "model of 1000000000000 sites" in capsys.readouterr().err
 
 
+def _replace_everywhere(monkeypatch, fn, replacement) -> None:
+    """Bind `replacement` wherever a qhopper module binds `fn`."""
+    modules = [importlib.import_module(f"qhopper.{m}") for m in QHOPPER_MODULES]
+    for mod in (qhopper, *modules):
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, replacement)
+
+
 def _count_calls(monkeypatch, fn) -> list:
     """Wrap `fn` wherever a qhopper module binds it; return the argument log."""
     calls = []
@@ -542,11 +578,7 @@ def _count_calls(monkeypatch, fn) -> list:
         calls.append(args)
         return fn(*args, **kwargs)
 
-    modules = [importlib.import_module(f"qhopper.{m}") for m in QHOPPER_MODULES]
-    for mod in (qhopper, *modules):
-        for attr, value in list(vars(mod).items()):
-            if value is fn:
-                monkeypatch.setattr(mod, attr, wrapper)
+    _replace_everywhere(monkeypatch, fn, wrapper)
     return calls
 
 
@@ -625,14 +657,86 @@ def test_max_histories_reaches_every_space_built(monkeypatch, capsys, argv):
         received.append(kwargs.get("max_histories"))
         return inner(*args, **kwargs)
 
-    modules = [importlib.import_module(f"qhopper.{m}") for m in QHOPPER_MODULES]
-    for mod in (qhopper, *modules):
-        for attr, value in list(vars(mod).items()):
-            if value is inner:
-                monkeypatch.setattr(mod, attr, wrapper)
+    _replace_everywhere(monkeypatch, inner, wrapper)
     assert main([*argv, "--format", "json", "--max-histories", "100000000"]) == 0
     capsys.readouterr()
     assert received and set(received) == {100000000}
+
+
+def _build_no_state(monkeypatch) -> None:
+    """Make every qhopper module's `initial_state` raise: a named state on n
+    sites is n amplitudes of up to 2n coefficients."""
+
+    def build(spec, label, amps=None):
+        raise AssertionError(f"{label} state built on {spec.n} sites")
+
+    _replace_everywhere(monkeypatch, qhopper.model.initial_state, build)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preclusion"],
+        ["preclusion", "--final", "all"],
+        ["preclusion", "--state", "custom:" + ",".join(["1"] * 5000)],
+        ["classify"],
+        ["compare", "--state", "plus", "--with", "minus", "--final", "0"],
+        ["report"],
+        ["report", "--state", "standing"],
+    ],
+    ids=["preclusion", "preclusion-all", "preclusion-custom", "classify", "compare", "report",
+         "report-standing"],
+)
+def test_a_space_over_the_history_guard_builds_no_state(monkeypatch, capsys, argv):
+    _build_no_state(monkeypatch)
+    start = time.perf_counter()
+    assert main([*argv, "--sites", "5000", "--steps", "2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds the max_histories guard" in err
+
+
+def test_the_ensemble_reports_refuse_before_building_a_state(monkeypatch):
+    _build_no_state(monkeypatch)
+    spec = LatticeSpec(5000, 2)
+    with pytest.raises(InfeasibleSizeError, match="max_histories"):
+        qhopper.analysis.discrimination_report(spec, ("plus", "minus"), 0)
+    with pytest.raises(InfeasibleSizeError, match="max_histories"):
+        qhopper.analysis.ensemble_symmetry_report(spec, "ground")
+
+
+# usage errors are reported before a refusal, in the order the commands read
+# their options: the state, the final site, whether the command takes 'all'
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        ("primitives --final all", 1, "error: primitives needs a fixed final site (--final <int>)"),
+        ("classify --sites 5000 --steps 2 --final all", 1,
+         "error: classify needs a fixed final site (--final <int>)"),
+        ("compare --state ground --with plus --final all", 1,
+         "error: compare needs a fixed final site (--final <int>)"),
+        ("preclusion --state bogus --final x", 1, "error: unknown state 'bogus'"),
+        ("primitives --state custom:1,2 --final 9", 1, "error: custom state needs 3 terms, got 2"),
+        ("report --state custom:1,x,2 --final x", 1, "error: bad custom term 'x'"),
+        ("histories --sites 3 --steps 2 --max-histories 5 --state custom:0,0,0", 1,
+         "error: initial state cannot be identically zero"),
+        ("report --state custom:0:0,1:0,2:0", 1, "error: initial state cannot be identically zero"),
+        ("histories --state custom:1:2:3,0,0", 1, "error: bad custom term '1:2:3'"),
+        ("classify --state custom:1:2:3,0,0 --final 7", 1, "error: bad custom term '1:2:3'"),
+        ("preclusion --sites 3 --steps 2 --state custom:0,0,1 --max-histories 5", 2,
+         "infeasible: space of 9 histories exceeds the max_histories guard of 5; raise it with"
+         " --max-histories or max_histories="),
+        ("compare --sites 5000 --steps 2 --state plus --with minus --final 5000", 1,
+         "error: site 5000 outside 0..4999"),
+        ("report --sites 5000 --steps 2 --final 5000", 1, "error: site 5000 outside 0..4999"),
+    ],
+)
+def test_usage_errors_come_before_the_history_guard(capsys, argv, code, line):
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qhopper: {line}\n"
 
 
 def test_preclusion_prints_counts_past_the_int_string_limit(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import gc
 import random
 import time
@@ -80,6 +81,53 @@ def test_one_hop_phase_per_displacement(monkeypatch):
             for x, x2 in zip(sites, sites[1:]):
                 expect = expect * hop_amplitude(sp.spec, x, x2).embed(sp.order)
             assert amp == expect
+
+
+def _enumerate_counting_embeds(monkeypatch, spec, state, final):
+    """The space, and how many amplitudes `enumerate_histories` embedded."""
+    embeds, embed = [], CycInt.embed
+
+    def counted(a, order):
+        embeds.append(order)
+        return embed(a, order)
+
+    with monkeypatch.context() as m:
+        m.setattr(CycInt, "embed", counted)
+        sp = enumerate_histories(spec, state, final)
+    return sp, len(embeds)
+
+
+def _assert_one_amplitude_per_key(sp):
+    """Histories sharing a start site and a hop exponent mod the phase order
+    share one amplitude object, and no other history holds it."""
+    square, p = sp.spec.hop_exponents, sp.spec.phase_order
+    objects = collections.defaultdict(set)
+    for sites, amp in zip(sp.histories, sp.amps):
+        e = sum(square[y - x] for x, y in zip(sites, sites[1:])) % p
+        objects[sites[0], e].add(id(amp))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len({id(a) for a in sp.amps}) == len(objects)
+
+
+def test_each_start_amplitude_is_embedded_once_and_turned_once_per_key(monkeypatch):
+    for sp in space_family(max_histories=81):
+        rebuilt, embeds = _enumerate_counting_embeds(monkeypatch, sp.spec, sp.state, sp.final)
+        assert embeds == sp.spec.n
+        _assert_one_amplitude_per_key(rebuilt)
+
+
+def test_a_wide_one_step_lattice_builds_only_the_amplitudes_it_holds(monkeypatch):
+    # the space holds one history per start site; a table of every turned
+    # start amplitude would be 300 * 600 amplitudes of 600 coefficients
+    spec = LatticeSpec(300, 1)
+    start = time.perf_counter()
+    sp, embeds = _enumerate_counting_embeds(monkeypatch, spec, initial_state(spec, "plus"), 0)
+    assert time.perf_counter() - start < 1.0
+    assert embeds == 300
+    _assert_one_amplitude_per_key(sp)
+    for i in random.Random(34).sample(range(sp.size), 8):
+        expect = history_amplitude(sp, sp.histories[i])
+        assert (sp.amps[i].order, sp.amps[i].coeffs) == (expect.order, expect.coeffs)
 
 
 def _assert_matches_oracle(sp):
