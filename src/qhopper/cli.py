@@ -316,12 +316,12 @@ def _space(args, fixed_for: str | None = None) -> HistorySpace:
     built only after that guard.  `fixed_for` names a command that needs a
     fixed final site."""
     spec = _spec_from(args)
-    state = _read_state(spec.n, args.state)
+    read = _read_state(spec.n, args.state)
     final = _parse_final(args.final, spec)
     if fixed_for and final is None:
         raise UsageError(f"{fixed_for} needs a fixed final site (--final <int>)")
     check_history_guard(spec, final, args.max_histories)
-    state = _build_state(spec, state)
+    state = _build_state(spec, read)
     return enumerate_histories(spec, state, final, max_histories=args.max_histories)
 
 
