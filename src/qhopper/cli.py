@@ -326,7 +326,7 @@ def _space(args, fixed_for: str | None = None) -> HistorySpace:
 
 
 def cmd_model(args) -> int:
-    # refused before the lattice builds its phase row of n entries
+    # refused before the n-by-n transfer matrix is built
     check_size("model of {} sites", args.sites, LIMITS.model_sites.default, LIMITS.model_sites)
     spec = _spec_from(args)
     data = _model_figures(spec)

@@ -33,7 +33,7 @@ from .histories import (
     mask_of,
 )
 from .measure import _Antichain, _bruteforce_sectors, sector_tables
-from .model import Frozen, FrozenValue, _set
+from .model import Frozen, FrozenValue
 from .subsetwalk import close_downward, minimal_uncovered, outer_and, zero_sum_subsets
 
 __all__ = [
@@ -59,12 +59,6 @@ class MultiplicativeCoevent(FrozenValue):
 
     __slots__ = _fields = ("support",)
     support: Event
-
-    def __init__(self, support):
-        _set(self, "support", support)
-
-    def _values(self) -> tuple:
-        return (self.support,)
 
     @property
     def space(self) -> HistorySpace:
@@ -211,9 +205,6 @@ class PrimitiveProfile(Frozen):
     _fields = ("classes", "minimal")
     classes: AmplitudeClasses
     minimal: tuple[tuple[int, ...], ...]  # sorted by total, then lexicographically
-
-    def __init__(self, classes, minimal):
-        vars(self).update(classes=classes, minimal=minimal)
 
     @property
     def space(self) -> HistorySpace:

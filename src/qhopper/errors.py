@@ -9,7 +9,8 @@ through `check_size`, so each `InfeasibleSizeError` reads
 
     <subject with the requested size> exceeds the <guard> guard of <limit>; <remedy>
 
-A size past 2^64 is given by its bit length b, as 2^(b-1)..2^b.
+A size past 2^64 is given by its bit length b, as 2^(b-1)..2^b; one too
+large to compute, by the power its caller names: "space of 3^10000000 histories".
 """
 from __future__ import annotations
 
@@ -89,7 +90,8 @@ def _magnitude(x: int) -> str:
 
 def check_size(subject: str, size: int, limit: int, guard: Guard) -> None:
     """Refuse `size` over `limit`, held to the guard's ceiling; `subject` has
-    `{}` where the size goes."""
+    `{}` where the size goes, or names a size too large to compute, of which
+    `size` is then any lower bound over the limit."""
     if guard.ceiling is not None:
         limit = min(limit, guard.ceiling)
     if size > limit:

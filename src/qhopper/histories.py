@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .cyclotomic import CycInt
 from .errors import LIMITS, SpaceMismatchError, check_size
-from .model import Frozen, FrozenValue, InitialState, LatticeSpec, _set, hop_amplitude
+from .model import Frozen, FrozenValue, InitialState, LatticeSpec, hop_amplitude
 
 __all__ = [
     "Sites",
@@ -56,17 +56,13 @@ class HistorySpace(Frozen):
     coevents reference the space object they were built over.
     """
 
+    _fields = ("spec", "state", "final", "histories", "amps", "order")
     spec: LatticeSpec
     state: InitialState
     final: int | None
     histories: tuple[Sites, ...]
     amps: tuple[CycInt, ...]
     order: int
-
-    def __init__(self, spec, state, final, histories, amps, order):
-        vars(self).update(
-            spec=spec, state=state, final=final, histories=histories, amps=amps, order=order
-        )
 
     @property
     def size(self) -> int:
@@ -118,9 +114,15 @@ def check_history_guard(
 ) -> int:
     """Size of the space with this final site (None: every final site).
 
-    Refuses a size over `max_histories`, before anything is built.
+    Refuses a size over `max_histories`, before anything is built.  The size
+    n^F has more than F * (bit_length(n) - 1) bits: past 2^20 of them and
+    the limit's bit length it is refused as the power, never computed.
     """
-    size = spec.n**spec.steps if final is not None else spec.n ** (spec.steps + 1)
+    n, free = spec.n, spec.steps if final is not None else spec.steps + 1
+    if free * (n.bit_length() - 1) > max(1 << 20, max_histories.bit_length()):
+        check_size(f"space of {n}^{free} histories", max_histories + 1, max_histories,
+                   LIMITS.max_histories)
+    size = n**free
     check_size("space of {} histories", size, max_histories, LIMITS.max_histories)
     return size
 
@@ -289,11 +291,7 @@ class Event(FrozenValue):
 
     def __init__(self, space, members):
         space.check_bitset(members)
-        _set(self, "space", space)
-        _set(self, "members", members)
-
-    def _values(self) -> tuple:
-        return self.space, self.members
+        super().__init__(space, members)
 
     @classmethod
     def from_indices(cls, space: HistorySpace, indices) -> Event:
@@ -360,9 +358,6 @@ class AmplitudeClass(Frozen):
     count: int
     final: int
 
-    def __init__(self, value, members, count, final):
-        vars(self).update(value=value, members=members, count=count, final=final)
-
 
 class AmplitudeClasses(Frozen):
     """Partition of a space by (final site, exact amplitude).
@@ -381,9 +376,6 @@ class AmplitudeClasses(Frozen):
     _fields = ("space", "classes")
     space: HistorySpace
     classes: tuple[AmplitudeClass, ...]
-
-    def __init__(self, space, classes):
-        vars(self).update(space=space, classes=classes)
 
     @property
     def counts(self) -> tuple[int, ...]:

@@ -71,11 +71,6 @@ class SectorTable(Frozen):
     counts: tuple[int, ...]
     kernel: _Kernel
 
-    def __init__(self, final, class_ids, values, counts, kernel):
-        vars(self).update(
-            final=final, class_ids=class_ids, values=values, counts=counts, kernel=kernel
-        )
-
     @functools.cached_property
     def precluded(self) -> int:
         """Zero-sum subsets of the sector, the empty one included."""

@@ -8,7 +8,9 @@ can never affect whether an amplitude sum vanishes.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from .cyclotomic import CycInt, root
 from .errors import InvalidSiteError, UnknownStateError
@@ -30,19 +32,30 @@ _set = object.__setattr__  # how __init__ fills the fields of a Frozen record
 
 
 class Frozen:
-    """Base of the package's records: assigning or deleting an attribute
-    raises AttributeError, and repr lists the fields named in `_fields`.
-
-    A subclass's __init__ sets its fields with `_set`, or, when it has a
-    __dict__, with `vars(self).update`; `functools.cached_property` writes
-    that __dict__ directly, so it still caches.  A record compares by
-    identity unless it defines __eq__, as `FrozenValue` does.  A plain
-    class costs little to create when its module is imported: no method
-    is generated and exec'd.
+    """Base of the package's records: a record is the fields named in
+    `_fields`, which __init__ binds from positional or keyword arguments (a
+    missing, extra, repeated or unknown one raises TypeError).  Assigning or
+    deleting an attribute raises AttributeError, and repr lists the fields.
+    A validating subclass checks its arguments, then calls this __init__.
+    Anything else is derived on first read, cached by `functools.cached_property`
+    in a subclass with a __dict__.  A record compares by identity unless it
+    defines __eq__, as `FrozenValue` does.  A plain class, unlike a
+    dataclass, generates and execs no method when its module is imported.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:  # keywords fill the fields after the positional ones
+            args += tuple([kwargs.pop(name) for name in fields[len(args) :] if name in kwargs])
+        if kwargs or len(args) != len(fields):
+            extra = f" and {', '.join(map(repr, kwargs))} besides" if kwargs else ""
+            raise TypeError(f"{type(self).__qualname__}() takes {', '.join(fields)}, "
+                            f"once each; got {len(args)} of them{extra}")
+        for name, value in zip(fields, args):
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,11 +70,19 @@ class Frozen:
 
 class FrozenValue(Frozen):
     """A Frozen record that compares and hashes by `_values()`, its fields'
-    values, equal only to a record of the same class; it pickles and copies
-    through its constructor, which validates again.  Every subclass must
-    define `_values`, returning its constructor's arguments in order."""
+    values in `_fields` order, equal only to a record of the same class; it
+    pickles and copies through its constructor, which validates again."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # one C call reads every field; with one field it returns the value itself
+        cls._field_values = operator.attrgetter(*cls._fields)
+
+    def _values(self) -> tuple:
+        values = self._field_values(self)
+        return values if len(self._fields) > 1 else (values,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -77,34 +98,35 @@ class FrozenValue(Frozen):
 
 class LatticeSpec(FrozenValue):
     """A cyclic lattice of n sites walked for a fixed number of time steps,
-    with its phase row built once: a hop by d = 0..n-1 sites carries the
-    root z^hop_exponents[d], z of order `phase_order` (n if odd, 2n if
-    even) and hop_exponents[d] = d^2 mod phase_order.  Only d mod n
-    matters, so a negative d may index the tuple from its end.
-
-    Compares, hashes, pickles and prints by (n, steps) alone.
+    compared, hashed, pickled and printed by these two fields.  A hop by
+    d = 0..n-1 sites carries the root z^hop_exponents[d], z of order
+    `phase_order` (n if odd, 2n if even), hop_exponents[d] = d^2 mod
+    phase_order.  That phase row is built on first read, so a lattice of
+    any size builds in O(1).  Only d mod n matters, so a negative d may
+    index the row from its end.
     """
 
-    __slots__ = ("n", "steps", "phase_order", "hop_exponents")
+    __slots__ = ("n", "steps", "__dict__")
     _fields = ("n", "steps")
     n: int
     steps: int
-    phase_order: int
-    hop_exponents: tuple[int, ...]
 
     def __init__(self, n, steps):
         if n < 2:
             raise ValueError(f"need at least 2 sites, got {n}")
         if steps < 1:
             raise ValueError(f"need at least 1 step, got {steps}")
-        m = n if n % 2 else 2 * n
-        _set(self, "n", n)
-        _set(self, "steps", steps)
-        _set(self, "phase_order", m)
-        _set(self, "hop_exponents", tuple([d * d % m for d in range(n)]))
+        # a float or a string raises TypeError here, not where the row is first read
+        super().__init__(operator.index(n), operator.index(steps))
 
-    def _values(self) -> tuple:
-        return self.n, self.steps
+    @property
+    def phase_order(self) -> int:
+        return self.n if self.n % 2 else 2 * self.n
+
+    @functools.cached_property
+    def hop_exponents(self) -> tuple[int, ...]:
+        m = self.phase_order
+        return tuple([d * d % m for d in range(self.n)])
 
     def check_site(self, x: int) -> None:
         if not 0 <= x < self.n:
@@ -124,11 +146,7 @@ class InitialState(FrozenValue):
     def __init__(self, label, amps):
         if all(a.is_zero() for a in amps):
             raise ValueError("initial state cannot be identically zero")
-        _set(self, "label", label)
-        _set(self, "amps", amps)
-
-    def _values(self) -> tuple:
-        return self.label, self.amps
+        super().__init__(label, amps)
 
 
 def hop_amplitude(spec: LatticeSpec, x: int, x2: int) -> CycInt:

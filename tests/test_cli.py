@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -692,6 +693,32 @@ def test_a_space_over_the_history_guard_builds_no_state(monkeypatch, capsys, arg
     start = time.perf_counter()
     assert main([*argv, "--sites", "5000", "--steps", "2"]) == 2
     assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "exceeds the max_histories guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "preclusion --sites 1000000000 --steps 2",
+        "compare --sites 1000000000 --steps 2 --state plus --with minus --final 0",
+        "report --sites 1000000000 --steps 2",
+        "preclusion --sites 3 --steps 10000000",
+    ],
+)
+def test_absurd_lattice_sizes_are_refused_within_a_second(monkeypatch, capsys, argv):
+    _build_no_state(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(argv.split()) == 2
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 10 << 20
     out, err = capsys.readouterr()
     assert out == ""
     assert "exceeds the max_histories guard" in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -47,6 +48,22 @@ def test_zero_order_rejected():
         root(0, 1)
     with pytest.raises(InvalidOrderError):
         CycInt(0, ())
+
+
+def test_a_value_refuses_assignment_and_copies_as_itself():
+    w = root(6, 1)
+    for name in ("order", "coeffs", "other"):
+        with pytest.raises(AttributeError, match="CycInt is immutable"):
+            setattr(w, name, 1)
+    assert copy.copy(w) is w and copy.deepcopy(w) is w
+    assert w.order == 6 and w.coeffs == (0, 1, 0, 0, 0, 0)
+
+
+def test_an_integer_minus_a_value():
+    w = root(3, 1)
+    assert 2 - w == CycInt(3, (2, -1, 0))
+    assert 1 - (1 - w) == w
+    assert (0 - w).coeffs == (-w).coeffs
 
 
 def test_coeff_length_must_match_order():

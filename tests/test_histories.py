@@ -32,7 +32,8 @@ from qhopper import (
     sector_tables,
     visited,
 )
-from qhopper.histories import bit_indices, mask_of
+from qhopper.errors import LIMITS
+from qhopper.histories import bit_indices, check_history_guard, mask_of
 from qhopper.model import STATE_LABELS, hop_amplitude
 
 
@@ -62,6 +63,31 @@ def test_size_guard():
     spec = LatticeSpec(3, 3)
     with pytest.raises(InfeasibleSizeError):
         enumerate_histories(spec, initial_state(spec, "plus"), None, max_histories=16)
+
+
+def _history_refusal(n, steps, final, limit=LIMITS.max_histories.default) -> str:
+    with pytest.raises(InfeasibleSizeError) as err:
+        check_history_guard(LatticeSpec(n, steps), final, limit)
+    return str(err.value)
+
+
+def test_the_history_guard_names_a_size_too_large_to_compute_as_a_power():
+    # up to F * (bit_length(n) - 1) = 2^20 the size n^F is computed and given by bit length
+    assert "space of 2^1661953..2^1661954 histories" in _history_refusal(3, 1 << 20, 0)
+    assert _history_refusal(3, (1 << 20) + 1, 0) == (
+        "space of 3^1048577 histories exceeds the max_histories guard of 16777216; "
+        "raise it with --max-histories or max_histories="
+    )
+    assert "space of 3^1048577 histories" in _history_refusal(3, 1 << 20, None)
+    start = time.perf_counter()
+    assert "space of 3^10000000 histories" in _history_refusal(3, 10**7, 0)
+    assert "space of 1000000000^10000000 histories" in _history_refusal(10**9, 10**7, 0)
+    assert time.perf_counter() - start < 0.1
+    # a limit of more than 2^20 bits is compared exactly up to its own bit length
+    limit = 1 << (1 << 21)
+    assert check_history_guard(LatticeSpec(2, 1 << 21), 0, limit) == limit
+    assert "space of 2^2097153 histories" in _history_refusal(2, (1 << 21) + 1, 0, limit)
+    assert "space of 2^2097154 histories" in _history_refusal(2, (1 << 21) + 2, 0, limit)
 
 
 def test_one_hop_phase_per_displacement(monkeypatch):
