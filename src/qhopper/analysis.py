@@ -81,7 +81,6 @@ __all__ = [
     "discrimination_report",
     "coevent_fields",
     "coevent_rows",
-    "coevent_records",
 ]
 
 RESTLESSNESS_BUCKETS = ("all_moving", "mixed_6v1", "rest_once_each", "other")
@@ -553,14 +552,3 @@ def coevent_rows(
         + verdicts(functools.reduce(operator.and_, map(inside, row), every))
         for cid, row in enumerate(supports)
     ]
-
-
-def coevent_records(
-    supports: Sequence[tuple[int, ...]],
-    space: HistorySpace,
-    events: dict[str, Event],
-) -> list[dict]:
-    """Flat per-coevent records for tabular output: `coevent_rows` keyed by
-    `coevent_fields`."""
-    fields = coevent_fields(events)
-    return [dict(zip(fields, row)) for row in coevent_rows(supports, space, events)]

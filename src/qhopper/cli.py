@@ -154,10 +154,6 @@ def _build_state(spec: LatticeSpec, read: str | tuple[tuple[int, int], ...]):
     return initial_state(spec, "custom", tuple(root(spec.n, e) * c for e, c in read))
 
 
-def _parse_state(spec: LatticeSpec, text: str):
-    return _build_state(spec, _read_state(spec.n, text))
-
-
 def _spec_from(args) -> LatticeSpec:
     try:
         return LatticeSpec(args.sites, getattr(args, "steps", 1))

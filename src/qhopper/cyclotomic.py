@@ -109,6 +109,9 @@ class CycInt:
     def __setattr__(self, name, value):
         raise AttributeError("CycInt is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("CycInt is immutable")
+
     def __reduce__(self):
         return (CycInt, (self.order, self.coeffs))
 
@@ -235,24 +238,6 @@ class CycInt:
 
     def __repr__(self) -> str:
         return f"CycInt({self.order}, {self.coeffs})"
-
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                base = f"z{self.order}" if k == 1 else f"z{self.order}^{k}"
-                terms.append(("-" if c < 0 else "") + mag + base)
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
 
 
 def root(order: int, k: int) -> CycInt:

@@ -10,7 +10,6 @@ refer to.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -395,23 +394,24 @@ def amplitude_classes(space: HistorySpace) -> AmplitudeClasses:
 
 
 def _group_by_amplitude(space: HistorySpace) -> AmplitudeClasses:
-    # enumerated histories share a few amplitude objects, so bucket them by
+    # enumerated histories share a few amplitude objects, so key them by
     # object (and final site, on an unrestricted space) and take each
-    # object's canonical value once, not per history
-    keys = map(id, space.amps)
+    # object's canonical value once, not per history.  The walk is in index
+    # order, so a class is numbered at its smallest member and lists its
+    # members in increasing order.
+    amps, histories = space.amps, space.histories
+    keys = map(id, amps)
     if space.final is None:
-        keys = zip(map(operator.itemgetter(-1), space.histories), keys)
-    by_key = collections.defaultdict(list)
+        keys = zip(map(operator.itemgetter(-1), histories), keys)
+    by_key, by_value = {}, {}
     for i, key in enumerate(keys):
-        by_key[key].append(i)
-    buckets = collections.defaultdict(list)
-    for ids in by_key.values():
-        buckets[space.histories[ids[0]][-1], space.amps[ids[0]].canonical()].extend(ids)
-    for ids in buckets.values():
-        ids.sort()
-    ordered = sorted(buckets.items(), key=lambda item: item[1][0])
+        ids = by_key.get(key)
+        if ids is None:
+            value = histories[i][-1], amps[i].canonical()
+            ids = by_key[key] = by_value.setdefault(value, [])
+        ids.append(i)
     classes = tuple(
-        AmplitudeClass(space.amps[ids[0]], mask_of(ids), len(ids), final)
-        for (final, _), ids in ordered
+        AmplitudeClass(amps[ids[0]], mask_of(ids), len(ids), final)
+        for (final, _), ids in by_value.items()
     )
     return AmplitudeClasses(space, classes)

@@ -63,7 +63,13 @@ def _term_label(coeff: int, k: int, order: int) -> str:
 
 
 def value_label(value: CycInt) -> str:
-    """Deterministic compact label for an exact amplitude value."""
+    """Deterministic compact label for an exact amplitude value: the one text
+    form of a value, which every output prints (`str()` of a CycInt is its repr).
+
+    >>> from qhopper.cyclotomic import root
+    >>> value_label(root(3, 2)), value_label(root(4, 3)), value_label(CycInt.zero(3))
+    ('ω̄', '-i', '0')
+    """
     terms = [(k, c) for k, c in enumerate(value.coeffs) if c]
     if not terms:
         return "0"

@@ -28,7 +28,7 @@ from qhopper.analysis import (
     avoids_site_event,
     circulates_positive_only_event,
     coevent_fields,
-    coevent_records,
+    coevent_rows,
     named_ensemble,
     never_moves_event,
     never_rests_event,
@@ -52,7 +52,8 @@ def test_coevent_records_carry_exactly_the_coevent_fields(plus_space, ground_spa
         "positive": circulates_positive_only_event(plus_space),
     }
     supports = [phi.indices() for phi in plus_coevents]
-    records = coevent_records(supports, plus_space, events)
+    rows = coevent_rows(supports, plus_space, events)
+    records = [dict(zip(coevent_fields(events), row)) for row in rows]
     assert len(records) == len(plus_coevents)
     assert all(tuple(rec) == coevent_fields(events) for rec in records)
     assert coevent_fields(events)[-2:] == ("never_moves", "positive")
@@ -66,7 +67,7 @@ def test_coevent_records_carry_exactly_the_coevent_fields(plus_space, ground_spa
         for name, event in events.items():
             assert rec[name] == int(phi.evaluate(event))
     with pytest.raises(SpaceMismatchError):
-        coevent_records(supports, plus_space, {"other": never_moves_event(ground_space)})
+        coevent_rows(supports, plus_space, {"other": never_moves_event(ground_space)})
 
 
 # -- circulation ---------------------------------------------------------------------

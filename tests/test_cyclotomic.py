@@ -59,6 +59,14 @@ def test_a_value_refuses_assignment_and_copies_as_itself():
     assert w.order == 6 and w.coeffs == (0, 1, 0, 0, 0, 0)
 
 
+def test_values_refuse_deletion():
+    w = root(3, 1)
+    for name in ("order", "coeffs"):
+        with pytest.raises(AttributeError, match="CycInt is immutable"):
+            delattr(w, name)
+    assert w == root(3, 1)
+
+
 def test_an_integer_minus_a_value():
     w = root(3, 1)
     assert 2 - w == CycInt(3, (2, -1, 0))
@@ -234,6 +242,7 @@ def test_canonical_key_groups_equal_values():
 
 
 def test_str_and_repr_are_stable():
-    assert str(CycInt.zero(3)) == "0"
-    assert str(root(3, 2)) == "z3^2"
+    # render.value_label is the one text form of a value; str() is the repr
+    for v in (CycInt.zero(3), root(3, 2)):
+        assert str(v) == repr(v)
     assert repr(root(2, 1)) == "CycInt(2, (0, 1))"

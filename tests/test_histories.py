@@ -8,7 +8,7 @@ import weakref
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qhopper.histories
@@ -16,6 +16,7 @@ from conftest import space_family
 from qhopper import (
     CycInt,
     Event,
+    HistorySpace,
     InfeasibleSizeError,
     LatticeSpec,
     SpaceMismatchError,
@@ -35,6 +36,7 @@ from qhopper import (
 from qhopper.errors import LIMITS
 from qhopper.histories import bit_indices, check_history_guard, mask_of
 from qhopper.model import STATE_LABELS, hop_amplitude
+from qhopper.render import value_label
 
 
 def space(n, steps, label, final):
@@ -259,7 +261,8 @@ def test_classes_partition_space(plus_classes):
 
 def test_one_step_ground_classes():
     classes = amplitude_classes(space(3, 1, "ground", 0))
-    assert [(str(c.value), c.count) for c in classes.classes] == [("1", 1), ("z3", 2)]
+    labels = [(value_label(c.value), c.count) for c in classes.classes]
+    assert labels == [("1", 1), ("ω", 2)]
 
 
 def test_class_membership_differs_between_states(plus_classes, ground_classes):
@@ -348,8 +351,30 @@ def test_classes_equal_the_one_bit_loop_on_every_small_space():
         assert list(sector_tables(classes)) == sorted({c.final for c in classes.classes})
 
 
+def unshared_amplitudes(sp):
+    """The same space with one fresh `history_amplitude` object per history:
+    no object is shared, and equal values may differ in their raw vectors."""
+    amps = tuple(history_amplitude(sp, h) for h in sp.histories)
+    return HistorySpace(sp.spec, sp.state, sp.final, sp.histories, amps, sp.order)
+
+
+def custom_space(n, steps, amps, final):
+    spec = LatticeSpec(n, steps)
+    return enumerate_histories(spec, initial_state(spec, "custom", amps), final)
+
+
+# on two sites the phase ring has order 4: 1 + i beside a zero term written
+# as 1 + z^2; and 1 beside i written as 2i + i^3, so that histories from
+# sites 0 and 1 hold one value in two raw vectors
+ZERO_TERM = (CycInt(4, (1, 1, 0, 0)), CycInt(4, (1, 0, 1, 0)))
+TWO_FORMS = (CycInt.one(4), CycInt(4, (0, 2, 0, 1)))
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(custom_spaces())
+@example(unshared_amplitudes(space(3, 3, "standing", 1)))
+@example(unshared_amplitudes(custom_space(2, 3, ZERO_TERM, None)))
+@example(unshared_amplitudes(custom_space(2, 3, TWO_FORMS, None)))
 def test_classes_of_custom_states_equal_the_one_bit_loop(sp):
     classes = amplitude_classes(sp)
     got = [(c.final, c.value.canonical(), c.members, c.count) for c in classes.classes]

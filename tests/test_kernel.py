@@ -33,7 +33,7 @@ from qhopper import (
     root,
 )
 import qhopper.measure
-from qhopper.cli import _parse_state as parse_state
+from qhopper.cli import _build_state, _read_state
 from qhopper.cli import main
 from qhopper.coevents import _dualise_maxima, is_preclusive, is_primitive
 from qhopper.histories import Event, bit_indices
@@ -249,7 +249,7 @@ def _walk_spaces():
 def test_direction_walk_equals_class_walk(point):
     n, steps, state, final = point
     spec = LatticeSpec(n, steps)
-    space = enumerate_histories(spec, parse_state(spec, state), final)
+    space = enumerate_histories(spec, _build_state(spec, _read_state(n, state)), final)
     classes = amplitude_classes(space)
     values = tuple(c.value for c in classes.classes)  # a fixed-final space is one sector
     counts = classes.counts
@@ -261,8 +261,9 @@ def test_direction_walk_equals_class_walk(point):
 def test_zero_class_points_have_a_zero_direction(point):
     n, steps, state = point
     spec = LatticeSpec(n, steps)
+    initial = _build_state(spec, _read_state(n, state))
     for final in range(n):
-        classes = amplitude_classes(enumerate_histories(spec, parse_state(spec, state), final))
+        classes = amplitude_classes(enumerate_histories(spec, initial, final))
         kernel = _sector_kernel(tuple(c.value for c in classes.classes), classes.counts)
         assert any(not any(u) for _, u, _ in _directions(kernel))
 
@@ -313,7 +314,8 @@ def test_custom_states_walk_several_classes_per_direction():
     # what the direction walk is for: eight classes on three value lines
     spec = LatticeSpec(3, 3)
     for state in CUSTOM_STATES:
-        classes = amplitude_classes(enumerate_histories(spec, parse_state(spec, state), 0))
+        initial = _build_state(spec, _read_state(spec.n, state))
+        classes = amplitude_classes(enumerate_histories(spec, initial, 0))
         kernel = _sector_kernel(tuple(c.value for c in classes.classes), classes.counts)
         assert len(classes.counts) == 8
         assert sorted(len(members) for _, _, members in _directions(kernel)) == [2, 3, 3]

@@ -35,7 +35,7 @@ from qhopper.analysis import (
     positive_only_circulations,
     support_size_histogram,
 )
-from qhopper.cli import _parse_state
+from qhopper.cli import _build_state, _read_state
 from qhopper.coevents import primitive_profile
 from qhopper.model import STATE_LABELS
 
@@ -263,7 +263,8 @@ def test_closed_forms_match_expansion_on_custom_states(lattice, terms, final, sh
     if not any(c for _, c in terms):
         return  # an identically zero state is refused
     spec = LatticeSpec(n, steps)
-    state = _parse_state(spec, "custom:" + ",".join(f"{e % n}:{c}" for e, c in terms))
+    text = "custom:" + ",".join(f"{e % n}:{c}" for e, c in terms)
+    state = _build_state(spec, _read_state(n, text))
     final, shift = final % n, shift % n
     space = enumerate_histories(spec, state, final)
     profile, ensemble = check_against_expansion(space)
